@@ -2,8 +2,7 @@
 
 Subcommands: bounds, simulate, verify (each take --config and --out) and
 report (takes --in).  Exit codes: 0 success, 1 usage or config error,
-2 inadmissible step size, 3 certificate failure.  STABILAB_THREADS caps
-replica parallelism.
+2 inadmissible step size, 3 certificate failure.
 """
 
 from __future__ import annotations

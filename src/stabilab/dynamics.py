@@ -5,28 +5,67 @@ identical minibatch index sequences and identical noise draws at every
 step, so the pathwise distance upper-bounds the Wasserstein distance
 between the two iterate laws.
 
-Randomness is counter-based: every stream is keyed by
-(master_seed, replica_id, stream_tag), so replicas are independent and
-order-independent by construction, and both chains of a pair consume the
-same streams structurally rather than incidentally.
+One engine, :func:`run_lanes`, runs every simulation.  It advances L
+coupled pairs ("lanes", one per replica) as a single ``(L, 2, d)`` state
+array with one lane-vectorized gradient per step, for both pairings: two
+datasets from one start (:func:`run_coupled_pair`, :func:`run_ensemble`) and
+one dataset from two starts (:func:`run_contraction_pair`).  The scalar
+:func:`step` is the reference path the engine is tested against.
+
+Stream layout v1 (``STREAM_VERSION``)
+-------------------------------------
+Randomness is counter-based: every stream is a Philox generator keyed by
+(master_seed, replica_id, stream_tag), tag 0 for minibatch indices and tag 1
+for noise, so replicas are independent and order-independent by
+construction, and both chains of a pair consume the same streams
+structurally rather than incidentally.  The engine draws each stream in
+blocks of steps and reproduces, bit for bit, one
+``Generator.choice(n, b, replace=False)`` and one :meth:`NoiseModel.draw`
+per step:
+
+* Minibatches come from one ``bit_generator.random_raw`` call per replica
+  and block.  Each 64-bit word splits into two 32-bit words, low half
+  first; a half left over at the end of a block opens the next block.
+  Every row replays numpy's algorithm on those words: Floyd's selection
+  (for j = n-b .. n-1 a Lemire-bounded draw on [0, j], taking j itself on a
+  duplicate; j = 0 draws nothing), then a Lemire Fisher-Yates shuffle of
+  the b picks (draws on [0, i] for i = b-1 .. 1).  A block in which a Lemire
+  draw is rejected is replayed word by word for that replica.  For (n, b)
+  where numpy shuffles the tail of ``arange(n)`` instead (n > 10000 and
+  b > n // 50) or needs draws wider than 32 bits, the rows are drawn with
+  ``Generator.choice`` itself.
+* Noise for a block of c steps is ``standard_normal((c, d)) * scale`` or
+  ``laplace(0, scale, (c, d))``, equal to c per-step draws.
+
+A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes, so the
+transient memory stays near a few MB whatever R and k_max are.
 """
 
 from __future__ import annotations
 
-import csv
-import os
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import Dataset, LossModel, NeighborPair, grad_batch
 
+# version of the random-stream layout described in the module docstring
+STREAM_VERSION = 1
+
 # stream tags for the counter-based generators
 _STREAM_MINIBATCH = 0
 _STREAM_NOISE = 1
 
-# abort a replica once an iterate norm exceeds this
+# a lane diverges once an iterate norm is not <= this (NaN included)
 DIVERGENCE_GUARD = 1e12
+
+# draws held per block across all lanes
+_BLOCK_ELEMENTS = 1 << 16
+
+_MASK32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -73,11 +112,19 @@ class NoiseModel:
         return float(sum(2.0 * s ** 2 for s in self.scale))
 
     def draw(self, rng: np.random.Generator) -> np.ndarray | None:
+        block = self.draw_block(rng, 1)
+        return None if block is None else block[0]
+
+    def draw_block(self, rng: np.random.Generator, rows: int
+                   ) -> np.ndarray | None:
+        """Noise of ``rows`` consecutive steps, shape (rows, d): the same
+        values as ``rows`` calls of :meth:`draw`."""
         if self.kind == "none":
             return None
+        scale = np.array(self.scale)
         if self.kind == "gaussian_diag":
-            return rng.standard_normal(len(self.scale)) * np.array(self.scale)
-        return rng.laplace(0.0, np.array(self.scale))
+            return rng.standard_normal((rows, len(scale))) * scale
+        return rng.laplace(0.0, scale, (rows, len(scale)))
 
 
 @dataclass
@@ -111,16 +158,145 @@ def _stream(master_seed: int, replica_id: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _block_rows(lanes: int, width: int) -> int:
+    """Steps per block, so a block holds about _BLOCK_ELEMENTS draws."""
+    return max(1, _BLOCK_ELEMENTS // (lanes * max(width, 1)))
+
+
+def _blocks(k_max: int, rows: int):
+    """Sizes of the consecutive blocks that cover k_max steps."""
+    for start in range(0, k_max, rows):
+        yield min(rows, k_max - start)
+
+
+def _lemire(next_word, bound: int) -> int:
+    """numpy's Lemire draw on [0, bound] from 32-bit words (bound < 2**32-1)."""
+    if bound == 0:
+        return 0
+    excl = bound + 1
+    m = next_word() * excl
+    if (m & 0xFFFFFFFF) < excl:
+        threshold = (2 ** 32 - excl) % excl
+        while (m & 0xFFFFFFFF) < threshold:
+            m = next_word() * excl
+    return m >> 32
+
+
+def _floyd_shuffle(vals: np.ndarray, n: int, b: int) -> np.ndarray:
+    """Rows of choice(n, b, replace=False) from their accepted Lemire draws.
+
+    ``vals`` (..., T) holds each row's draws in the order numpy consumes
+    them: Floyd's draws for j = n-b .. n-1 (none for j = 0), then the
+    shuffle's draws for i = b-1 .. 1.  Returns shape (..., b).
+    """
+    lead = vals.shape[:-1]
+    vals = vals.reshape(math.prod(lead), vals.shape[-1]).astype(np.int64)
+    picks = np.empty((len(vals), b), dtype=np.int64)
+    col = 0
+    for t, j in enumerate(range(n - b, n)):
+        if j == 0:
+            picks[:, t] = 0
+            continue
+        v = vals[:, col]
+        col += 1
+        duplicate = (picks[:, :t] == v[:, None]).any(axis=1)
+        picks[:, t] = np.where(duplicate, j, v)
+    rows = np.arange(len(vals))
+    for i in range(b - 1, 0, -1):
+        k = vals[:, col]
+        col += 1
+        swapped = picks[rows, k]
+        picks[rows, k] = picks[:, i]
+        picks[:, i] = swapped
+    return picks.reshape(*lead, b)
+
+
+class _IndexStreams:
+    """The minibatch streams of several replicas, replayed block by block."""
+
+    def __init__(self, rngs: list, n: int, b: int):
+        if b > n:
+            raise ValueError("batch size exceeds dataset size")
+        self.rngs, self.n, self.b = rngs, n, b
+        # inclusive bounds of one row's draws, in consumption order
+        bounds = [j for j in range(n - b, n) if j] + list(range(b - 1, 0, -1))
+        self.excl = np.array(bounds, dtype=np.uint64) + np.uint64(1)
+        self.threshold = (np.uint64(2 ** 32) - self.excl) % self.excl
+        self.replay = n < 2 ** 32 and (n <= 10000 or b <= n // 50)
+        self.carry = np.zeros(len(rngs), dtype=np.uint64)
+        self.has_carry = np.zeros(len(rngs), dtype=bool)
+
+    @property
+    def width(self) -> int:
+        """Words one row consumes when no draw is rejected."""
+        return len(self.excl)
+
+    def _words(self, lanes: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit words of each lane, shape (lanes, count)."""
+        out = np.empty((len(lanes), count), dtype=np.uint64)
+        has_carry = self.has_carry[lanes]
+        for carried in (False, True):
+            pick = has_carry == carried
+            group = lanes[pick]
+            if not group.size:
+                continue
+            raws = (count - carried + 1) // 2
+            raw = np.array([self.rngs[r].bit_generator.random_raw(raws)
+                            for r in group], dtype=np.uint64)
+            words = np.empty((len(group), carried + 2 * raws), dtype=np.uint64)
+            words[:, carried::2] = raw & _MASK32
+            words[:, carried + 1::2] = raw >> np.uint64(32)
+            if carried:
+                words[:, 0] = self.carry[group]
+            out[pick] = words[:, :count]
+            spare = words.shape[1] > count
+            self.has_carry[group] = spare
+            if spare:
+                self.carry[group] = words[:, count]
+        return out
+
+    def _replay_exact(self, lane: int, words: np.ndarray, rows: int
+                      ) -> np.ndarray:
+        """One lane's block word by word, honouring Lemire rejections."""
+        more = iter(lambda: int(self._words(np.array([lane]), 1)[0, 0]), None)
+        next_word = itertools.chain(words.tolist(), more).__next__
+        out = np.empty((rows, self.b), dtype=np.int64)
+        for row in out:
+            picks = []
+            for j in range(self.n - self.b, self.n):
+                v = _lemire(next_word, j)
+                picks.append(j if v in picks else v)
+            for i in range(self.b - 1, 0, -1):
+                k = _lemire(next_word, i)
+                picks[i], picks[k] = picks[k], picks[i]
+            row[:] = picks
+        return out
+
+    def next_rows(self, rows: int) -> np.ndarray:
+        """The next ``rows`` minibatches of every lane, shape (L, rows, b)."""
+        if not self.replay:
+            return np.array([[rng.choice(self.n, size=self.b, replace=False)
+                              for _ in range(rows)] for rng in self.rngs],
+                            dtype=np.int64).reshape(-1, rows, self.b)
+        lanes = np.arange(len(self.rngs))
+        words = self._words(lanes, rows * self.width).reshape(
+            len(lanes), rows, self.width)
+        m = words * self.excl
+        picks = _floyd_shuffle(m >> np.uint64(32), self.n, self.b)
+        rejected = ((m & _MASK32) < self.threshold).any(axis=(1, 2))
+        for lane in np.flatnonzero(rejected):
+            picks[lane] = self._replay_exact(lane, words[lane].ravel(), rows)
+        return picks
+
+
 def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
                        replica_id: int) -> np.ndarray:
     """The per-step index sets Omega_k, shape (k_max, b), without replacement."""
-    if b > n:
-        raise ValueError("batch size exceeds dataset size")
-    rng = _stream(master_seed, replica_id, _STREAM_MINIBATCH)
-    out = np.empty((k_max, b), dtype=np.int64)
-    for k in range(k_max):
-        out[k] = rng.choice(n, size=b, replace=False)
-    return out
+    index = _IndexStreams(
+        [_stream(master_seed, replica_id, _STREAM_MINIBATCH)], n, b)
+    blocks = [index.next_rows(size)[0]
+              for size in _blocks(k_max, _block_rows(1, index.width))]
+    return np.concatenate(blocks) if blocks else np.empty((0, b), np.int64)
 
 
 def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,
@@ -138,38 +314,115 @@ def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,
     return out
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bit-equal to np.linalg.norm of
+    each 1-D vector."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+class LaneRun(NamedTuple):
+    states: np.ndarray        # (L, len(checkpoints), 2, d)
+    diverged_at: np.ndarray   # (L,) first diverged step, k_max + 1 if none
+    distances: np.ndarray | None   # (L, k_max + 1), NaN once diverged
+
+
+def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
+              noise: NoiseModel, replica_ids, checkpoints=(),
+              distances: bool = False) -> LaneRun:
+    """Advance one coupled pair per replica id as one (L, 2, d) state array.
+
+    Chain c of every lane runs on ``datasets[c]`` from ``starts[c]``; both
+    chains of a lane share that replica's minibatch and noise streams.  A
+    lane diverges at the first step where either chain's norm is not
+    <= DIVERGENCE_GUARD (NaN included); it is frozen from then on and its
+    states at later checkpoints are meaningless.  With ``distances`` the
+    chain distance ||theta_k - theta_tilde_k|| is kept at every step.
+    """
+    replica_ids = list(replica_ids)
+    lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
+    n = datasets[0].n
+    # both chains' data stacked, so one index gathers a lane's two minibatches
+    features = np.concatenate([ds.features for ds in datasets])
+    labels = np.concatenate([ds.labels for ds in datasets])
+    chain_offset = n * np.arange(2)[:, None]
+    state = np.array(starts, dtype=float)[None].repeat(lanes, axis=0)
+    index = _IndexStreams([_stream(config.master_seed, r, _STREAM_MINIBATCH)
+                           for r in replica_ids], n, config.batch_b)
+    noise_rngs = [] if noise.kind == "none" else [
+        _stream(config.master_seed, r, _STREAM_NOISE) for r in replica_ids]
+    slot = {k: i for i, k in enumerate(checkpoints)}
+    saved = np.full((lanes, len(slot)) + state.shape[1:], np.nan)
+    dist = np.full((lanes, k_max + 1), np.nan) if distances else None
+    diverged_at = np.full(lanes, k_max + 1)
+
+    def record(k):
+        if k in slot:
+            saved[:, slot[k]] = state
+        if dist is not None:
+            dist[:, k] = _norms(state[:, 0] - state[:, 1])
+
+    rows = _block_rows(lanes, max(index.width, state.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = (_norms(state) <= DIVERGENCE_GUARD).all(axis=-1)
+        diverged_at[~live] = 0
+        record(0)
+        k = 0
+        for size in _blocks(k_max, rows):
+            rows_at = index.next_rows(size)[:, :, None, :] + chain_offset
+            xis = np.array([noise.draw_block(rng, size)
+                            for rng in noise_rngs]) if noise_rngs else None
+            for s in range(size):
+                k += 1
+                idx = rows_at[:, s]
+                g = grad_batch(loss, state, features[idx], labels[idx])
+                new = state - eta * g
+                if xis is not None:
+                    new = new + eta * xis[:, None, s, :]
+                ok = (_norms(new) <= DIVERGENCE_GUARD).all(axis=-1)
+                fresh = live & ~ok
+                if fresh.any():
+                    diverged_at[fresh] = k
+                    live &= ok
+                if not live.all():
+                    new[~live] = state[~live]
+                state = new
+                record(k)
+    if dist is not None:
+        dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
+    return LaneRun(saved, diverged_at, dist)
+
+
+def _checkpoints(checkpoints, k_max: int) -> list:
+    checkpoints = sorted(set(
+        checkpoints if checkpoints is not None else [k_max]))
+    if checkpoints and checkpoints[-1] > k_max:
+        raise ValueError("checkpoint beyond k_max")
+    return checkpoints
+
+
+def _coupled_results(loss: LossModel, pair: NeighborPair, config: SGDConfig,
+                     noise: NoiseModel, replica_ids, checkpoints) -> list:
+    run = run_lanes(loss, (pair.base, pair.perturbed),
+                    (config.theta0, config.theta0), config, noise,
+                    replica_ids, checkpoints)
+    results = []
+    for lane, replica_id in enumerate(replica_ids):
+        end = run.diverged_at[lane]
+        kept = [(i, k) for i, k in enumerate(checkpoints) if k < end]
+        results.append(ReplicaResult(
+            replica_id, checkpoints,
+            {k: run.states[lane, i, 0] for i, k in kept},
+            {k: run.states[lane, i, 1] for i, k in kept},
+            diverged=bool(end <= config.k_max)))
+    return results
+
+
 def run_coupled_pair(loss: LossModel, pair: NeighborPair, config: SGDConfig,
                      noise: NoiseModel, replica_id: int,
                      checkpoints=None) -> ReplicaResult:
     """Advance both chains of a pair with shared minibatches and noise."""
-    checkpoints = sorted(set(
-        checkpoints if checkpoints is not None else [config.k_max]))
-    if checkpoints and checkpoints[-1] > config.k_max:
-        raise ValueError("checkpoint beyond k_max")
-    n = pair.base.n
-    mb = _stream(config.master_seed, replica_id, _STREAM_MINIBATCH)
-    nz = _stream(config.master_seed, replica_id, _STREAM_NOISE)
-    theta = config.theta0.copy()
-    theta_hat = config.theta0.copy()
-    result = ReplicaResult(replica_id, checkpoints, {}, {})
-    want = set(checkpoints)
-    if 0 in want:
-        result.theta[0] = theta.copy()
-        result.theta_hat[0] = theta_hat.copy()
-    for k in range(1, config.k_max + 1):
-        omega = mb.choice(n, size=config.batch_b, replace=False)
-        xi = noise.draw(nz)
-        theta = step(loss, pair.base, theta, omega, config.eta, xi)
-        theta_hat = step(loss, pair.perturbed, theta_hat, omega,
-                         config.eta, xi)
-        if (np.linalg.norm(theta) > DIVERGENCE_GUARD
-                or np.linalg.norm(theta_hat) > DIVERGENCE_GUARD):
-            result.diverged = True
-            break
-        if k in want:
-            result.theta[k] = theta.copy()
-            result.theta_hat[k] = theta_hat.copy()
-    return result
+    return _coupled_results(loss, pair, config, noise, [replica_id],
+                            _checkpoints(checkpoints, config.k_max))[0]
 
 
 def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,
@@ -178,20 +431,9 @@ def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,
     """R independent coupled pairs; deterministic given master_seed."""
     if R < 1:
         raise ValueError("R >= 1 required")
-    checkpoints = sorted(set(
-        checkpoints if checkpoints is not None else [config.k_max]))
-    threads = int(os.environ.get("STABILAB_THREADS", "1"))
-    replica_ids = list(range(R))
-    runner = lambda r: run_coupled_pair(
-        loss, pair, config, noise, r, checkpoints)
-    if threads > 1 and R > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(runner, replica_ids))
-    else:
-        results = [runner(r) for r in replica_ids]
-    # results are keyed by replica_id, so execution order cannot matter
-    results.sort(key=lambda r: r.replica_id)
+    checkpoints = _checkpoints(checkpoints, config.k_max)
+    results = _coupled_results(loss, pair, config, noise, range(R),
+                               checkpoints)
     return CoupledEnsemble(results, checkpoints, config, noise)
 
 
@@ -200,33 +442,5 @@ def run_contraction_pair(loss: LossModel, dataset: Dataset, config: SGDConfig,
                          noise: NoiseModel, replica_id: int = 0) -> np.ndarray:
     """Distances ||theta_k - theta_tilde_k|| for k = 0..k_max under shared
     randomness, both chains on the same dataset from two initial points."""
-    mb = _stream(config.master_seed, replica_id, _STREAM_MINIBATCH)
-    nz = _stream(config.master_seed, replica_id, _STREAM_NOISE)
-    ta = np.asarray(theta0_a, dtype=float).copy()
-    tb = np.asarray(theta0_b, dtype=float).copy()
-    dist = np.empty(config.k_max + 1)
-    dist[0] = np.linalg.norm(ta - tb)
-    for k in range(1, config.k_max + 1):
-        omega = mb.choice(dataset.n, size=config.batch_b, replace=False)
-        xi = noise.draw(nz)
-        ta = step(loss, dataset, ta, omega, config.eta, xi)
-        tb = step(loss, dataset, tb, omega, config.eta, xi)
-        dist[k] = np.linalg.norm(ta - tb)
-    return dist
-
-
-def dump_trajectories_csv(ensemble: CoupledEnsemble, path) -> None:
-    """Optional trajectory dump: replica, k, chain, theta_0..theta_{d-1}."""
-    d = ensemble.config.theta0.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "k", "chain"]
-                        + [f"theta_{j}" for j in range(d)])
-        for rep in ensemble.replicas:
-            for k in ensemble.checkpoints:
-                if k not in rep.theta:
-                    continue
-                writer.writerow([rep.replica_id, k, "base"]
-                                + [repr(v) for v in rep.theta[k]])
-                writer.writerow([rep.replica_id, k, "perturbed"]
-                                + [repr(v) for v in rep.theta_hat[k]])
+    return run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
+                     noise, [replica_id], distances=True).distances[0]

@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds as bnd
 from . import model, transport, verify
 from .bounds import InadmissibleError, StabilityBound
-from .dynamics import NoiseModel, SGDConfig, run_ensemble
+from .dynamics import STREAM_VERSION, NoiseModel, SGDConfig, run_ensemble
 
 SCHEMA_VERSION = 1
 
@@ -260,6 +260,7 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
         writer.writerows(rows)
     summary = {
         "schema_version": SCHEMA_VERSION,
+        "stream_version": STREAM_VERSION,
         "regime": cfg["regime"],
         "master_seed": cfg["sgd"]["master_seed"],
         "replicas": R,

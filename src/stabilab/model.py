@@ -177,7 +177,7 @@ def point_norms(dataset: Dataset) -> np.ndarray:
 
 def _check_dim(loss: LossModel, theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.shape[0] != d:
+    if theta.ndim < 1 or theta.shape[-1] != d:
         raise ValueError(
             f"theta has shape {theta.shape}, expected ({d},)")
     if loss.family == "ScalarPower" and d != 1:
@@ -194,23 +194,31 @@ def grad(loss: LossModel, theta: np.ndarray, x: DataPoint) -> np.ndarray:
 
 def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
                Y: np.ndarray) -> np.ndarray:
-    """Mean analytic gradient over the rows of (A, Y)."""
+    """Mean analytic gradient over the rows of (A, Y).
+
+    Leading lane axes broadcast: theta (..., d), A (..., b, d) and Y (..., b)
+    give one mean gradient per lane, shape (..., d).  Every lane runs the
+    same matrix-vector products as a single call, so a lane's result does
+    not depend on how many lanes share the call.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Y = np.asarray(Y, dtype=float)
-    theta = _check_dim(loss, theta, A.shape[1])
+    theta = _check_dim(loss, theta, A.shape[-1])
+    b = A.shape[-2]
+    At = A.swapaxes(-1, -2)
     if loss.family in ("Quadratic", "RidgeQuadratic"):
-        residual = A @ theta - Y
-        g = A.T @ residual / A.shape[0]
+        residual = (A @ theta[..., None])[..., 0] - Y
+        g = (At @ residual[..., None])[..., 0] / b
         if loss.family == "RidgeQuadratic":
             g = g + loss.mu0 * theta
         return g
     if loss.family == "RegularizedSine":
-        phase = np.cos(A @ theta - Y)
-        return loss.m0 * theta + loss.s * (A.T @ phase) / A.shape[0]
+        phase = np.cos((A @ theta[..., None])[..., 0] - Y)
+        return loss.m0 * theta + loss.s * (At @ phase[..., None])[..., 0] / b
     # ScalarPower, d = 1: mu*sign(theta - y)|theta - y|^{p-1}, 0 at the kink
-    u = theta[0] - Y
+    u = theta[..., :1] - Y
     g = loss.mu * np.sign(u) * np.abs(u) ** (loss.p - 1.0)
-    return np.array([np.mean(g)])
+    return np.mean(g, axis=-1, keepdims=True)
 
 
 def _draw_point(generator: str, d: int, radius_D: float, label_range: float,

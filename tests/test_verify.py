@@ -58,6 +58,29 @@ class TestContraction:
         b = check_contraction(loss, ds, 0.05, 2, 0.999, 50, 16, seed=5)
         assert a.margin == b.margin
 
+    def test_equal_distances_pass_despite_rounding(self):
+        # the mean of 256 equal distances sqrt(2) lands 2 ulps above the
+        # claim sqrt(2) at k = 0; the rounding term absorbs that
+        ds = model.make_synthetic_dataset(
+            {"n": 8, "d": 2, "generator": "gaussian_clipped",
+             "radius_D": 1.0}, 3)
+        cert = check_contraction(model.quadratic(), ds, 0.5, 4, 0.95,
+                                 k_max=0, R=256, seed=1,
+                                 theta0_a=[1.0, 0.0], theta0_b=[0.0, 1.0])
+        d = cert.details
+        assert d["mean_at_worst_k"] > d["claim_at_worst_k"]
+        assert d["rounding_rel"] == 1e-12
+        assert cert.passed
+
+    def test_claim_violated_by_1e9_relative_fails(self):
+        # full batch contracts at exactly 0.9 per step
+        rate = 0.9 * (1.0 - 1e-9)
+        cert = check_contraction(model.quadratic(), unit_dataset(), eta=0.1,
+                                 b=4, claimed_rate=rate, k_max=10, R=4,
+                                 seed=0)
+        assert not cert.passed
+        assert cert.margin < 0
+
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             check_contraction(model.quadratic(), unit_dataset(), 0.1, 1,
@@ -216,6 +239,38 @@ class TestDominance:
 
 
 class TestSerialization:
+    def test_every_kind_round_trips(self, tmp_path):
+        import json
+        ds = unit_dataset()
+        sine = model.make_synthetic_dataset(
+            {"n": 4, "d": 1, "generator": "gaussian_clipped",
+             "radius_D": 1.0, "label_range": 0.5}, 6)
+        certs = [
+            check_contraction(model.quadratic(), ds, 0.1, 4, 0.9, 5, 4, 0),
+            check_drift(model.quadratic(), ds, 0.1, 1, "one_plus_norm",
+                        0.9, 0.2, [[0.0]]),
+            check_kernel_gap(model.quadratic(), flip_pair(), 0.1, 2,
+                             "one_plus_norm", 0.5, [[0.0]], 8, 0),
+            check_minorization_gaussian(
+                model.ridge_quadratic(1.0), sine, eta=0.1, b=1,
+                Sigma=[0.5], m=1.0, K0=2.44, epsilon=0.5, M=1.0, n_grid=3),
+            check_bound_dominates(
+                TransportEstimate(value=0.1, p=1.0, method="coupled",
+                                  n_samples=4, stderr=0.0, power_mean=0.1),
+                StabilityBound("Quadratic", 0.8, math.inf, {})),
+        ]
+        path = tmp_path / "certs.jsonl"
+        write_certificates_jsonl(certs, path)
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert [r["kind"] for r in records] == [
+            "contraction", "drift", "kernel_gap", "minorization",
+            "dominance"]
+        for cert, rec in zip(certs, records):
+            assert type(cert.passed) is bool
+            assert rec["passed"] is cert.passed
+            assert rec["margin"] == cert.margin
+
     def test_jsonl_round_trip(self, tmp_path):
         import json
         certs = [Certificate("contraction", True, 0.5, {"R": 4}),

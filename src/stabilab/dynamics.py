@@ -5,11 +5,12 @@ identical minibatch index sequences and identical noise draws at every
 step, so the pathwise distance upper-bounds the Wasserstein distance
 between the two iterate laws.
 
-One engine, :func:`run_lanes`, runs every simulation.  It advances L
-coupled pairs ("lanes", one per replica) as a single ``(L, 2, d)`` state
-array with one lane-vectorized gradient per step, for both pairings: two
-datasets from one start (:func:`run_coupled_pair`, :func:`run_ensemble`) and
-one dataset from two starts (:func:`run_contraction_pair`).  The scalar
+One engine, :func:`run_lanes`, runs every multi-step simulation.  It
+advances L coupled pairs ("lanes", one per replica) as a single
+``(L, 2, d)`` state array with one lane-vectorized gradient per step, for
+both pairings: two datasets from one start (:func:`run_coupled_pair`,
+:func:`run_ensemble`) and one dataset from two starts
+(:func:`run_contraction_pair`, ``verify.check_contraction``).  The scalar
 :func:`step` is the reference path the engine is tested against.
 
 Stream layout v1 (``STREAM_VERSION``)
@@ -160,7 +161,7 @@ def _stream(master_seed: int, replica_id: int, tag: int) -> np.random.Generator:
 
 def _block_rows(lanes: int, width: int) -> int:
     """Steps per block, so a block holds about _BLOCK_ELEMENTS draws."""
-    return max(1, _BLOCK_ELEMENTS // (lanes * max(width, 1)))
+    return max(1, _BLOCK_ELEMENTS // max(lanes * width, 1))
 
 
 def _blocks(k_max: int, rows: int):

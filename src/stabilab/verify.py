@@ -73,6 +73,8 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
     """Mean coupled distance from two starts vs claimed_rate^k * ||delta0||."""
     if not (0 < claimed_rate < 1):
         raise ValueError("claimed_rate must lie in (0, 1)")
+    if R < 1:
+        raise ValueError("R >= 1 required")
     d = dataset.dim_d
     if theta0_a is None:
         theta0_a = np.ones(d)

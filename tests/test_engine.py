@@ -70,11 +70,6 @@ class TestMinibatchReplay:
         assert np.array_equal(minibatch_sequence(n, b, rows, 11, 2),
                               choice_rows(n, b, rows, 11, 2))
 
-    def test_small_budget_sequence(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 40)
-        assert np.array_equal(minibatch_sequence(16, 8, 30, 4, 1),
-                              choice_rows(16, 8, 30, 4, 1))
-
     def test_searched_seed_reaches_rejection(self):
         # seed 30, replica 1 was found by searching seeds 0..199: its first
         # Lemire rejection at n = 10000 falls in row 26

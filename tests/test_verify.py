@@ -81,6 +81,11 @@ class TestContraction:
         assert not cert.passed
         assert cert.margin < 0
 
+    def test_no_replicas_rejected(self):
+        with pytest.raises(ValueError, match="R >= 1"):
+            check_contraction(model.quadratic(), unit_dataset(), 0.1, 2, 0.9,
+                              5, R=0, seed=0)
+
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             check_contraction(model.quadratic(), unit_dataset(), 0.1, 1,

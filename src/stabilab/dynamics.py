@@ -333,7 +333,8 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     """Advance one coupled pair per replica id as one (L, 2, d) state array.
 
     Chain c of every lane runs on ``datasets[c]`` from ``starts[c]``; both
-    chains of a lane share that replica's minibatch and noise streams.  A
+    chains of a lane share that replica's minibatch and noise streams.
+    ``states[:, i]`` holds the lanes at step ``checkpoints[i]``.  A
     lane diverges at the first step where either chain's norm is not
     <= DIVERGENCE_GUARD (NaN included); it is frozen from then on and its
     states at later checkpoints are meaningless.  With ``distances`` the
@@ -351,8 +352,9 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
                            for r in replica_ids], n, config.batch_b)
     noise_rngs = [] if noise.kind == "none" else [
         _stream(config.master_seed, r, _STREAM_NOISE) for r in replica_ids]
+    checkpoints = list(checkpoints)
     slot = {k: i for i, k in enumerate(checkpoints)}
-    saved = np.full((lanes, len(slot)) + state.shape[1:], np.nan)
+    saved = np.full((lanes, len(checkpoints)) + state.shape[1:], np.nan)
     dist = np.full((lanes, k_max + 1), np.nan) if distances else None
     diverged_at = np.full(lanes, k_max + 1)
 

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import AssumptionConstants, Dataset
+from .model import AssumptionConstants, Dataset, _norms
 
 K_INF = math.inf
 
@@ -123,61 +123,60 @@ def _one_minus_pow(rate: float, k: float) -> float:
     return -math.expm1(k * math.log(rate)) if rate > 0 else 1.0
 
 
+def minibatches(n: int, b: int) -> np.ndarray:
+    """All C(n, b) minibatches of range(n), shape (C(n, b), b), in
+    ``itertools.combinations`` order, so sums over them keep their order.
+
+    Raises ValueError when C(n, b) exceeds EXACT_ENUMERATION_CAP.
+    """
+    total = math.comb(n, b)
+    if total > EXACT_ENUMERATION_CAP:
+        raise ValueError(
+            f"C({n},{b}) = {total} minibatches exceed the exact-enumeration "
+            f"cap {EXACT_ENUMERATION_CAP}; use monte_carlo mode")
+    return np.array(list(combinations(range(n), b)),
+                    dtype=np.int64).reshape(total, b)
+
+
+def _omegas(n: int, b: int, mode: str, n_mc: int, seed: int) -> np.ndarray:
+    """Every minibatch (exact mode), or n_mc minibatches drawn one
+    ``choice`` call each (monte_carlo mode)."""
+    if mode == "exact":
+        return minibatches(n, b)
+    if mode != "monte_carlo":
+        raise ValueError(f"unknown mode {mode!r}")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.array([rng.choice(n, size=b, replace=False)
+                     for _ in range(n_mc)], dtype=np.int64).reshape(n_mc, b)
+
+
 def rho_quadratic(dataset: Dataset, eta: float, b: int,
                   mode: str = "exact", n_mc: int = 10000,
                   seed: int = 0) -> dict:
     """E||I - (eta/b) sum_{i in Omega} a_i a_i^T|| over minibatches.
 
     Exact mode enumerates all C(n, b) minibatches (cap 20000); Monte-Carlo
-    mode samples n_mc minibatches and reports a standard error.
+    mode samples n_mc minibatches and reports a standard error.  The
+    spectral norms are taken over the whole stack of minibatches at once.
     """
     if b > dataset.n:
         raise ValueError("batch size exceeds dataset size")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    A = dataset.features
-    d = dataset.dim_d
-    eye = np.eye(d)
-
-    def spectral(omega) -> float:
-        H = A[list(omega)].T @ A[list(omega)] / len(omega)
-        return float(np.linalg.norm(eye - eta * H, 2))
-
-    if mode == "exact":
-        total = math.comb(dataset.n, b)
-        if total > EXACT_ENUMERATION_CAP:
-            raise ValueError(
-                f"C({dataset.n},{b}) = {total} exceeds the enumeration cap "
-                f"{EXACT_ENUMERATION_CAP}; use monte_carlo mode")
-        vals = [spectral(om) for om in combinations(range(dataset.n), b)]
-        return {"rho": float(np.mean(vals)), "stderr": 0.0}
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    vals = np.array([
-        spectral(rng.choice(dataset.n, size=b, replace=False))
-        for _ in range(n_mc)])
-    return {"rho": float(np.mean(vals)),
-            "stderr": float(np.std(vals, ddof=1) / np.sqrt(n_mc))}
+    A = dataset.features[_omegas(dataset.n, b, mode, n_mc, seed)]
+    H = A.swapaxes(-1, -2) @ A / b
+    vals = np.linalg.norm(np.eye(dataset.dim_d) - eta * H, 2, axis=(-2, -1))
+    stderr = 0.0 if mode == "exact" \
+        else float(np.std(vals, ddof=1) / np.sqrt(n_mc))
+    return {"rho": float(np.mean(vals)), "stderr": stderr}
 
 
 def expected_q_norm(dataset: Dataset, b: int, mode: str = "exact",
                     n_mc: int = 10000, seed: int = 0) -> float:
     """E||sum_{i in Omega} a_i y_i|| over minibatches of size b."""
-    A, Y = dataset.features, dataset.labels
-    q = A * Y[:, None]
-
-    if mode == "exact":
-        total = math.comb(dataset.n, b)
-        if total > EXACT_ENUMERATION_CAP:
-            raise ValueError("enumeration over cap; use monte_carlo mode")
-        vals = [np.linalg.norm(q[list(om)].sum(axis=0))
-                for om in combinations(range(dataset.n), b)]
-        return float(np.mean(vals))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    vals = [np.linalg.norm(q[rng.choice(dataset.n, b, replace=False)]
-                           .sum(axis=0)) for _ in range(n_mc)]
-    return float(np.mean(vals))
+    q = dataset.features * dataset.labels[:, None]
+    omegas = _omegas(dataset.n, b, mode, n_mc, seed)
+    return float(np.mean(_norms(q[omegas].sum(axis=1))))
 
 
 def bound_quadratic(rho: float, rho_hat: float, Eq1_norm: float, D: float,

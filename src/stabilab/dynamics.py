@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, LossModel, NeighborPair, grad_batch
+from .model import Dataset, LossModel, NeighborPair, _norms, grad_batch
 
 # version of the random-stream layout described in the module docstring
 STREAM_VERSION = 1
@@ -303,7 +303,11 @@ def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
 def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,
          omega: np.ndarray, eta: float, xi: np.ndarray | None = None
          ) -> np.ndarray:
-    """One recursion step: theta - (eta/b) sum_{i in omega} grad f (+ eta*xi)."""
+    """One recursion step: theta - (eta/b) sum_{i in omega} grad f (+ eta*xi).
+
+    Leading axes of ``omega`` (..., b) and ``xi`` (..., d) give one step
+    per lane from the same theta, in one lane-vectorized gradient.
+    """
     omega = np.asarray(omega, dtype=np.int64)
     if omega.size == 0:
         raise ValueError("omega must be nonempty")
@@ -313,12 +317,6 @@ def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,
     if xi is not None:
         out = out + eta * np.asarray(xi, dtype=float)
     return out
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, bit-equal to np.linalg.norm of
-    each 1-D vector."""
-    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
 class LaneRun(NamedTuple):

@@ -347,17 +347,20 @@ def cmd_verify(cfg: dict, out_dir) -> int:
     specs = cfg.get("certificates", [])
     if not specs:
         raise ConfigError("nothing to verify: config.certificates is empty")
-    certs = []
+    certs, seconds = [], []
     try:
         for spec in specs:
+            start = time.perf_counter()
             certs.append(_run_certificate(cfg, spec))
+            seconds.append(time.perf_counter() - start)
     except InadmissibleError as exc:
         print(f"inadmissible configuration: {exc}")
         return EXIT_INADMISSIBLE
     verify.write_certificates_jsonl(certs, out_dir / "certificates.jsonl")
-    for cert in certs:
+    for cert, elapsed in zip(certs, seconds):
         status = "PASS" if cert.passed else "FAIL"
-        print(f"{status} {cert.kind}: margin {cert.margin:.6g}")
+        print(f"{status} {cert.kind}: margin {cert.margin:.6g} "
+              f"({elapsed:.2f} s)")
     return EXIT_OK if all(c.passed for c in certs) else EXIT_CERT_FAILURE
 
 

@@ -221,6 +221,12 @@ def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
     return np.mean(g, axis=-1, keepdims=True)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bit-equal to np.linalg.norm of
+    each 1-D vector."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def _draw_point(generator: str, d: int, radius_D: float, label_range: float,
                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
     if generator == "unit_fixed":

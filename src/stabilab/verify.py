@@ -13,16 +13,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .bounds import (EXACT_ENUMERATION_CAP, StabilityBound,
-                     eta_hat_gaussian_log)
-from .dynamics import NoiseModel, SGDConfig, run_lanes, step
-from .model import (Dataset, LossModel, NeighborPair, empirical_minimizer,
-                    grad_batch)
+from .bounds import StabilityBound, eta_hat_gaussian_log, minibatches
+from .dynamics import (NoiseModel, SGDConfig, _block_rows, _blocks,
+                       _IndexStreams, run_lanes, step)
+from .model import (Dataset, LossModel, NeighborPair, _norms,
+                    derive_constants, empirical_minimizer, grad_batch)
 from .transport import TransportEstimate
 
 THREE_SIGMA = "three standard errors of the Monte-Carlo mean"
@@ -57,12 +56,12 @@ def write_certificates_jsonl(certs, path) -> None:
 
 
 def _lyapunov(kind: str, loss: LossModel, dataset: Dataset):
+    """V acting on the last axis of its argument."""
     if kind == "one_plus_norm":
-        return lambda t: 1.0 + np.linalg.norm(t)
+        return lambda t: 1.0 + _norms(t)
     if kind == "one_plus_sq_dist_to_min":
         theta_star = empirical_minimizer(loss, dataset)
-        return lambda t: 1.0 + float(
-            np.sum((np.asarray(t, dtype=float) - theta_star) ** 2))
+        return lambda t: 1.0 + np.sum((t - theta_star) ** 2, axis=-1)
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
 
@@ -126,31 +125,29 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
     worst_margin = math.inf
     worst = {}
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    xis = None
     if mode == "exact":
         if noise.kind != "none":
             raise ValueError("exact drift mode supports the noiseless kernel")
-        if math.comb(n, b) > EXACT_ENUMERATION_CAP:
-            raise ValueError("enumeration over cap; use monte_carlo mode")
-        omegas = list(combinations(range(n), b))
+        omegas = minibatches(n, b)
+    elif mode != "monte_carlo":
+        raise ValueError(f"unknown mode {mode!r}")
     for theta in theta_grid:
-        if mode == "exact":
-            vals = [V(step(loss, dataset_hat, theta, np.array(om), eta))
-                    for om in omegas]
-            se = 0.0
-        elif mode == "monte_carlo":
-            vals = []
-            for _ in range(n_mc):
-                om = rng.choice(n, size=b, replace=False)
-                vals.append(V(step(loss, dataset_hat, theta, om, eta,
-                                   noise.draw(rng))))
-            se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "monte_carlo":
+            # minibatch, then noise, per sample from one stream
+            omegas, xis = zip(*[(rng.choice(n, size=b, replace=False),
+                                 noise.draw(rng)) for _ in range(n_mc)])
+            omegas = np.array(omegas)
+            xis = None if noise.kind == "none" else np.array(xis)
+        vals = V(step(loss, dataset_hat, theta, omegas, eta, xis))
+        se = 0.0 if mode == "exact" \
+            else float(np.std(vals, ddof=1) / np.sqrt(n_mc))
         pv = float(np.mean(vals))
-        margin = claimed_delta * V(theta) + claimed_L + 3.0 * se - pv
+        v = float(V(theta))
+        margin = claimed_delta * v + claimed_L + 3.0 * se - pv
         if margin < worst_margin:
             worst_margin = margin
-            worst = {"theta": theta.tolist(), "PV": pv, "V": V(theta),
+            worst = {"theta": theta.tolist(), "PV": pv, "V": v,
                      "stderr": se}
     return Certificate(
         kind="drift", passed=worst_margin >= -1e-12, margin=float(worst_margin),
@@ -174,19 +171,17 @@ def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
     if not theta_grid:
         raise ValueError("theta_grid must be nonempty")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    n = pair.base.n
+    # R choice(n, b, replace=False) draws per grid point, replayed in blocks
+    index = _IndexStreams([rng], pair.base.n, b)
     worst_ratio = -math.inf
     worst = {}
     for theta in theta_grid:
-        dists = np.empty(R)
-        for r in range(R):
-            omega = rng.choice(n, size=b, replace=False)
-            a = step(loss, pair.base, theta, omega, eta)
-            bb = step(loss, pair.perturbed, theta, omega, eta)
-            dists[r] = np.linalg.norm(a - bb)
-        ratio = float(np.mean(dists)) / V(theta)
-        se = float(np.std(dists, ddof=1) / np.sqrt(R)) / V(theta) \
-            if R > 1 else 0.0
+        omegas = index.next_rows(R)[0]
+        dists = _norms(step(loss, pair.base, theta, omegas, eta)
+                       - step(loss, pair.perturbed, theta, omegas, eta))
+        v = float(V(theta))
+        ratio = float(np.mean(dists)) / v
+        se = float(np.std(dists, ddof=1) / np.sqrt(R)) / v if R > 1 else 0.0
         if ratio - 3.0 * se > worst_ratio:
             worst_ratio = ratio - 3.0 * se
             worst = {"theta": theta.tolist(), "measured_gap": ratio,
@@ -198,20 +193,33 @@ def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
                  "R": R, "seed": seed} | worst)
 
 
-def _log_mixture_density(loss, dataset, eta, b, Sigma, theta, theta1,
-                         omegas) -> float:
-    """log p(theta, theta1) for the Gaussian-noise one-step kernel, as an
-    exact mixture over the enumerated minibatches."""
-    d = dataset.dim_d
-    var = eta ** 2 * Sigma
+def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
+                   var: np.ndarray, thetas: np.ndarray, theta1s: np.ndarray,
+                   omegas: np.ndarray) -> np.ndarray:
+    """log p(theta, theta1), shape (len(thetas), len(theta1s)), of the
+    Gaussian-noise one-step kernel: an exact mixture over ``omegas``.
+
+    Works on blocks of about ``dynamics._BLOCK_ELEMENTS`` elements (one
+    gradient per block of thetas); no value depends on the blocking.
+    """
+    C, b = omegas.shape
+    d = thetas.shape[-1]
     log_norm = -0.5 * (d * math.log(2.0 * math.pi) + np.sum(np.log(var)))
-    logs = np.empty(len(omegas))
-    for idx, om in enumerate(omegas):
-        om = np.asarray(om, dtype=np.int64)
-        mean = theta - eta * grad_batch(loss, theta, dataset.features[om],
-                                        dataset.labels[om])
-        logs[idx] = log_norm - 0.5 * np.sum((theta1 - mean) ** 2 / var)
-    return float(logsumexp(logs) - math.log(len(omegas)))
+    A, Y = dataset.features[omegas], dataset.labels[omegas]
+    out = np.empty((len(thetas), len(theta1s)))
+    t0 = 0
+    for tc in _blocks(len(thetas), _block_rows(C, max(b, d))):
+        ts = thetas[t0:t0 + tc, None, :]
+        means = (ts - eta * grad_batch(loss, ts, A, Y))[:, None]
+        j0 = 0
+        for jc in _blocks(len(theta1s), _block_rows(tc * C, d)):
+            diff = theta1s[j0:j0 + jc, None, :] - means    # (tc, jc, C, d)
+            comps = log_norm - 0.5 * np.sum(diff ** 2 / var, axis=-1)
+            out[t0:t0 + tc, j0:j0 + jc] = logsumexp(comps, axis=-1) \
+                - math.log(C)
+            j0 += jc
+        t0 += tc
+    return out
 
 
 def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
@@ -223,23 +231,20 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
 
     Checks inf p(theta, theta1) / p(theta*, theta1) >= sqrt(eta_hat) over
     the grid {V(theta) <= R} x {||theta1 - theta*|| <= M}, with eta_hat from
-    the closed-form lower bound.  Margins are reported in log-space.
+    the closed-form lower bound.  Margins are reported in log-space, with
+    the grid point where the ratio is smallest.  The cost is
+    n_theta * n_theta1 * C(n, b) Gaussian components, as array work.
     """
     d = dataset.dim_d
     if d > 2:
         raise ValueError("minorization grid check supports d <= 2 only")
     Sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
-    if math.comb(dataset.n, b) > EXACT_ENUMERATION_CAP:
-        raise ValueError("minibatch enumeration over cap")
-    omegas = list(combinations(range(dataset.n), b))
+    omegas = minibatches(dataset.n, b)
     theta_star = empirical_minimizer(loss, dataset)
-    grad_sup = max(
-        float(np.linalg.norm(grad_batch(
-            loss, theta_star, dataset.features[i:i + 1],
-            dataset.labels[i:i + 1])))
-        for i in range(dataset.n))
+    grad_sup = float(_norms(grad_batch(
+        loss, theta_star, dataset.features[:, None, :],
+        dataset.labels[:, None])).max())
     if K1 is None:
-        from .model import derive_constants
         K1 = derive_constants(loss, dataset).K1
     eh = eta_hat_gaussian_log(Sigma, eta, m, K0, epsilon, K1, grad_sup,
                               M_grid=[max(M, eta * grad_sup)])
@@ -255,22 +260,23 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
 
     thetas = ball_grid(theta_star, r_theta)
     theta1s = ball_grid(theta_star, M)
-    log_at_star = np.array([
-        _log_mixture_density(loss, dataset, eta, b, Sigma, theta_star, t1,
-                             omegas) for t1 in theta1s])
-    min_log_ratio = math.inf
-    for theta in thetas:
-        for j, t1 in enumerate(theta1s):
-            lr = _log_mixture_density(loss, dataset, eta, b, Sigma, theta,
-                                      t1, omegas) - log_at_star[j]
-            min_log_ratio = min(min_log_ratio, lr)
+    var = eta ** 2 * Sigma
+    log_at_star = _log_densities(loss, dataset, eta, var, theta_star[None],
+                                 theta1s, omegas)[0]
+    ratios = _log_densities(loss, dataset, eta, var, thetas, theta1s,
+                            omegas) - log_at_star
+    t, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+    min_log_ratio = float(ratios[t, j])
     margin = min_log_ratio - 0.5 * eh["log_eta_hat"]
     return Certificate(
         kind="minorization", passed=margin >= 0, margin=float(margin),
         details={"log_eta_hat": eh["log_eta_hat"], "M": M, "R": R,
-                 "min_log_density_ratio": float(min_log_ratio),
+                 "min_log_density_ratio": min_log_ratio,
                  "n_theta": len(thetas), "n_theta1": len(theta1s),
-                 "grad_at_star_sup": grad_sup},
+                 "grad_at_star_sup": grad_sup,
+                 "worst_theta": thetas[t].tolist(),
+                 "worst_theta1": theta1s[j].tolist(),
+                 "log_density_at_star": float(log_at_star[j])},
         confidence="exact densities on a finite grid; margin in log-space")
 
 

@@ -288,14 +288,17 @@ def _run_certificate(cfg: dict, spec: dict) -> verify.Certificate:
             theta0_a=spec.get("theta0_a"), theta0_b=spec.get("theta0_b"),
             noise=build_noise(cfg))
     if kind == "drift":
+        mode, noise = spec.get("mode", "exact"), build_noise(cfg)
+        if mode == "exact" and noise.kind != "none":
+            raise ConfigError("certificate.mode exact enumerates the "
+                              "noiseless kernel; use monte_carlo with noise")
         return verify.check_drift(
             loss, pair.perturbed, sgd.eta, sgd.batch_b,
             spec.get("lyapunov", "one_plus_norm"),
             float(_require(spec, "claimed_delta", "certificate")),
             float(_require(spec, "claimed_L", "certificate")),
-            spec.get("theta_grid", [[0.0] * dataset.dim_d]),
-            mode=spec.get("mode", "exact"),
-            n_mc=int(spec.get("n_mc", 2000)), seed=seed)
+            spec.get("theta_grid", [[0.0] * dataset.dim_d]), mode=mode,
+            n_mc=int(spec.get("n_mc", 2000)), seed=seed, noise=noise)
     if kind == "kernel_gap":
         return verify.check_kernel_gap(
             loss, pair, sgd.eta, sgd.batch_b,

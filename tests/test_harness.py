@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
-from stabilab import cli, harness
+from stabilab import cli, harness, verify
+from stabilab.dynamics import NoiseModel
 from stabilab.harness import (EXIT_CERT_FAILURE, EXIT_INADMISSIBLE, EXIT_OK,
                               ConfigError, cmd_bounds, cmd_report,
                               cmd_simulate, cmd_verify, evaluate_bound,
@@ -162,6 +164,45 @@ class TestVerifyCommand:
         cmd_verify(cfg, tmp_path / "b")
         assert (tmp_path / "a" / "certificates.jsonl").read_bytes() == \
             (tmp_path / "b" / "certificates.jsonl").read_bytes()
+
+    def test_prints_each_certificate_time(self, tmp_path, capsys):
+        cfg = quadratic_config(certificates=[
+            {"kind": "contraction", "claimed_rate": 0.9, "k_max": 20,
+             "R": 8}])
+        cmd_verify(cfg, tmp_path)
+        assert re.fullmatch(r"PASS contraction: margin \S+ \(\d+\.\d\d s\)\n",
+                            capsys.readouterr().out)
+        assert " s)" not in (tmp_path / "certificates.jsonl").read_text()
+
+    def test_drift_certificate_sees_the_noise(self, tmp_path):
+        noise = {"kind": "gaussian_diag", "scale": [0.5]}
+        spec = {"kind": "drift", "mode": "monte_carlo", "n_mc": 200,
+                "claimed_delta": 0.95, "claimed_L": 1.0,
+                "theta_grid": [[0.0], [2.0]]}
+        cfg = quadratic_config(noise=noise, certificates=[spec])
+        assert cmd_verify(cfg, tmp_path) == EXIT_OK
+        rec = json.loads((tmp_path / "certificates.jsonl").read_text())
+        pair = harness.build_pair(cfg, harness.build_dataset(cfg))
+        args = (harness.build_loss(cfg), pair.perturbed, 0.1, 1,
+                "one_plus_norm", 0.95, 1.0, [[0.0], [2.0]])
+        noisy = verify.check_drift(*args, mode="monte_carlo", n_mc=200,
+                                   seed=42, noise=NoiseModel("gaussian_diag",
+                                                             (0.5,)))
+        plain = verify.check_drift(*args, mode="monte_carlo", n_mc=200,
+                                   seed=42)
+        assert rec["margin"] == noisy.margin != plain.margin
+
+    def test_exact_drift_with_noise_is_config_error(self, tmp_path, capsys):
+        cfg = quadratic_config(
+            noise={"kind": "gaussian_diag", "scale": [0.5]},
+            certificates=[{"kind": "drift", "claimed_delta": 0.9,
+                           "claimed_L": 1.0}])
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["verify", "--config", str(path),
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: certificate.mode")
+        assert err.count("\n") == 1
 
 
 class TestReportCommand:

@@ -124,11 +124,8 @@ def _one_minus_pow(rate: float, k: float) -> float:
 
 
 def minibatches(n: int, b: int) -> np.ndarray:
-    """All C(n, b) minibatches of range(n), shape (C(n, b), b), in
-    ``itertools.combinations`` order, so sums over them keep their order.
-
-    Raises ValueError when C(n, b) exceeds EXACT_ENUMERATION_CAP.
-    """
+    """All minibatches of range(n), shape (C(n, b), b), in the order of
+    ``itertools.combinations``; ValueError above EXACT_ENUMERATION_CAP."""
     total = math.comb(n, b)
     if total > EXACT_ENUMERATION_CAP:
         raise ValueError(
@@ -156,8 +153,7 @@ def rho_quadratic(dataset: Dataset, eta: float, b: int,
     """E||I - (eta/b) sum_{i in Omega} a_i a_i^T|| over minibatches.
 
     Exact mode enumerates all C(n, b) minibatches (cap 20000); Monte-Carlo
-    mode samples n_mc minibatches and reports a standard error.  The
-    spectral norms are taken over the whole stack of minibatches at once.
+    mode samples n_mc minibatches and reports a standard error.
     """
     if b > dataset.n:
         raise ValueError("batch size exceeds dataset size")

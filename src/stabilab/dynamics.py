@@ -303,11 +303,8 @@ def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
 def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,
          omega: np.ndarray, eta: float, xi: np.ndarray | None = None
          ) -> np.ndarray:
-    """One recursion step: theta - (eta/b) sum_{i in omega} grad f (+ eta*xi).
-
-    Leading axes of ``omega`` (..., b) and ``xi`` (..., d) give one step
-    per lane from the same theta, in one lane-vectorized gradient.
-    """
+    """One recursion step: theta - (eta/b) sum_{i in omega} grad f (+ eta*xi);
+    leading axes of omega (..., b) and xi (..., d) step many lanes at once."""
     omega = np.asarray(omega, dtype=np.int64)
     if omega.size == 0:
         raise ValueError("omega must be nonempty")

@@ -350,17 +350,18 @@ def cmd_verify(cfg: dict, out_dir) -> int:
     specs = cfg.get("certificates", [])
     if not specs:
         raise ConfigError("nothing to verify: config.certificates is empty")
-    certs, seconds = [], []
+    timed = []
     try:
         for spec in specs:
             start = time.perf_counter()
-            certs.append(_run_certificate(cfg, spec))
-            seconds.append(time.perf_counter() - start)
+            cert = _run_certificate(cfg, spec)
+            timed.append((cert, time.perf_counter() - start))
     except InadmissibleError as exc:
         print(f"inadmissible configuration: {exc}")
         return EXIT_INADMISSIBLE
+    certs = [cert for cert, _ in timed]
     verify.write_certificates_jsonl(certs, out_dir / "certificates.jsonl")
-    for cert, elapsed in zip(certs, seconds):
+    for cert, elapsed in timed:
         status = "PASS" if cert.passed else "FAIL"
         print(f"{status} {cert.kind}: margin {cert.margin:.6g} "
               f"({elapsed:.2f} s)")

@@ -118,10 +118,6 @@ class Dataset:
     def point(self, i: int) -> DataPoint:
         return DataPoint(self.features[i], float(self.labels[i]))
 
-    @property
-    def points(self) -> list[DataPoint]:
-        return [self.point(i) for i in range(self.n)]
-
 
 @dataclass
 class NeighborPair:

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .bounds import StabilityBound, eta_hat_gaussian_log, minibatches
-from .dynamics import (NoiseModel, SGDConfig, _block_rows, _blocks,
-                       _IndexStreams, run_lanes, step)
+from .dynamics import (NoiseModel, SGDConfig, _block_rows, _IndexStreams,
+                       run_lanes, step)
 from .model import (Dataset, LossModel, NeighborPair, _norms,
                     derive_constants, empirical_minimizer, grad_batch)
 from .transport import TransportEstimate
@@ -125,11 +125,10 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
     worst_margin = math.inf
     worst = {}
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xis = None
     if mode == "exact":
         if noise.kind != "none":
             raise ValueError("exact drift mode supports the noiseless kernel")
-        omegas = minibatches(n, b)
+        omegas, xis = minibatches(n, b), None
     elif mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     for theta in theta_grid:
@@ -207,18 +206,15 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
     log_norm = -0.5 * (d * math.log(2.0 * math.pi) + np.sum(np.log(var)))
     A, Y = dataset.features[omegas], dataset.labels[omegas]
     out = np.empty((len(thetas), len(theta1s)))
-    t0 = 0
-    for tc in _blocks(len(thetas), _block_rows(C, max(b, d))):
-        ts = thetas[t0:t0 + tc, None, :]
+    tc = _block_rows(C, max(b, d))
+    for t in range(0, len(thetas), tc):
+        ts = thetas[t:t + tc, None, :]
         means = (ts - eta * grad_batch(loss, ts, A, Y))[:, None]
-        j0 = 0
-        for jc in _blocks(len(theta1s), _block_rows(tc * C, d)):
-            diff = theta1s[j0:j0 + jc, None, :] - means    # (tc, jc, C, d)
+        jc = _block_rows(len(ts) * C, d)
+        for j in range(0, len(theta1s), jc):
+            diff = theta1s[j:j + jc, None, :] - means    # (tc, jc, C, d)
             comps = log_norm - 0.5 * np.sum(diff ** 2 / var, axis=-1)
-            out[t0:t0 + tc, j0:j0 + jc] = logsumexp(comps, axis=-1) \
-                - math.log(C)
-            j0 += jc
-        t0 += tc
+            out[t:t + tc, j:j + jc] = logsumexp(comps, axis=-1) - math.log(C)
     return out
 
 
@@ -260,11 +256,9 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
 
     thetas = ball_grid(theta_star, r_theta)
     theta1s = ball_grid(theta_star, M)
-    var = eta ** 2 * Sigma
-    log_at_star = _log_densities(loss, dataset, eta, var, theta_star[None],
-                                 theta1s, omegas)[0]
-    ratios = _log_densities(loss, dataset, eta, var, thetas, theta1s,
-                            omegas) - log_at_star
+    logs = _log_densities(loss, dataset, eta, eta ** 2 * Sigma,
+                          np.vstack([theta_star, thetas]), theta1s, omegas)
+    ratios = logs[1:] - logs[0]
     t, j = np.unravel_index(np.argmin(ratios), ratios.shape)
     min_log_ratio = float(ratios[t, j])
     margin = min_log_ratio - 0.5 * eh["log_eta_hat"]
@@ -276,7 +270,7 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
                  "grad_at_star_sup": grad_sup,
                  "worst_theta": thetas[t].tolist(),
                  "worst_theta1": theta1s[j].tolist(),
-                 "log_density_at_star": float(log_at_star[j])},
+                 "log_density_at_star": float(logs[0, j])},
         confidence="exact densities on a finite grid; margin in log-space")
 
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
+from .dynamics import _block_rows
 from .model import AssumptionConstants, Dataset, _norms
 
 K_INF = math.inf
@@ -131,8 +132,8 @@ def minibatches(n: int, b: int) -> np.ndarray:
         raise ValueError(
             f"C({n},{b}) = {total} minibatches exceed the exact-enumeration "
             f"cap {EXACT_ENUMERATION_CAP}; use monte_carlo mode")
-    return np.array(list(combinations(range(n), b)),
-                    dtype=np.int64).reshape(total, b)
+    return np.fromiter(chain.from_iterable(combinations(range(n), b)),
+                       dtype=np.int64, count=total * b).reshape(total, b)
 
 
 def _omegas(n: int, b: int, mode: str, n_mc: int, seed: int) -> np.ndarray:
@@ -159,9 +160,13 @@ def rho_quadratic(dataset: Dataset, eta: float, b: int,
         raise ValueError("batch size exceeds dataset size")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    A = dataset.features[_omegas(dataset.n, b, mode, n_mc, seed)]
-    H = A.swapaxes(-1, -2) @ A / b
-    vals = np.linalg.norm(np.eye(dataset.dim_d) - eta * H, 2, axis=(-2, -1))
+    omegas, d = _omegas(dataset.n, b, mode, n_mc, seed), dataset.dim_d
+    eye, vals = np.eye(d), np.empty(len(omegas))
+    rows = _block_rows(1, b * d + d * d)    # bounds the temporaries
+    for i in range(0, len(omegas), rows):
+        A = dataset.features[omegas[i:i + rows]]
+        H = A.swapaxes(-1, -2) @ A / b
+        vals[i:i + rows] = np.linalg.norm(eye - eta * H, 2, axis=(-2, -1))
     stderr = 0.0 if mode == "exact" \
         else float(np.std(vals, ddof=1) / np.sqrt(n_mc))
     return {"rho": float(np.mean(vals)), "stderr": stderr}
@@ -172,7 +177,11 @@ def expected_q_norm(dataset: Dataset, b: int, mode: str = "exact",
     """E||sum_{i in Omega} a_i y_i|| over minibatches of size b."""
     q = dataset.features * dataset.labels[:, None]
     omegas = _omegas(dataset.n, b, mode, n_mc, seed)
-    return float(np.mean(_norms(q[omegas].sum(axis=1))))
+    vals = np.empty(len(omegas))
+    rows = _block_rows(1, b * dataset.dim_d)
+    for i in range(0, len(omegas), rows):
+        vals[i:i + rows] = _norms(q[omegas[i:i + rows]].sum(axis=1))
+    return float(np.mean(vals))
 
 
 def bound_quadratic(rho: float, rho_hat: float, Eq1_norm: float, D: float,

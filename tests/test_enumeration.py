@@ -167,18 +167,26 @@ class TestMinibatches:
 
 class TestBoundsEnumeration:
     @pytest.mark.parametrize("n,d,b", [(7, 2, 1), (7, 2, 3), (7, 2, 7),
-                                       (9, 3, 4), (16, 2, 8)])
+                                       (9, 3, 4), (16, 2, 8), (12, 1, 9)])
     def test_rho_quadratic_exact(self, n, d, b):
         ds = dataset(n, d)
         res = rho_quadratic(ds, 0.5, b)
         assert_same(res["rho"], rho_loop(ds, 0.5, b))
         assert res["stderr"] == 0.0
 
+    # d = 1 and b >= 8 sum each minibatch pairwise, d >= 2 one row at a time
     @pytest.mark.parametrize("n,d,b", [(7, 2, 1), (7, 2, 3), (7, 2, 7),
-                                       (9, 3, 4), (16, 2, 8)])
+                                       (9, 3, 4), (16, 2, 8), (12, 1, 9)])
     def test_expected_q_norm_exact(self, n, d, b):
         ds = dataset(n, d)
         assert_same(expected_q_norm(ds, b), q_norm_loop(ds, b))
+
+    @pytest.mark.parametrize("budget", [1, 50])
+    def test_block_budget_changes_no_value(self, budget, monkeypatch):
+        ds = dataset(9, 3)
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        assert_same(rho_quadratic(ds, 0.5, 4)["rho"], rho_loop(ds, 0.5, 4))
+        assert_same(expected_q_norm(ds, 4), q_norm_loop(ds, 4))
 
     def test_monte_carlo_streams_unchanged(self):
         ds = dataset(12, 2)

@@ -6,6 +6,8 @@ the drift constant K0, the minorization level eta_hat for Gaussian noise
 (kept in log-space; its exponents reach -10^3 at realistic parameters),
 the contraction factor eta_bar it implies, and the minimizer-norm bounds.
 
+``REGIMES`` holds every rule of each regime in one :class:`Regime` record.
+
 Conventions:
 
 * ``k`` may be ``math.inf``; the geometric factor then uses its limit.
@@ -19,13 +21,16 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import _block_rows
-from .model import AssumptionConstants, Dataset, _norms
+from .dynamics import NoiseModel, SGDConfig, _block_rows
+from .model import (AssumptionConstants, Dataset, LossModel, NeighborPair,
+                    _norms, derive_constants, empirical_minimizer, grad_batch)
 
 K_INF = math.inf
 
@@ -42,14 +47,13 @@ class StabilityBound:
     value: float            # W1, W2^2, or W_p^p depending on the regime
     k: float
     constants_used: dict
-    admissible: bool = True
     log_value: float = -math.inf   # finite even when value overflows
 
     def as_dict(self) -> dict:
         return {"regime": self.regime, "value": self.value,
                 "log_value": self.log_value,
                 "k": "inf" if math.isinf(self.k) else int(self.k),
-                "admissible": self.admissible,
+                "admissible": True,
                 "constants_used": self.constants_used}
 
 
@@ -98,6 +102,29 @@ class NoisyRegimeConstants:
     log_one_minus_eta_bar: float
     R: float                       # (2 K0 / m)(1 + epsilon)
     M: float = 0.0
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One configured experiment; every command builds it once."""
+
+    loss: LossModel
+    dataset: Dataset
+    pair: NeighborPair
+    sgd: SGDConfig
+    noise: NoiseModel
+
+    @cached_property
+    def constants(self) -> AssumptionConstants:
+        return derive_constants(self.loss, self.dataset)
+
+    @cached_property
+    def K0(self) -> float:
+        """Drift constant, ||theta*|| replaced by its dissipativity bound Q."""
+        c = self.constants
+        Q = minimizer_norm_bound("dissipative", m=c.m, K=c.K, E=c.E)
+        return k0_constant(c.m, self.sgd.eta, c.K1, c.K2, c.D, Q ** 2, c.K,
+                           self.noise.sigma2)
 
 
 def _geom_factor(rate: float, k: float) -> float:
@@ -209,23 +236,24 @@ def bound_quadratic(rho: float, rho_hat: float, Eq1_norm: float, D: float,
                           log_value=math.log(value) if value > 0 else -math.inf)
 
 
-def check_admissible_strongly_convex(constants: AssumptionConstants,
-                                     eta: float) -> None:
-    limit = min(1.0 / constants.mu,
-                constants.mu / (constants.K1 ** 2
-                                + 64.0 * constants.D ** 2 * constants.K2 ** 2))
+def _check_step_size(constants: AssumptionConstants, eta: float,
+                     curvature: str) -> None:
+    """c > 0 and eta < min(1/c, c/(K1^2 + 64 D^2 K2^2)) for c = mu or m."""
+    c = getattr(constants, curvature)
+    if c <= 0:
+        raise InadmissibleError(f"the regime needs {curvature} > 0")
+    limit = min(1.0 / c, c / (constants.K1 ** 2
+                              + 64.0 * constants.D ** 2 * constants.K2 ** 2))
     if eta >= limit:
         raise InadmissibleError(
-            f"eta = {eta} violates eta < min(1/mu, mu/(K1^2 + 64 D^2 K2^2))"
-            f" = {limit}")
+            f"eta = {eta} violates eta < min(1/{curvature}, {curvature}/(K1^2"
+            f" + 64 D^2 K2^2)) = {limit}")
 
 
 def bound_strongly_convex(constants: AssumptionConstants, eta: float, n: int,
                           theta0_norm: float, k: float) -> StabilityBound:
     """W1 bound for mu-strongly convex losses."""
-    if constants.mu <= 0:
-        raise InadmissibleError("strongly convex regime needs mu > 0")
-    check_admissible_strongly_convex(constants, eta)
+    _check_step_size(constants, eta, "mu")
     mu, K1, K2, D, E = (constants.mu, constants.K1, constants.K2,
                         constants.D, constants.E)
     pref = 8.0 * D * K2 * _one_minus_pow(1.0 - eta * mu / 2.0, k) / (n * mu) \
@@ -351,17 +379,6 @@ def noisy_regime_constants(m: float, eta: float, epsilon: float, K0: float,
         R=2.0 * K0 / m * (1.0 + epsilon), M=M)
 
 
-def check_admissible_nonconvex(constants: AssumptionConstants,
-                               eta: float) -> None:
-    limit = min(1.0 / constants.m,
-                constants.m / (constants.K1 ** 2
-                               + 64.0 * constants.D ** 2 * constants.K2 ** 2))
-    if eta >= limit:
-        raise InadmissibleError(
-            f"eta = {eta} violates eta < min(1/m, m/(K1^2 + 64 D^2 K2^2))"
-            f" = {limit}")
-
-
 def _log_one_minus_pow(l1m: float, k: float) -> float:
     """log(1 - rate^k) given l1m = log(1 - rate), with the k = inf limit."""
     if k == 0:
@@ -387,9 +404,7 @@ def bound_nonconvex_noisy(constants: AssumptionConstants, eta: float,
     e^{1000} or more.  The minimizer norms are replaced by their
     dissipativity bound Q = (E + sqrt(E^2 + 4mK)) / (2m).
     """
-    if constants.m <= 0:
-        raise InadmissibleError("noisy non-convex regime needs m > 0")
-    check_admissible_nonconvex(constants, eta)
+    _check_step_size(constants, eta, "m")
     m, K1, K2, D, E, K = (constants.m, constants.K1, constants.K2,
                           constants.D, constants.E, constants.K)
     if noisy.log_one_minus_eta_bar >= 0:
@@ -437,9 +452,7 @@ def bound_nonconvex_plain(constants: AssumptionConstants, eta: float, b: int,
                           n: int, theta0_norm: float, k: float
                           ) -> StabilityBound:
     """W2^2 bound for dissipative losses without noise (persistent 2K/m)."""
-    if constants.m <= 0:
-        raise InadmissibleError("non-convex regime needs m > 0")
-    check_admissible_nonconvex(constants, eta)
+    _check_step_size(constants, eta, "m")
     m, K1, K2, D, E, K = (constants.m, constants.K1, constants.K2,
                           constants.D, constants.E, constants.K)
     Q = minimizer_norm_bound("dissipative", m=m, K=K, E=E)
@@ -527,8 +540,73 @@ def perturbation_combine(inputs: PerturbationInputs) -> float:
                        / (1.0 - inputs.rho))
 
 
-def generalization_from_stability(L_lipschitz: float, w1: float) -> float:
-    """Generalization gap bound: Lipschitz constant times the W1 stability."""
-    if L_lipschitz < 0 or w1 < 0:
-        raise ValueError("both arguments must be nonnegative")
-    return L_lipschitz * w1
+def _bound_k(cfg: dict) -> float:
+    k = cfg.get("k", "inf")
+    return K_INF if k in ("inf", None) else float(int(k))
+
+
+def _theta0_norm(exp: Experiment) -> float:
+    return float(np.linalg.norm(exp.sgd.theta0))
+
+
+def _quadratic(exp: Experiment, cfg: dict) -> StabilityBound:
+    sgd, data, perturbed = exp.sgd, exp.dataset, exp.pair.perturbed
+    kw = {"mode": cfg.get("rho_mode", "exact"),
+          "seed": int(cfg.get("rho_seed", 0))}
+    rho = rho_quadratic(data, sgd.eta, sgd.batch_b, **kw)["rho"]
+    rho_hat = rho_quadratic(perturbed, sgd.eta, sgd.batch_b, **kw)["rho"]
+    eq1 = expected_q_norm(perturbed, sgd.batch_b, **kw)
+    return bound_quadratic(rho, rho_hat, eq1, data.radius_D, sgd.eta,
+                           sgd.batch_b, data.n, _theta0_norm(exp),
+                           _bound_k(cfg))
+
+
+def _noisy(exp: Experiment, cfg: dict) -> StabilityBound:
+    c, sgd, data = exp.constants, exp.sgd, exp.dataset
+    epsilon = float(cfg.get("epsilon", 0.5))
+    eh_cfg = cfg.get("eta_hat", {"mode": "corollary"})
+    if eh_cfg.get("mode", "corollary") == "fixed":
+        log_eta_hat = float(eh_cfg["log_eta_hat"])
+        argmax_M = float(eh_cfg.get("M", 0.0))
+    else:
+        theta_star = empirical_minimizer(exp.loss, data)
+        grad_sup = float(_norms(grad_batch(
+            exp.loss, theta_star, data.features[:, None, :],
+            data.labels[:, None])).max())
+        eh = eta_hat_gaussian_log(np.array(exp.noise.scale) ** 2, sgd.eta,
+                                  c.m, exp.K0, epsilon, c.K1, grad_sup,
+                                  M_grid=eh_cfg.get("M_grid"))
+        log_eta_hat, argmax_M = eh["log_eta_hat"], eh["argmax_M"]
+    noisy = noisy_regime_constants(c.m, sgd.eta, epsilon, exp.K0,
+                                   log_eta_hat, M=argmax_M)
+    return bound_nonconvex_noisy(c, sgd.eta, exp.noise.sigma2, sgd.batch_b,
+                                 data.n, _theta0_norm(exp), _bound_k(cfg),
+                                 noisy)
+
+
+class Regime(NamedTuple):
+    families: tuple          # loss families the regime accepts
+    noise: str | None        # noise kind it requires, if any
+    p: float | None          # order of its distance; None: constants_used["p"]
+    evaluate: Callable[[Experiment, dict], StabilityBound]
+
+
+_DISSIPATIVE = ("RidgeQuadratic", "RegularizedSine")
+REGIMES = {
+    "Quadratic": Regime(("Quadratic",), None, 1.0, _quadratic),
+    "StronglyConvex": Regime(
+        ("RidgeQuadratic",), None, 1.0,
+        lambda exp, cfg: bound_strongly_convex(
+            exp.constants, exp.sgd.eta, exp.dataset.n, _theta0_norm(exp),
+            _bound_k(cfg))),
+    "NonconvexNoisy": Regime(_DISSIPATIVE, "gaussian_diag", 1.0, _noisy),
+    "NonconvexPlain": Regime(
+        _DISSIPATIVE, None, 2.0,
+        lambda exp, cfg: bound_nonconvex_plain(
+            exp.constants, exp.sgd.eta, exp.sgd.batch_b, exp.dataset.n,
+            _theta0_norm(exp), _bound_k(cfg))),
+    "SubConvexStationary": Regime(
+        ("ScalarPower",), None, None,
+        lambda exp, cfg: bound_subconvex(
+            exp.constants, exp.sgd.eta, exp.sgd.batch_b, exp.dataset.n)),
+}

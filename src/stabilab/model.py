@@ -16,7 +16,6 @@ regularity/curvature assumptions hold on the sampled domain, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -432,29 +431,3 @@ def check_assumptions(loss: LossModel, dataset: Dataset,
             violations += 1
     return {"violations": violations, "worst_margin": float(worst),
             "checked": checked}
-
-
-def save_dataset_jsonl(dataset: Dataset, path) -> None:
-    """Write a dataset as JSON lines: a header line, then one point per line."""
-    spec = dataset.generator_spec
-    header = {"n": dataset.n, "d": dataset.dim_d, "D": dataset.radius_D,
-              "generator": spec.get("generator"), "seed": spec.get("seed")}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for i in range(dataset.n):
-            row = {"a": dataset.features[i].tolist(),
-                   "y": float(dataset.labels[i])}
-            fh.write(json.dumps(row) + "\n")
-
-
-def load_dataset_jsonl(path) -> Dataset:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        features, labels = [], []
-        for line in fh:
-            row = json.loads(line)
-            features.append(row["a"])
-            labels.append(row["y"])
-    spec = {"n": header["n"], "d": header["d"], "radius_D": header["D"],
-            "generator": header.get("generator"), "seed": header.get("seed")}
-    return Dataset(np.array(features), np.array(labels), header["D"], spec)

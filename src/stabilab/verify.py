@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .bounds import StabilityBound, eta_hat_gaussian_log, minibatches
+from .bounds import REGIMES, StabilityBound, eta_hat_gaussian_log, minibatches
 from .dynamics import (NoiseModel, SGDConfig, _block_rows, _IndexStreams,
                        run_lanes, step)
 from .model import (Dataset, LossModel, NeighborPair, _norms,
@@ -43,16 +43,11 @@ class Certificate:
         # checks compute passed from numpy scalars; JSON needs a bool
         self.passed = bool(self.passed)
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "passed": self.passed,
-                "margin": self.margin, "details": self.details,
-                "confidence": self.confidence}
-
 
 def write_certificates_jsonl(certs, path) -> None:
     with open(path, "w") as fh:
         for cert in certs:
-            fh.write(json.dumps(cert.as_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(cert), sort_keys=True) + "\n")
 
 
 def _lyapunov(kind: str, loss: LossModel, dataset: Dataset):
@@ -112,10 +107,12 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
     """One-step Lyapunov drift: (P V)(theta) <= delta V(theta) + L on a grid.
 
     Exact mode enumerates minibatches (noiseless kernel only); Monte-Carlo
-    mode samples minibatches and noise and adds a 3 SE margin.
+    mode samples n_mc >= 2 minibatches and noise and adds a 3 SE margin.
     """
     if not (0 < claimed_delta < 1):
         raise ValueError("claimed_delta must lie in (0, 1)")
+    if mode == "monte_carlo" and n_mc < 2:
+        raise ValueError(f"n_mc = {n_mc}: the standard error needs n_mc >= 2")
     V = _lyapunov(lyapunov, loss, dataset_hat)
     theta_grid = [np.atleast_1d(np.asarray(t, dtype=float))
                   for t in theta_grid]
@@ -256,6 +253,8 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
 
     thetas = ball_grid(theta_star, r_theta)
     theta1s = ball_grid(theta_star, M)
+    if not (len(thetas) and len(theta1s)):
+        raise ValueError(f"n_grid = {n_grid} puts no grid point in the ball")
     logs = _log_densities(loss, dataset, eta, eta ** 2 * Sigma,
                           np.vstack([theta_star, thetas]), theta1s, omegas)
     ratios = logs[1:] - logs[0]
@@ -274,22 +273,25 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
         confidence="exact densities on a finite grid; margin in log-space")
 
 
-_REGIME_P = {"Quadratic": 1.0, "StronglyConvex": 1.0, "NonconvexNoisy": 1.0,
-             "NonconvexPlain": 2.0}
-
-
-def check_bound_dominates(empirical: TransportEstimate,
+def check_bound_dominates(empirical: TransportEstimate | None,
                           theoretical: StabilityBound,
                           margin_rule: str = "three_sigma",
-                          fixed_rel: float = 0.0) -> Certificate:
+                          fixed_rel: float = 0.0,
+                          diverged_replicas: int = 0) -> Certificate:
     """Empirical estimate vs theoretical bound.
 
     Coupled estimates upper-bound the true distance, so they get no
     statistical margin (empirical <= theory is the conservative direction);
-    assignment/order-statistics estimates use the stated margin rule.
+    assignment/order-statistics estimates use the stated margin rule.  Any
+    diverged replica fails the check with margin 0: an estimate over the
+    surviving replicas alone does not bound the full-law distance.
     """
-    expected_p = _REGIME_P.get(theoretical.regime,
-                               theoretical.constants_used.get("p"))
+    if diverged_replicas:
+        return Certificate("dominance", False, 0.0, {
+            "diverged_replicas": diverged_replicas,
+            "regime": theoretical.regime}, "inconclusive: replicas diverged")
+    expected_p = getattr(REGIMES.get(theoretical.regime), "p", None) \
+        or theoretical.constants_used.get("p")
     if expected_p is not None and abs(empirical.p - expected_p) > 1e-12:
         raise ValueError(
             f"estimator order p = {empirical.p} does not match the "

@@ -9,8 +9,8 @@ from stabilab.bounds import (InadmissibleError, NoisyRegimeConstants,
                              bound_nonconvex_plain, bound_quadratic,
                              bound_strongly_convex, bound_subconvex, eta_bar,
                              eta_hat_gaussian_log, expected_q_norm,
-                             generalization_from_stability, k0_constant,
-                             minimizer_norm_bound, noisy_regime_constants,
+                             k0_constant, minimizer_norm_bound,
+                             noisy_regime_constants,
                              perturbation_combine, rho_quadratic)
 from stabilab.model import AssumptionConstants
 
@@ -369,14 +369,3 @@ class TestStructuralProperties:
             ref = f(100) * 100
             for n in (200, 400, 1600):
                 assert f(n) * n == pytest.approx(ref, rel=1e-12)
-
-
-class TestGeneralization:
-    def test_values(self):
-        assert generalization_from_stability(1.0, 0.8) == 0.8
-        assert generalization_from_stability(0.0, 0.8) == 0.0
-        assert generalization_from_stability(2.5, 0.04) == pytest.approx(0.1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            generalization_from_stability(-1.0, 0.1)

@@ -205,6 +205,157 @@ class TestVerifyCommand:
         assert err.count("\n") == 1
 
 
+    def test_dominance_uses_the_configured_estimator(self, tmp_path):
+        cfg = quadratic_config(certificates=[
+            {"kind": "dominance", "R": 16, "k": 100,
+             "estimator": "exact_1d"}])
+        assert cmd_verify(cfg, tmp_path) == EXIT_OK
+        rec = json.loads((tmp_path / "certificates.jsonl").read_text())
+        assert rec["details"]["estimator"] == "exact_1d"
+
+    def test_diverged_replicas_fail_dominance(self, tmp_path):
+        # every replica leaves the divergence guard at k = 0; a mean over
+        # the survivors would not bound the full-law distance
+        cfg = quadratic_config(certificates=[{"kind": "dominance", "R": 8}])
+        cfg["sgd"]["theta0"] = [2e12]
+        assert cmd_verify(cfg, tmp_path) == EXIT_CERT_FAILURE
+        rec = json.loads((tmp_path / "certificates.jsonl").read_text())
+        assert rec["passed"] is False
+        assert rec["details"]["diverged_replicas"] == 8
+        assert rec["margin"] == 0.0
+
+    def test_one_experiment_build_per_command(self, tmp_path, monkeypatch):
+        builds = []
+        build = harness.build_dataset
+        monkeypatch.setattr(harness, "build_dataset",
+                            lambda cfg: builds.append(1) or build(cfg))
+        cfg = quadratic_config(replicas=4, certificates=[
+            {"kind": "contraction", "claimed_rate": 0.9, "k_max": 10,
+             "R": 4},
+            {"kind": "drift", "claimed_delta": 0.95, "claimed_L": 1.0},
+            {"kind": "kernel_gap", "claimed_gamma": 1.0, "R": 8},
+            {"kind": "dominance", "R": 8}])
+        for command in (cmd_bounds, cmd_simulate, cmd_verify):
+            builds.clear()
+            command(cfg, tmp_path)
+            assert len(builds) == 1, command.__name__
+
+
+SINE = {"family": "RegularizedSine", "m0": 2.0, "s": 0.01}
+
+
+def _minorization_grid(cfg, n_grid):
+    cfg.update(regime="NonconvexNoisy", loss=dict(SINE),
+               noise={"kind": "gaussian_diag", "scale": [0.7, 0.7]},
+               certificates=[{"kind": "minorization", "M": 1.0,
+                              "n_grid": n_grid}])
+    cfg["dataset"].update(d=2, generator="gaussian_clipped", radius_D=0.1)
+    cfg["sgd"]["theta0"] = [0.0, 0.0]
+
+
+# (mutation of the worked config, the field its error must name)
+CONFIG_ERRORS = {
+    "family": (lambda c: c.update(loss=dict(SINE)), "config.loss.family"),
+    "noise": (lambda c: c.update(regime="NonconvexNoisy", loss=dict(SINE)),
+              "config.noise.kind"),
+    "loss-key": (lambda c: c["loss"].update(mu_0=1.0), "mu_0"),
+    "mu0": (lambda c: c.update(regime="StronglyConvex",
+                               loss={"family": "RidgeQuadratic"}), "mu0"),
+    "generator": (lambda c: c["dataset"].update(generator="nope"),
+                  "generator"),
+    "batch-b": (lambda c: c["sgd"].update(batch_b=11), "config.sgd.batch_b"),
+    "theta0": (lambda c: c["sgd"].update(theta0=[0.0, 0.0]),
+               "config.sgd.theta0"),
+    "checkpoint": (lambda c: c.update(checkpoints=[50, 101]),
+                   "config.checkpoints"),
+    "estimator": (lambda c: c.update(certificates=[
+        {"kind": "dominance", "R": 4, "estimator": "exact1d"}]),
+        "certificate.estimator"),
+    "n-mc": (lambda c: c.update(certificates=[
+        {"kind": "drift", "mode": "monte_carlo", "n_mc": 1,
+         "claimed_delta": 0.9, "claimed_L": 1.0}]), "certificate.n_mc"),
+    "n-grid": (lambda c: _minorization_grid(c, 2), "certificate.n_grid"),
+    "dominance-p": (lambda c: c.update(p=2.0, certificates=[
+        {"kind": "dominance", "R": 4}]), "config.p"),
+    "noise-key": (lambda c: c.update(noise={"kind": "gaussian_diag",
+                                            "sigma": [0.5]}), "sigma"),
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "verify"])
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_error_is_one_line_naming_the_field(tmp_path, capsys, case,
+                                                   command):
+    mutate, field = CONFIG_ERRORS[case]
+    cfg = quadratic_config(replicas=4, certificates=[
+        {"kind": "contraction", "claimed_rate": 0.9, "k_max": 10, "R": 4}])
+    mutate(cfg)
+    path = write_config(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: ")
+    assert field in out.err
+    assert out.err.count("\n") == 1
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_minorization_grid_of_three_is_admissible(tmp_path):
+    cfg = quadratic_config()
+    _minorization_grid(cfg, 3)
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path)]) == 0
+
+
+def _regime(regime, loss, eta, b, k, noise=None, dataset=None):
+    cfg = quadratic_config(regime=regime, loss=loss, bound={"k": k})
+    cfg["dataset"] = dataset or {"n": 10, "d": 1,
+                                 "generator": "gaussian_clipped",
+                                 "radius_D": 0.1, "label_range": 0.05,
+                                 "seed": 3}
+    cfg["sgd"].update(eta=eta, batch_b=b, k_max=50, theta0=[0.5],
+                      master_seed=7)
+    if noise:
+        cfg["noise"] = noise
+    return cfg
+
+
+# one admissible config per regime, and its bound value and log_value
+REGIME_BOUNDS = {
+    "Quadratic": (quadratic_config(), 0.8000000000000007,
+                  -0.22314355131420888),
+    "StronglyConvex": (
+        _regime("StronglyConvex", {"family": "RidgeQuadratic", "mu0": 1.0},
+                0.01, 2, 200), 0.020234243490391216, -3.9003788875458647),
+    "NonconvexNoisy": (
+        _regime("NonconvexNoisy", SINE, 0.2, 4, 500,
+                noise={"kind": "gaussian_diag", "scale": [0.5 ** 0.5]}),
+        3.5044677549489723e+74, 171.64533553743348),
+    "NonconvexPlain": (_regime("NonconvexPlain", SINE, 0.2, 4, 100),
+                       0.011090349406752402, -4.501679971646171),
+    # eta = 1e-9 is below this data set's step-size limit of 2.4e-8
+    "SubConvexStationary": (
+        _regime("SubConvexStationary",
+                {"family": "ScalarPower", "p": 1.5, "mu": 1.0}, 1e-9, 2,
+                "inf", dataset={"n": 10, "d": 1,
+                                "generator": "gaussian_clipped",
+                                "radius_D": 1.0, "seed": 0}),
+        3.1684611997559e+17, 40.29719262498614),
+}
+
+
+@pytest.mark.parametrize("regime", REGIME_BOUNDS)
+def test_every_regime_through_the_cli(tmp_path, regime):
+    cfg, value, log_value = REGIME_BOUNDS[regime]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["bounds", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "bounds.json").read_text())
+    assert rep["regime"] == regime
+    assert rep["value"] == pytest.approx(value, rel=1e-12)
+    assert rep["log_value"] == pytest.approx(log_value, rel=1e-12)
+
+
 class TestReportCommand:
     def test_composes_all_outputs(self, tmp_path):
         cfg = quadratic_config(

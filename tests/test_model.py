@@ -5,8 +5,7 @@ from stabilab import model
 from stabilab.model import (AssumptionConstants, DataPoint, Dataset,
                             NeighborPair, POWER_SEPARATION_FLOOR,
                             check_assumptions, derive_constants, grad,
-                            load_dataset_jsonl, make_neighbor,
-                            make_synthetic_dataset, save_dataset_jsonl)
+                            make_neighbor, make_synthetic_dataset)
 
 ALL_LOSSES = [
     model.quadratic(),
@@ -119,17 +118,6 @@ class TestDatasets:
         with pytest.raises(ValueError):
             make_synthetic_dataset({"n": 4, "d": 1,
                                     "generator": "nope"}, 0)
-
-    def test_jsonl_round_trip(self, tmp_path):
-        ds = make_synthetic_dataset(
-            {"n": 10, "d": 2, "generator": "sphere_uniform",
-             "radius_D": 1.5}, 3)
-        path = tmp_path / "ds.jsonl"
-        save_dataset_jsonl(ds, path)
-        back = load_dataset_jsonl(path)
-        assert np.array_equal(ds.features, back.features)
-        assert np.array_equal(ds.labels, back.labels)
-        assert back.radius_D == ds.radius_D
 
 
 class TestNeighbor:

@@ -135,6 +135,14 @@ class TestDrift:
                          seed=9)
         assert exact.passed == mc.passed
 
+    def test_single_monte_carlo_sample_rejected(self):
+        # one sample has no standard error; the 3 SE margin would be NaN
+        # and the check would pass vacuously
+        with pytest.raises(ValueError, match="n_mc"):
+            check_drift(model.quadratic(), unit_dataset(), 0.1, 1,
+                        "one_plus_norm", 0.9, 0.2, [[0.0]],
+                        mode="monte_carlo", n_mc=1)
+
     def test_noise_rejected_in_exact_mode(self):
         from stabilab.dynamics import NoiseModel
         with pytest.raises(ValueError):
@@ -188,6 +196,18 @@ class TestMinorization:
             epsilon=0.5, M=1.0, n_grid=9)
         assert cert.passed
         assert cert.margin > 100.0
+
+    @pytest.mark.parametrize("n_grid", [1, 2])
+    def test_empty_2d_grid_rejected(self, n_grid):
+        # n_grid 1 and 2 put every 2-D grid point on a corner, outside
+        # the ball
+        ds = model.make_synthetic_dataset(
+            {"n": 4, "d": 2, "generator": "gaussian_clipped",
+             "radius_D": 1.0}, 6)
+        with pytest.raises(ValueError, match="n_grid"):
+            check_minorization_gaussian(
+                model.ridge_quadratic(1.0), ds, 0.1, 1, [0.5, 0.5], 1.0,
+                2.44, 0.5, 1.0, n_grid=n_grid)
 
     def test_dimension_guard(self):
         ds = model.make_synthetic_dataset(

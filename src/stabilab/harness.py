@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from pathlib import Path
 
@@ -76,22 +77,35 @@ def validate_config(cfg: dict) -> None:
     family = _require(_require(cfg, "loss", "config"), "family", "config.loss")
     _check(family in regime.families, f"config.loss.family: regime {name} "
            f"requires the {' or '.join(regime.families)} loss")
-    noise_kind = cfg.get("noise", {}).get("kind", "none")
+    noise = cfg.get("noise", {})
+    noise_kind = noise.get("kind", "none")
     _check(regime.noise in (None, noise_kind),
            f"config.noise.kind: regime {name} requires {regime.noise} noise")
     dataset = _require(cfg, "dataset", "config")
     for key in ("n", "d", "generator", "seed"):
         _require(dataset, key, "config.dataset")
+    n = _integer(dataset["n"], "config.dataset.n")
+    d = _integer(dataset["d"], "config.dataset.d")
+    _integer(dataset["seed"], "config.dataset.seed")
     sgd = _require(cfg, "sgd", "config")
     for key in ("eta", "batch_b", "k_max", "theta0", "master_seed"):
         _require(sgd, key, "config.sgd")
-    n, d, k_max = int(dataset["n"]), int(dataset["d"]), int(sgd["k_max"])
-    _check(1 <= int(sgd["batch_b"]) <= n,
+    _number(sgd["eta"], "config.sgd.eta")
+    _integer(sgd["master_seed"], "config.sgd.master_seed")
+    k_max = _integer(sgd["k_max"], "config.sgd.k_max")
+    _check(1 <= _integer(sgd["batch_b"], "config.sgd.batch_b") <= n,
            f"config.sgd.batch_b must lie in [1, n = {n}]")
-    _check(len(sgd["theta0"]) == d,
-           f"config.sgd.theta0 must have d = {d} entries")
-    _check(all(0 <= int(k) <= k_max for k in cfg.get("checkpoints", [])),
+    _vector(sgd["theta0"], d, "config.sgd.theta0")
+    unknown = sorted(set(noise) - {"kind", "scale"})
+    _check(not unknown, f"config.noise: unknown fields {unknown}")
+    if noise_kind != "none":
+        _vector(noise.get("scale", []), d, "config.noise.scale")
+    _check(all(0 <= _integer(k, "config.checkpoints") <= k_max
+               for k in cfg.get("checkpoints", [])),
            f"config.checkpoints must lie in [0, k_max = {k_max}]")
+    _integer(cfg.get("replicas", 1), "config.replicas")
+    _check(1 <= _number(cfg.get("p", 1.0), "config.p") < math.inf,
+           "config.p must be a finite number >= 1")
     for est in cfg.get("estimators", ["coupled"]):
         _check_estimator(est, d, "config.estimators")
     for spec in cfg.get("certificates", []):
@@ -100,20 +114,40 @@ def validate_config(cfg: dict) -> None:
                "certificate.mode exact enumerates the noiseless kernel; use "
                "monte_carlo with noise")
         _check(kind != "drift" or mode != "monte_carlo"
-               or int(spec.get("n_mc", 2000)) >= 2,
+               or _integer(spec.get("n_mc", 2000), "certificate.n_mc") >= 2,
                "certificate.n_mc must be >= 2")
         _check(kind != "minorization" or noise_kind == "gaussian_diag",
                "certificate.kind minorization needs gaussian_diag noise")
         _check(kind != "minorization"
-               or int(spec.get("n_grid", 9)) >= 2 * d - 1,
+               or _integer(spec.get("n_grid", 9), "certificate.n_grid")
+               >= 2 * d - 1,
                f"certificate.n_grid < {2 * d - 1} leaves the {d}-D grid empty")
         if kind == "dominance":
             _check_estimator(spec.get("estimator", "coupled"), d,
                              "certificate.estimator")
-            _check(0 <= int(spec.get("k", 0)) <= k_max,
+            _check(0 <= _integer(spec.get("k", 0), "certificate.k") <= k_max,
                    f"certificate.k must lie in [0, k_max = {k_max}]")
             _check(regime.p in (None, float(cfg.get("p", 1.0))),
                    f"config.p must be {regime.p} for a {name} dominance")
+
+
+def _number(value, field: str) -> float:
+    _check(isinstance(value, (int, float)) and not isinstance(value, bool),
+           f"{field} must be a number, got {value!r}")
+    return value
+
+
+def _integer(value, field: str) -> int:
+    _check(isinstance(value, int) and not isinstance(value, bool),
+           f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _vector(value, d: int, field: str) -> None:
+    _check(isinstance(value, list) and len(value) == d,
+           f"{field} must have d = {d} entries")
+    for entry in value:
+        _number(entry, field)
 
 
 def _check_estimator(est: str, d: int, where: str) -> None:

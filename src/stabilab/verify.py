@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import REGIMES, StabilityBound, eta_hat_gaussian_log, minibatches
 from .dynamics import (NoiseModel, SGDConfig, _block_rows, _IndexStreams,
@@ -198,6 +197,8 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
     Works on blocks of about ``dynamics._BLOCK_ELEMENTS`` elements (one
     gradient per block of thetas); no value depends on the blocking.
     """
+    from scipy.special import logsumexp
+
     C, b = omegas.shape
     d = thetas.shape[-1]
     log_norm = -0.5 * (d * math.log(2.0 * math.pi) + np.sum(np.log(var)))

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,12 @@ def _minorization_grid(cfg, n_grid):
     cfg["sgd"]["theta0"] = [0.0, 0.0]
 
 
+def _noise_scale_short(cfg):
+    cfg["dataset"]["d"] = 2
+    cfg["sgd"]["theta0"] = [0.0, 0.0]
+    cfg["noise"] = {"kind": "gaussian_diag", "scale": [0.5]}
+
+
 # (mutation of the worked config, the field its error must name)
 CONFIG_ERRORS = {
     "family": (lambda c: c.update(loss=dict(SINE)), "config.loss.family"),
@@ -279,6 +289,25 @@ CONFIG_ERRORS = {
         {"kind": "dominance", "R": 4}]), "config.p"),
     "noise-key": (lambda c: c.update(noise={"kind": "gaussian_diag",
                                             "sigma": [0.5]}), "sigma"),
+    "p-zero": (lambda c: c.update(p=0), "config.p"),
+    "p-negative": (lambda c: c.update(p=-1), "config.p"),
+    "p-string": (lambda c: c.update(p="x"), "config.p"),
+    "scale-long": (lambda c: c.update(noise={"kind": "gaussian_diag",
+                                             "scale": [0.5, 0.5]}),
+                   "config.noise.scale"),
+    "scale-short": (_noise_scale_short, "config.noise.scale"),
+    "batch-b-string": (lambda c: c["sgd"].update(batch_b="x"),
+                       "config.sgd.batch_b"),
+    "n-string": (lambda c: c["dataset"].update(n="x"), "config.dataset.n"),
+    "d-string": (lambda c: c["dataset"].update(d="x"), "config.dataset.d"),
+    "k-max-string": (lambda c: c["sgd"].update(k_max="x"),
+                     "config.sgd.k_max"),
+    "eta-string": (lambda c: c["sgd"].update(eta="abc"), "config.sgd.eta"),
+    "n-mc-string": (lambda c: c.update(certificates=[
+        {"kind": "drift", "mode": "monte_carlo", "n_mc": "x",
+         "claimed_delta": 0.9, "claimed_L": 1.0}]), "certificate.n_mc"),
+    "k-string": (lambda c: c.update(certificates=[
+        {"kind": "dominance", "R": 4, "k": "x"}]), "certificate.k"),
 }
 
 
@@ -408,3 +437,14 @@ class TestCli:
         path = write_config(tmp_path, cfg)
         assert cli.main(["bounds", "--config", str(path),
                          "--out", str(tmp_path)]) == 2
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        # scipy.optimize alone takes about 0.6 s to import; the modules that
+        # need scipy import it inside the function that uses it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, stabilab.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

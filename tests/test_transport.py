@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from stabilab.transport import (coupled_upper_bound, wasserstein_assignment,
                                 wasserstein_exact_1d)
@@ -79,6 +82,86 @@ class TestAssignment:
         A = np.zeros((2000, 1))
         with pytest.raises(ValueError):
             wasserstein_assignment(1.0, A, A)
+
+
+def reference_assignment(p, A, B):
+    """Reference path: the matching of the unreduced cost, built as one
+    (N, N, d) norm, and its matched costs: (cols, value, stderr)."""
+    cost = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2) ** p
+    rows, cols = linear_sum_assignment(cost)
+    matched = cost[rows, cols]
+    N = len(A)
+    power_mean = float(matched.sum() / N)
+    stderr = float(np.std(matched, ddof=1) / np.sqrt(N))
+    return cols, power_mean ** (1.0 / p), stderr
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record the cost matrix and matching of every solver call."""
+    calls = []
+
+    def spy(cost):
+        rows, cols = linear_sum_assignment(cost)
+        calls.append((cost.copy(), cols))
+        return rows, cols
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    return calls
+
+
+def coupled_clouds(N, d, seed):
+    # synchronously coupled chains: B is A moved by one shift, plus a little
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((N, d))
+    shift = rng.uniform(0.2, 0.5, d)
+    return A, A + shift + 0.05 * rng.standard_normal((N, d))
+
+
+class TestAssignmentPotential:
+    """The shift potential against the unreduced reference matching."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("N, d", [(1024, 2), (256, 16)])
+    def test_coupled_clouds_bit_equal(self, solver_calls, p, N, d):
+        A, B = coupled_clouds(N, d, seed=int(10 * p) + d)
+        cols, value, stderr = reference_assignment(p, A, B)
+        est = wasserstein_assignment(p, A, B)
+        (cost, new_cols), = solver_calls
+        assert not np.array_equal(cost, cdist(A, B) ** p)  # potential used
+        assert np.array_equal(new_cols, cols)
+        assert (est.value, est.stderr) == (value, stderr)
+
+    def test_identical_clouds_use_no_potential(self, solver_calls):
+        A = np.random.default_rng(7).standard_normal((64, 2))
+        est = wasserstein_assignment(1.0, A, A)
+        (cost, cols), = solver_calls
+        assert np.array_equal(cost, cdist(A, A))
+        assert np.array_equal(cols, np.arange(64))
+        assert (est.value, est.stderr) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_independent_clouds_use_no_potential(self, solver_calls, p):
+        # |mean(B - A)| is a few per cent of the row pairing's mean distance;
+        # at p = 1 the unit-slope potential made the solver about 1.5x slower
+        rng = np.random.default_rng(8)
+        A, B = rng.standard_normal((1024, 2)), rng.standard_normal((1024, 2))
+        cols, value, stderr = reference_assignment(p, A, B)
+        est = wasserstein_assignment(p, A, B)
+        (cost, new_cols), = solver_calls
+        assert np.array_equal(cost, cdist(A, B) ** p)
+        assert np.array_equal(new_cols, cols)
+        assert (est.value, est.stderr) == (value, stderr)
+
+    def test_one_dimensional_ties(self):
+        # at p = 1 every matching that moves each point rightwards costs
+        # sum(B) - sum(A): the reduced costs tie and the solver may pick a
+        # different optimal matching, equal in value up to rounding
+        A = np.repeat(np.arange(32.0), 4)[:, None]
+        B = A + 40.0 + np.tile([0.0, 0.25, 0.5, 0.75], 32)[:, None]
+        _, value, _ = reference_assignment(1.0, A, B)
+        assert wasserstein_assignment(1.0, A, B).value == pytest.approx(
+            value, rel=1e-12, abs=0)
 
 
 class TestCoupledBound:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import NoiseModel, SGDConfig, _block_rows
+from .dynamics import NoiseModel, SGDConfig, _block_rows, _draw_rows
 from .model import (AssumptionConstants, Dataset, LossModel, NeighborPair,
                     _norms, derive_constants, empirical_minimizer, grad_batch)
 
@@ -164,15 +164,14 @@ def minibatches(n: int, b: int) -> np.ndarray:
 
 
 def _omegas(n: int, b: int, mode: str, n_mc: int, seed: int) -> np.ndarray:
-    """Every minibatch (exact mode), or n_mc minibatches drawn one
-    ``choice`` call each (monte_carlo mode)."""
+    """Every minibatch (exact mode), or n_mc ``choice`` rows of the seed's
+    stream, replayed in blocks (monte_carlo mode)."""
     if mode == "exact":
         return minibatches(n, b)
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return np.array([rng.choice(n, size=b, replace=False)
-                     for _ in range(n_mc)], dtype=np.int64).reshape(n_mc, b)
+    return _draw_rows(rng, n, b, n_mc)
 
 
 def rho_quadratic(dataset: Dataset, eta: float, b: int,

@@ -13,7 +13,7 @@ both pairings: two datasets from one start (:func:`run_coupled_pair`,
 (:func:`run_contraction_pair`, ``verify.check_contraction``).  The scalar
 :func:`step` is the reference path the engine is tested against.
 
-Stream layout v1 (``STREAM_VERSION``)
+Stream layout v2 (``STREAM_VERSION``)
 -------------------------------------
 Randomness is counter-based: every stream is a Philox generator keyed by
 (master_seed, replica_id, stream_tag), tag 0 for minibatch indices and tag 1
@@ -40,6 +40,20 @@ per step:
 
 A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes, so the
 transient memory stays near a few MB whatever R and k_max are.
+
+The drift and kernel-gap certificates of ``verify`` and the Monte-Carlo
+modes of ``bounds`` draw their minibatches from one
+``Philox(SeedSequence(seed))`` stream, replayed in the same blocks
+(:func:`_row_blocks`): consecutive ``choice(n, b, replace=False)`` rows on
+that stream, grid point after grid point.  The Monte-Carlo drift
+certificate draws its noise from a second stream,
+``_stream(seed, 0, _STREAM_NOISE)``: one :meth:`NoiseModel.draw_block` of
+n_mc rows per grid point.
+
+v2 differs from v1 only there.  v1 drew each drift sample's minibatch and
+then its noise from the one minibatch stream, so noisy Monte-Carlo drift
+certificates changed value; noiseless ones drew no noise words and are
+unchanged, as are the ensemble and every other certificate.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ import numpy as np
 from .model import Dataset, LossModel, NeighborPair, _norms, grad_batch
 
 # version of the random-stream layout described in the module docstring
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 # stream tags for the counter-based generators
 _STREAM_MINIBATCH = 0
@@ -290,14 +304,30 @@ class _IndexStreams:
         return picks
 
 
+def _row_blocks(index: _IndexStreams, count: int):
+    """The next ``count`` minibatches of a one-lane stream in blocks of
+    about ``_BLOCK_ELEMENTS`` words: yields (slice of 0..count, rows)."""
+    start = 0
+    for size in _blocks(count, _block_rows(1, index.width)):
+        yield slice(start, start + size), index.next_rows(size)[0]
+        start += size
+
+
+def _draw_rows(rng: np.random.Generator, n: int, b: int, count: int
+               ) -> np.ndarray:
+    """``count`` consecutive ``rng.choice(n, b, replace=False)`` rows,
+    shape (count, b), replayed in blocks."""
+    out = np.empty((count, b), dtype=np.int64)
+    for rows, picks in _row_blocks(_IndexStreams([rng], n, b), count):
+        out[rows] = picks
+    return out
+
+
 def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
                        replica_id: int) -> np.ndarray:
     """The per-step index sets Omega_k, shape (k_max, b), without replacement."""
-    index = _IndexStreams(
-        [_stream(master_seed, replica_id, _STREAM_MINIBATCH)], n, b)
-    blocks = [index.next_rows(size)[0]
-              for size in _blocks(k_max, _block_rows(1, index.width))]
-    return np.concatenate(blocks) if blocks else np.empty((0, b), np.int64)
+    return _draw_rows(_stream(master_seed, replica_id, _STREAM_MINIBATCH),
+                      n, b, k_max)
 
 
 def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,

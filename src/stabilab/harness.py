@@ -38,6 +38,15 @@ EXIT_CERT_FAILURE = 3
 
 ESTIMATORS = ("coupled", "assignment", "exact_1d")
 
+# the constants each certificate kind requires
+CERTIFICATE_CLAIMS = {
+    "contraction": ("claimed_rate",),
+    "drift": ("claimed_delta", "claimed_L"),
+    "kernel_gap": ("claimed_gamma",),
+    "minorization": ("M",),
+    "dominance": (),
+}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
@@ -103,32 +112,82 @@ def validate_config(cfg: dict) -> None:
     _check(all(0 <= _integer(k, "config.checkpoints") <= k_max
                for k in cfg.get("checkpoints", [])),
            f"config.checkpoints must lie in [0, k_max = {k_max}]")
-    _integer(cfg.get("replicas", 1), "config.replicas")
+    _check(_integer(cfg.get("replicas", 1), "config.replicas") >= 1,
+           "config.replicas must be >= 1")
     _check(1 <= _number(cfg.get("p", 1.0), "config.p") < math.inf,
            "config.p must be a finite number >= 1")
     for est in cfg.get("estimators", ["coupled"]):
         _check_estimator(est, d, "config.estimators")
-    for spec in cfg.get("certificates", []):
-        kind, mode = spec.get("kind"), spec.get("mode", "exact")
-        _check(kind != "drift" or mode != "exact" or noise_kind == "none",
-               "certificate.mode exact enumerates the noiseless kernel; use "
-               "monte_carlo with noise")
-        _check(kind != "drift" or mode != "monte_carlo"
-               or _integer(spec.get("n_mc", 2000), "certificate.n_mc") >= 2,
-               "certificate.n_mc must be >= 2")
-        _check(kind != "minorization" or noise_kind == "gaussian_diag",
-               "certificate.kind minorization needs gaussian_diag noise")
-        _check(kind != "minorization"
-               or _integer(spec.get("n_grid", 9), "certificate.n_grid")
-               >= 2 * d - 1,
-               f"certificate.n_grid < {2 * d - 1} leaves the {d}-D grid empty")
-        if kind == "dominance":
-            _check_estimator(spec.get("estimator", "coupled"), d,
-                             "certificate.estimator")
-            _check(0 <= _integer(spec.get("k", 0), "certificate.k") <= k_max,
-                   f"certificate.k must lie in [0, k_max = {k_max}]")
+    certificates = cfg.get("certificates", [])
+    _check(isinstance(certificates, list), "config.certificates must be a list")
+    for spec in certificates:
+        _check_certificate(spec, d, k_max, noise)
+        if spec["kind"] == "dominance":
             _check(regime.p in (None, float(cfg.get("p", 1.0))),
                    f"config.p must be {regime.p} for a {name} dominance")
+
+
+def _check_certificate(spec: dict, d: int, k_max: int, noise: dict) -> None:
+    """Reject a certificate spec that its check would refuse mid-run."""
+    noise_kind = noise.get("kind", "none")
+    _check(isinstance(spec, dict), "config.certificates entries must be "
+           "objects")
+    kind = _require(spec, "kind", "certificate")
+    _check(kind in tuple(CERTIFICATE_CLAIMS), f"certificate.kind {kind!r}: "
+           f"one of {tuple(CERTIFICATE_CLAIMS)}")
+    for key in CERTIFICATE_CLAIMS[kind]:
+        value = _number(_require(spec, key, "certificate"),
+                        f"certificate.{key}")
+        _check(math.isfinite(value), f"certificate.{key} must be finite")
+        _check(key not in ("claimed_rate", "claimed_delta") or 0 < value < 1,
+               f"certificate.{key} must lie in (0, 1)")
+        _check(key not in ("claimed_gamma", "M") or value >= 0,
+               f"certificate.{key} must be >= 0")
+    for key in ("epsilon", "fixed_rel"):
+        if key in spec:
+            _number(spec[key], f"certificate.{key}")
+    for key, low in (("R", 1), ("k_max", 0), ("seed", 0)):
+        if key in spec:
+            _check(_integer(spec[key], f"certificate.{key}") >= low,
+                   f"certificate.{key} must be >= {low}")
+    for key, known in (("lyapunov", verify.LYAPUNOV_KINDS),
+                       ("margin_rule", verify.MARGIN_RULES)):
+        _check(spec.get(key, known[0]) in known,
+               f"certificate.{key} {spec.get(key)!r}: one of {known}")
+    grid = spec.get("theta_grid", [[0.0] * d])
+    _check(isinstance(grid, list) and grid,
+           "certificate.theta_grid must be a nonempty list")
+    for theta in grid:
+        _vector(theta, d, "certificate.theta_grid entry")
+    for key in ("theta0_a", "theta0_b"):
+        if key in spec:
+            _vector(spec[key], d, f"certificate.{key}")
+    mode = spec.get("mode", "exact")
+    if kind == "drift":
+        _check(mode in verify.DRIFT_MODES,
+               f"certificate.mode {mode!r}: one of {verify.DRIFT_MODES}")
+        _check(mode != "exact" or noise_kind == "none",
+               "certificate.mode exact enumerates the noiseless kernel; use "
+               "monte_carlo with noise")
+        _check(mode != "monte_carlo"
+               or _integer(spec.get("n_mc", 2000), "certificate.n_mc") >= 2,
+               "certificate.n_mc must be >= 2")
+    if kind == "minorization":
+        _check(noise_kind == "gaussian_diag",
+               "certificate.kind minorization needs gaussian_diag noise")
+        _check(all(s < 1 for s in noise["scale"]),
+               "certificate.kind minorization needs config.noise.scale "
+               "entries < 1 (Sigma < I)")
+        _check(d <= 2, f"certificate.kind minorization needs d <= 2, got "
+               f"d = {d}")
+        _check(_integer(spec.get("n_grid", 9), "certificate.n_grid")
+               >= 2 * d - 1,
+               f"certificate.n_grid < {2 * d - 1} leaves the {d}-D grid empty")
+    if kind == "dominance":
+        _check_estimator(spec.get("estimator", "coupled"), d,
+                         "certificate.estimator")
+        _check(0 <= _integer(spec.get("k", 0), "certificate.k") <= k_max,
+               f"certificate.k must lie in [0, k_max = {k_max}]")
 
 
 def _number(value, field: str) -> float:

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bounds import REGIMES, StabilityBound, eta_hat_gaussian_log, minibatches
-from .dynamics import (NoiseModel, SGDConfig, _block_rows, _IndexStreams,
+from .dynamics import (_STREAM_NOISE, STREAM_VERSION, NoiseModel, SGDConfig,
+                       _block_rows, _IndexStreams, _row_blocks, _stream,
                        run_lanes, step)
 from .model import (Dataset, LossModel, NeighborPair, _norms,
                     derive_constants, empirical_minimizer, grad_batch)
@@ -28,6 +29,10 @@ THREE_SIGMA = "three standard errors of the Monte-Carlo mean"
 # relative floating-point slack on a contraction claim: averaging R equal
 # distances can land a few ulps above the claim they equal
 CONTRACTION_ROUNDING_REL = 1e-12
+
+LYAPUNOV_KINDS = ("one_plus_norm", "one_plus_sq_dist_to_min")
+DRIFT_MODES = ("exact", "monte_carlo")
+MARGIN_RULES = ("three_sigma", "fixed")
 
 
 @dataclass
@@ -107,6 +112,8 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
 
     Exact mode enumerates minibatches (noiseless kernel only); Monte-Carlo
     mode samples n_mc >= 2 minibatches and noise and adds a 3 SE margin.
+    The samples are drawn in blocks, minibatches and noise from two streams
+    (stream layout v2, see ``dynamics``).
     """
     if not (0 < claimed_delta < 1):
         raise ValueError("claimed_delta must lie in (0, 1)")
@@ -117,26 +124,29 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
                   for t in theta_grid]
     if not theta_grid:
         raise ValueError("theta_grid must be nonempty")
-    n = dataset_hat.n
     worst_margin = math.inf
     worst = {}
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     if mode == "exact":
         if noise.kind != "none":
             raise ValueError("exact drift mode supports the noiseless kernel")
-        omegas, xis = minibatches(n, b), None
-    elif mode != "monte_carlo":
+        omegas = minibatches(dataset_hat.n, b)
+    elif mode == "monte_carlo":
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed)))
+        index = _IndexStreams([rng], dataset_hat.n, b)
+        noise_rng = _stream(seed, 0, _STREAM_NOISE)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
     for theta in theta_grid:
-        if mode == "monte_carlo":
-            # minibatch, then noise, per sample from one stream
-            omegas, xis = zip(*[(rng.choice(n, size=b, replace=False),
-                                 noise.draw(rng)) for _ in range(n_mc)])
-            omegas = np.array(omegas)
-            xis = None if noise.kind == "none" else np.array(xis)
-        vals = V(step(loss, dataset_hat, theta, omegas, eta, xis))
-        se = 0.0 if mode == "exact" \
-            else float(np.std(vals, ddof=1) / np.sqrt(n_mc))
+        if mode == "exact":
+            vals, se = V(step(loss, dataset_hat, theta, omegas, eta)), 0.0
+        else:
+            xis = noise.draw_block(noise_rng, n_mc)
+            vals = np.empty(n_mc)
+            for rows, picks in _row_blocks(index, n_mc):
+                vals[rows] = V(step(loss, dataset_hat, theta, picks, eta,
+                                    None if xis is None else xis[rows]))
+            se = float(np.std(vals, ddof=1) / np.sqrt(n_mc))
         pv = float(np.mean(vals))
         v = float(V(theta))
         margin = claimed_delta * v + claimed_L + 3.0 * se - pv
@@ -147,7 +157,8 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
     return Certificate(
         kind="drift", passed=worst_margin >= -1e-12, margin=float(worst_margin),
         details={"claimed_delta": claimed_delta, "claimed_L": claimed_L,
-                 "lyapunov": lyapunov, "mode": mode, "seed": seed} | worst,
+                 "lyapunov": lyapunov, "mode": mode, "seed": seed,
+                 "stream_version": STREAM_VERSION} | worst,
         confidence="exact enumeration" if mode == "exact" else THREE_SIGMA)
 
 
@@ -171,9 +182,11 @@ def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
     worst_ratio = -math.inf
     worst = {}
     for theta in theta_grid:
-        omegas = index.next_rows(R)[0]
-        dists = _norms(step(loss, pair.base, theta, omegas, eta)
-                       - step(loss, pair.perturbed, theta, omegas, eta))
+        dists = np.empty(R)
+        for rows, picks in _row_blocks(index, R):
+            dists[rows] = _norms(step(loss, pair.base, theta, picks, eta)
+                                 - step(loss, pair.perturbed, theta, picks,
+                                        eta))
         v = float(V(theta))
         ratio = float(np.mean(dists)) / v
         se = float(np.std(dists, ddof=1) / np.sqrt(R)) / v if R > 1 else 0.0

@@ -8,7 +8,10 @@ scalar references they replaced.
   density, element by element, in d = 1 and d = 2 and at any block budget;
 * the drift (exact and Monte-Carlo, with and without noise) and kernel-gap
   certificates against per-sample ``dynamics.step`` loops on the same
-  random streams.
+  random streams (stream layout v2: one ``choice`` per sample on the
+  minibatch stream, one ``NoiseModel.draw`` per sample on the noise stream);
+* the blocked minibatch replay ``dynamics._draw_rows`` against one
+  ``Generator.choice`` call per row.
 
 Every kernel performs the same floating-point operations per element as its
 reference, in the same order, so the results are asserted bit-equal; the
@@ -85,10 +88,16 @@ def lyapunov(kind, loss, ds):
 
 
 def drift_loop(loss, ds, eta, b, kind, delta, L, grid, mode, n_mc, seed,
-               noise):
-    """(margin, worst point) of the drift check, one step per sample."""
+               noise, v1=False):
+    """(margin, worst point) of the drift check, one step per sample.
+
+    Monte-Carlo samples draw their noise from the noise stream of layout
+    v2, or with ``v1`` from the minibatch stream right after the minibatch.
+    """
     V = lyapunov(kind, loss, ds)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    noise_rng = rng if v1 else dynamics._stream(seed, 0,
+                                                dynamics._STREAM_NOISE)
     worst_margin, worst = math.inf, {}
     for theta in np.asarray(grid, dtype=float):
         if mode == "exact":
@@ -100,7 +109,7 @@ def drift_loop(loss, ds, eta, b, kind, delta, L, grid, mode, n_mc, seed,
             for _ in range(n_mc):
                 om = rng.choice(ds.n, size=b, replace=False)
                 vals.append(V(step(loss, ds, theta, om, eta,
-                                   noise.draw(rng))))
+                                   noise.draw(noise_rng))))
             se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
         pv = float(np.mean(vals))
         margin = delta * V(theta) + L + 3.0 * se - pv
@@ -331,6 +340,40 @@ class TestStepKernels:
         assert_same(cert.margin, margin)
         assert {k: cert.details[k] for k in worst} == worst
 
+    # b = 2 on n = 9 takes 3 words a row: blocks of 1, 2, 21 and 21845
+    # rows, so n_mc = 301 ends every budget on a partial block
+    @pytest.mark.parametrize("budget", [1, 7, 64, dynamics._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("noise", [NoiseModel(),
+                                       NoiseModel("gaussian_diag", (0.3, 0.7))])
+    def test_drift_monte_carlo_block_budget(self, budget, noise, monkeypatch):
+        loss, ds = model.ridge_quadratic(0.5), dataset(9, 2)
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        cert = check_drift(loss, ds, 0.2, 2, "one_plus_norm", 0.9, 1.0,
+                           self.GRID, mode="monte_carlo", n_mc=301, seed=4,
+                           noise=noise)
+        margin, worst = drift_loop(loss, ds, 0.2, 2, "one_plus_norm", 0.9,
+                                   1.0, self.GRID, "monte_carlo", 301, 4,
+                                   noise)
+        assert_same(cert.margin, margin)
+        assert {k: cert.details[k] for k in worst} == worst
+
+    def test_noiseless_monte_carlo_drift_unchanged_from_v1(self):
+        # v1 drew the noise after each minibatch on the one stream; without
+        # noise it drew only minibatch words, so the certificate is the same
+        loss, ds = model.ridge_quadratic(0.5), dataset(9, 2)
+        args = (loss, ds, 0.2, 3, "one_plus_norm", 0.9, 1.0, self.GRID)
+        cert = check_drift(*args, mode="monte_carlo", n_mc=300, seed=11)
+        margin, worst = drift_loop(*args, "monte_carlo", 300, 11,
+                                   NoiseModel(), v1=True)
+        assert_same(cert.margin, margin)
+        assert {k: cert.details[k] for k in worst} == worst
+        assert cert.details["stream_version"] == 2
+        noise = NoiseModel("gaussian_diag", (0.3, 0.7))
+        noisy = check_drift(*args, mode="monte_carlo", n_mc=300, seed=11,
+                            noise=noise)
+        assert noisy.margin != drift_loop(*args, "monte_carlo", 300, 11,
+                                          noise, v1=True)[0]
+
     @pytest.mark.parametrize("family", ["Quadratic", "RegularizedSine"])
     @pytest.mark.parametrize("b", [1, 4, 6])
     def test_kernel_gap(self, family, b):
@@ -341,6 +384,18 @@ class TestStepKernels:
                                 self.GRID, R=500, seed=5)
         ratio, worst = kernel_gap_loop(loss, pair, 0.3, b, "one_plus_norm",
                                        self.GRID, 500, 5)
+        assert_same(cert.margin, 0.5 - ratio)
+        assert {k: cert.details[k] for k in worst} == worst
+
+    # b = 4 on n = 6 takes 7 words a row: blocks of 1 and 9 rows
+    @pytest.mark.parametrize("budget", [7, 64])
+    def test_kernel_gap_block_budget(self, budget, monkeypatch):
+        loss, pair = model.regularized_sine(1.0, 0.5), sine_pair()
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        cert = check_kernel_gap(loss, pair, 0.3, 4, "one_plus_norm", 0.5,
+                                self.GRID, R=301, seed=5)
+        ratio, worst = kernel_gap_loop(loss, pair, 0.3, 4, "one_plus_norm",
+                                       self.GRID, 301, 5)
         assert_same(cert.margin, 0.5 - ratio)
         assert {k: cert.details[k] for k in worst} == worst
 
@@ -357,3 +412,20 @@ class TestStepKernels:
                                        "one_plus_sq_dist_to_min", grid, 200, 1)
         assert_same(cert.margin, 0.5 - ratio)
         assert {k: cert.details[k] for k in worst} == worst
+
+
+class TestDrawRows:
+    # (20000, 1000) is numpy's tail-shuffle case, drawn by choice itself
+    @pytest.mark.parametrize("n,b", [(16, 8), (8, 4), (100, 3), (50, 50),
+                                     (20000, 1000)])
+    @pytest.mark.parametrize("budget", [7, dynamics._BLOCK_ELEMENTS])
+    def test_equals_one_choice_per_row(self, n, b, budget, monkeypatch):
+        def rng():
+            return np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(8)))
+        ref = rng()
+        expected = np.array([ref.choice(n, size=b, replace=False)
+                             for _ in range(37)])
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(dynamics._draw_rows(rng(), n, b, 37), expected)
+        assert dynamics._draw_rows(rng(), n, b, 0).shape == (0, b)

@@ -108,7 +108,7 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 2 * 2   # two checkpoints x two estimators
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["schema_version"] == 1
-        assert summary["stream_version"] == 1
+        assert summary["stream_version"] == 2
         assert summary["replicas"] == 8
         assert summary["diverged_replicas"] == 0
 
@@ -263,6 +263,29 @@ def _noise_scale_short(cfg):
     cfg["noise"] = {"kind": "gaussian_diag", "scale": [0.5]}
 
 
+def _minorization_3d(cfg):
+    _minorization_grid(cfg, 9)
+    cfg["dataset"]["d"] = 3
+    cfg["sgd"]["theta0"] = [0.0] * 3
+    cfg["noise"]["scale"] = [0.7] * 3
+
+
+def _drift_grid_short(cfg):
+    cfg["dataset"]["d"] = 2
+    cfg["sgd"]["theta0"] = [0.0, 0.0]
+    cfg["certificates"] = [{"kind": "drift", "claimed_delta": 0.9,
+                            "claimed_L": 1.0,
+                            "theta_grid": [[0.0, 0.0], [1.0]]}]
+
+
+def _certificate(**spec):
+    return lambda c: c.update(certificates=[spec])
+
+
+def _contraction(**fields):
+    return lambda c: c["certificates"][0].update(fields)
+
+
 # (mutation of the worked config, the field its error must name)
 CONFIG_ERRORS = {
     "family": (lambda c: c.update(loss=dict(SINE)), "config.loss.family"),
@@ -308,6 +331,46 @@ CONFIG_ERRORS = {
          "claimed_delta": 0.9, "claimed_L": 1.0}]), "certificate.n_mc"),
     "k-string": (lambda c: c.update(certificates=[
         {"kind": "dominance", "R": 4, "k": "x"}]), "certificate.k"),
+    "replicas-zero": (lambda c: c.update(replicas=0), "config.replicas"),
+    "kind-unknown": (lambda c: c["certificates"].append({"kind": "bogus"}),
+                     "certificate.kind"),
+    "kind-missing": (_certificate(claimed_rate=0.9), "certificate.kind"),
+    "claimed-rate-range": (_contraction(claimed_rate=1.5),
+                           "certificate.claimed_rate"),
+    "claimed-rate-missing": (_certificate(kind="contraction"),
+                             "certificate.claimed_rate"),
+    "claimed-delta-string": (_certificate(kind="drift", claimed_delta="x",
+                                          claimed_L=1.0),
+                             "certificate.claimed_delta"),
+    "claimed-delta-range": (_certificate(kind="drift", claimed_delta=0.0,
+                                         claimed_L=1.0),
+                            "certificate.claimed_delta"),
+    "claimed-L-missing": (_certificate(kind="drift", claimed_delta=0.9),
+                          "certificate.claimed_L"),
+    "claimed-gamma-negative": (_certificate(kind="kernel_gap",
+                                            claimed_gamma=-0.1),
+                               "certificate.claimed_gamma"),
+    "R-string": (_contraction(R="x"), "certificate.R"),
+    "R-zero": (_contraction(R=0), "certificate.R"),
+    "k-max-negative": (_contraction(k_max=-1), "certificate.k_max"),
+    "seed-negative": (_contraction(seed=-1), "certificate.seed"),
+    "theta0-a-length": (_contraction(theta0_a=[1.0, 1.0]),
+                        "certificate.theta0_a"),
+    "lyapunov": (_certificate(kind="drift", claimed_delta=0.9, claimed_L=1.0,
+                              lyapunov="nope"), "certificate.lyapunov"),
+    "drift-mode": (_certificate(kind="drift", claimed_delta=0.9,
+                                claimed_L=1.0, mode="mc"), "certificate.mode"),
+    "theta-grid-entry": (_drift_grid_short, "certificate.theta_grid"),
+    "theta-grid-empty": (_certificate(kind="kernel_gap", claimed_gamma=1.0,
+                                      theta_grid=[]),
+                         "certificate.theta_grid"),
+    "margin-rule": (_certificate(kind="dominance", R=4,
+                                 estimator="assignment", margin_rule="x"),
+                    "certificate.margin_rule"),
+    "minorization-3d": (_minorization_3d, "certificate.kind"),
+    "minorization-sigma": (lambda c: (_minorization_grid(c, 9),
+                                      c["noise"].update(scale=[1.0, 0.5])),
+                           "config.noise.scale"),
 }
 
 
@@ -327,6 +390,15 @@ def test_config_error_is_one_line_naming_the_field(tmp_path, capsys, case,
     assert field in out.err
     assert out.err.count("\n") == 1
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_certificate_specs_checked_before_any_runs(tmp_path, capsys):
+    cfg = quadratic_config(certificates=[
+        {"kind": "contraction", "claimed_rate": 0.9, "k_max": 10, "R": 4},
+        {"kind": "bogus"}])
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_minorization_grid_of_three_is_admissible(tmp_path):

@@ -50,10 +50,11 @@ certificate draws its noise from a second stream,
 ``_stream(seed, 0, _STREAM_NOISE)``: one :meth:`NoiseModel.draw_block` of
 n_mc rows per grid point.
 
-v2 differs from v1 only there.  v1 drew each drift sample's minibatch and
-then its noise from the one minibatch stream, so noisy Monte-Carlo drift
-certificates changed value; noiseless ones drew no noise words and are
-unchanged, as are the ensemble and every other certificate.
+v2 differs from v1 only in where that noise comes from: v1 drew each drift
+sample's minibatch and then its noise from the one minibatch stream.  So
+noisy Monte-Carlo drift certificates changed value from v1 to v2, while
+noiseless ones (which drew no noise words), the ensemble and every other
+certificate are unchanged.
 """
 
 from __future__ import annotations

@@ -95,12 +95,15 @@ def validate_config(cfg: dict) -> None:
         _require(dataset, key, "config.dataset")
     n = _integer(dataset["n"], "config.dataset.n")
     d = _integer(dataset["d"], "config.dataset.d")
-    _integer(dataset["seed"], "config.dataset.seed")
+    _check(_integer(dataset["seed"], "config.dataset.seed") >= 0,
+           "config.dataset.seed must be >= 0")
     sgd = _require(cfg, "sgd", "config")
     for key in ("eta", "batch_b", "k_max", "theta0", "master_seed"):
         _require(sgd, key, "config.sgd")
     _number(sgd["eta"], "config.sgd.eta")
-    _integer(sgd["master_seed"], "config.sgd.master_seed")
+    # also the default seed of every certificate
+    _check(_integer(sgd["master_seed"], "config.sgd.master_seed") >= 0,
+           "config.sgd.master_seed must be >= 0")
     k_max = _integer(sgd["k_max"], "config.sgd.k_max")
     _check(1 <= _integer(sgd["batch_b"], "config.sgd.batch_b") <= n,
            f"config.sgd.batch_b must lie in [1, n = {n}]")
@@ -162,8 +165,8 @@ def _check_certificate(spec: dict, d: int, k_max: int, noise: dict) -> None:
     for key in ("theta0_a", "theta0_b"):
         if key in spec:
             _vector(spec[key], d, f"certificate.{key}")
-    mode = spec.get("mode", "exact")
     if kind == "drift":
+        mode = spec.get("mode", "exact")
         _check(mode in verify.DRIFT_MODES,
                f"certificate.mode {mode!r}: one of {verify.DRIFT_MODES}")
         _check(mode != "exact" or noise_kind == "none",

@@ -332,6 +332,10 @@ CONFIG_ERRORS = {
     "k-string": (lambda c: c.update(certificates=[
         {"kind": "dominance", "R": 4, "k": "x"}]), "certificate.k"),
     "replicas-zero": (lambda c: c.update(replicas=0), "config.replicas"),
+    "master-seed-negative": (lambda c: c["sgd"].update(master_seed=-1),
+                             "config.sgd.master_seed"),
+    "dataset-seed-negative": (lambda c: c["dataset"].update(seed=-3),
+                              "config.dataset.seed"),
     "kind-unknown": (lambda c: c["certificates"].append({"kind": "bogus"}),
                      "certificate.kind"),
     "kind-missing": (_certificate(claimed_rate=0.9), "certificate.kind"),

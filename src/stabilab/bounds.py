@@ -21,7 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Callable, NamedTuple
@@ -30,7 +30,8 @@ import numpy as np
 
 from .dynamics import NoiseModel, SGDConfig, _block_rows, _draw_rows
 from .model import (AssumptionConstants, Dataset, LossModel, NeighborPair,
-                    _norms, derive_constants, empirical_minimizer, grad_batch)
+                    _norms, derive_constants, empirical_minimizer,
+                    max_grad_norm)
 
 K_INF = math.inf
 
@@ -261,9 +262,9 @@ def bound_strongly_convex(constants: AssumptionConstants, eta: float, n: int,
                2.0 - eta / mu * K1 ** 2 - 56.0 * eta / mu * D ** 2 * K2 ** 2
                + 64.0 * eta / mu ** 3 * D ** 2 * K2 ** 2 * E ** 2)
     value = pref * lyap
-    cu = constants.as_dict() | {"eta": eta, "n": n,
-                                "theta0_norm": theta0_norm,
-                                "prefactor": pref, "lyapunov_max": lyap}
+    cu = asdict(constants) | {"eta": eta, "n": n,
+                              "theta0_norm": theta0_norm,
+                              "prefactor": pref, "lyapunov_max": lyap}
     return StabilityBound("StronglyConvex", value, k, cu,
                           log_value=math.log(value) if value > 0 else -math.inf)
 
@@ -415,7 +416,7 @@ def bound_nonconvex_noisy(constants: AssumptionConstants, eta: float,
     log_num = _log_one_minus_pow(l1m, k)
     if log_num == -math.inf:
         return StabilityBound("NonconvexNoisy", 0.0, k,
-                              constants.as_dict() | {"Q": Q})
+                              asdict(constants) | {"Q": Q})
     log_pref = log_num - math.log(2.0) \
         - 0.5 * (log_psi + math.log1p(psi)) - l1m
 
@@ -436,7 +437,7 @@ def bound_nonconvex_noisy(constants: AssumptionConstants, eta: float,
         value = math.exp(log_value)
     except OverflowError:
         value = math.inf
-    cu = constants.as_dict() | {
+    cu = asdict(constants) | {
         "eta": eta, "sigma2": sigma2, "b": b, "n": n,
         "theta0_norm": theta0_norm, "Q": Q, "K0": noisy.K0,
         "log_eta_hat": noisy.log_eta_hat, "epsilon": noisy.epsilon,
@@ -464,7 +465,7 @@ def bound_nonconvex_plain(constants: AssumptionConstants, eta: float, b: int,
     term2 = 4.0 * K2 * D * (1.0 + K1 * eta) * (1.0 + 5.0 * B) / (n * m)
     term3 = 2.0 * K / m
     value = factor * (term1 + term2 + term3)
-    cu = constants.as_dict() | {
+    cu = asdict(constants) | {
         "eta": eta, "b": b, "n": n, "theta0_norm": theta0_norm, "Q": Q,
         "B": B, "geometric_factor": factor, "term_batch": term1,
         "term_data": term2, "term_persistent": term3}
@@ -500,7 +501,7 @@ def bound_subconvex(constants: AssumptionConstants, eta: float, b: int,
           + 4.0 * D * K2 / mu * (1.0 + K1 * eta)
           * (10.0 * 2.0 ** (p - 1.0) * ep + 5.0))
     value = C2 / (b * n * mu) + C3 / n
-    cu = constants.as_dict() | {
+    cu = asdict(constants) | {
         "eta": eta, "b": b, "n": n, "C2": C2, "C3": C3,
         "value_proof_display": value,
         "value_statement_reading": C2 / (b * n) + C3 / n}
@@ -569,9 +570,7 @@ def _noisy(exp: Experiment, cfg: dict) -> StabilityBound:
         argmax_M = float(eh_cfg.get("M", 0.0))
     else:
         theta_star = empirical_minimizer(exp.loss, data)
-        grad_sup = float(_norms(grad_batch(
-            exp.loss, theta_star, data.features[:, None, :],
-            data.labels[:, None])).max())
+        grad_sup = max_grad_norm(exp.loss, data, theta_star)
         eh = eta_hat_gaussian_log(np.array(exp.noise.scale) ** 2, sgd.eta,
                                   c.m, exp.K0, epsilon, c.K1, grad_sup,
                                   M_grid=eh_cfg.get("M_grid"))

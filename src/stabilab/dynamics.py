@@ -8,10 +8,10 @@ between the two iterate laws.
 One engine, :func:`run_lanes`, runs every multi-step simulation.  It
 advances L coupled pairs ("lanes", one per replica) as a single
 ``(L, 2, d)`` state array with one lane-vectorized gradient per step, for
-both pairings: two datasets from one start (:func:`run_coupled_pair`,
-:func:`run_ensemble`) and one dataset from two starts
-(:func:`run_contraction_pair`, ``verify.check_contraction``).  The scalar
-:func:`step` is the reference path the engine is tested against.
+both pairings: two datasets from one start (:func:`run_ensemble`) and one
+dataset from two starts (:func:`run_contraction_pair`,
+``verify.check_contraction``).  The scalar :func:`step` is the reference
+path the engine is tested against.
 
 Stream layout v2 (``STREAM_VERSION``)
 -------------------------------------
@@ -421,48 +421,28 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     return LaneRun(saved, diverged_at, dist)
 
 
-def _checkpoints(checkpoints, k_max: int) -> list:
-    checkpoints = sorted(set(
-        checkpoints if checkpoints is not None else [k_max]))
-    if checkpoints and checkpoints[-1] > k_max:
-        raise ValueError("checkpoint beyond k_max")
-    return checkpoints
-
-
-def _coupled_results(loss: LossModel, pair: NeighborPair, config: SGDConfig,
-                     noise: NoiseModel, replica_ids, checkpoints) -> list:
-    run = run_lanes(loss, (pair.base, pair.perturbed),
-                    (config.theta0, config.theta0), config, noise,
-                    replica_ids, checkpoints)
-    results = []
-    for lane, replica_id in enumerate(replica_ids):
-        end = run.diverged_at[lane]
-        kept = [(i, k) for i, k in enumerate(checkpoints) if k < end]
-        results.append(ReplicaResult(
-            replica_id, checkpoints,
-            {k: run.states[lane, i, 0] for i, k in kept},
-            {k: run.states[lane, i, 1] for i, k in kept},
-            diverged=bool(end <= config.k_max)))
-    return results
-
-
-def run_coupled_pair(loss: LossModel, pair: NeighborPair, config: SGDConfig,
-                     noise: NoiseModel, replica_id: int,
-                     checkpoints=None) -> ReplicaResult:
-    """Advance both chains of a pair with shared minibatches and noise."""
-    return _coupled_results(loss, pair, config, noise, [replica_id],
-                            _checkpoints(checkpoints, config.k_max))[0]
-
-
 def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,
                  noise: NoiseModel, R: int, checkpoints=None
                  ) -> CoupledEnsemble:
-    """R independent coupled pairs; deterministic given master_seed."""
+    """R independent coupled pairs, replica ids 0..R-1, both chains from
+    ``config.theta0``; deterministic given master_seed."""
     if R < 1:
         raise ValueError("R >= 1 required")
-    checkpoints = _checkpoints(checkpoints, config.k_max)
-    results = _coupled_results(loss, pair, config, noise, range(R),
-                               checkpoints)
+    checkpoints = sorted(set(
+        checkpoints if checkpoints is not None else [config.k_max]))
+    if checkpoints and checkpoints[-1] > config.k_max:
+        raise ValueError("checkpoint beyond k_max")
+    run = run_lanes(loss, (pair.base, pair.perturbed),
+                    (config.theta0, config.theta0), config, noise, range(R),
+                    checkpoints)
+    results = []
+    for r in range(R):
+        end = run.diverged_at[r]
+        kept = [(i, k) for i, k in enumerate(checkpoints) if k < end]
+        results.append(ReplicaResult(
+            r, checkpoints, {k: run.states[r, i, 0] for i, k in kept},
+            {k: run.states[r, i, 1] for i, k in kept},
+            diverged=bool(end <= config.k_max)))
     return CoupledEnsemble(results, checkpoints, config, noise)
 
 

@@ -37,6 +37,8 @@ EXIT_INADMISSIBLE = 2
 EXIT_CERT_FAILURE = 3
 
 ESTIMATORS = ("coupled", "assignment", "exact_1d")
+RHO_MODES = ("exact", "monte_carlo")
+ETA_HAT_MODES = ("corollary", "fixed")
 
 # the constants each certificate kind requires
 CERTIFICATE_CLAIMS = {
@@ -86,7 +88,7 @@ def validate_config(cfg: dict) -> None:
     family = _require(_require(cfg, "loss", "config"), "family", "config.loss")
     _check(family in regime.families, f"config.loss.family: regime {name} "
            f"requires the {' or '.join(regime.families)} loss")
-    noise = cfg.get("noise", {})
+    noise = _section(cfg, "noise")
     noise_kind = noise.get("kind", "none")
     _check(regime.noise in (None, noise_kind),
            f"config.noise.kind: regime {name} requires {regime.noise} noise")
@@ -100,7 +102,8 @@ def validate_config(cfg: dict) -> None:
     sgd = _require(cfg, "sgd", "config")
     for key in ("eta", "batch_b", "k_max", "theta0", "master_seed"):
         _require(sgd, key, "config.sgd")
-    _number(sgd["eta"], "config.sgd.eta")
+    _check(math.isfinite(_number(sgd["eta"], "config.sgd.eta")),
+           "config.sgd.eta must be finite")
     # also the default seed of every certificate
     _check(_integer(sgd["master_seed"], "config.sgd.master_seed") >= 0,
            "config.sgd.master_seed must be >= 0")
@@ -121,6 +124,7 @@ def validate_config(cfg: dict) -> None:
            "config.p must be a finite number >= 1")
     for est in cfg.get("estimators", ["coupled"]):
         _check_estimator(est, d, "config.estimators")
+    _check_bound(_section(cfg, "bound"))
     certificates = cfg.get("certificates", [])
     _check(isinstance(certificates, list), "config.certificates must be a list")
     for spec in certificates:
@@ -128,6 +132,32 @@ def validate_config(cfg: dict) -> None:
         if spec["kind"] == "dominance":
             _check(regime.p in (None, float(cfg.get("p", 1.0))),
                    f"config.p must be {regime.p} for a {name} dominance")
+
+
+def _check_bound(bound: dict) -> None:
+    """Reject a bound section that ``bounds`` would refuse or misread."""
+    k = bound.get("k", "inf")
+    _check(k in ("inf", None) or _integer(k, "config.bound.k") >= 0,
+           'config.bound.k must be an integer >= 0 or "inf"')
+    mode = bound.get("rho_mode", "exact")
+    _check(mode in RHO_MODES,
+           f"config.bound.rho_mode {mode!r}: one of {RHO_MODES}")
+    _check(_integer(bound.get("rho_seed", 0), "config.bound.rho_seed") >= 0,
+           "config.bound.rho_seed must be >= 0")
+    _number(bound.get("epsilon", 0.5), "config.bound.epsilon")
+    eta_hat = _section(bound, "eta_hat", "config.bound")
+    mode = eta_hat.get("mode", "corollary")
+    _check(mode in ETA_HAT_MODES,
+           f"config.bound.eta_hat.mode {mode!r}: one of {ETA_HAT_MODES}")
+    if mode == "fixed":
+        _number(_require(eta_hat, "log_eta_hat", "config.bound.eta_hat"),
+                "config.bound.eta_hat.log_eta_hat")
+    _number(eta_hat.get("M", 0.0), "config.bound.eta_hat.M")
+    grid = eta_hat.get("M_grid")    # null: the default grid
+    _check(grid is None or isinstance(grid, list) and grid,
+           "config.bound.eta_hat.M_grid must be a nonempty list")
+    for M in grid or []:
+        _number(M, "config.bound.eta_hat.M_grid")
 
 
 def _check_certificate(spec: dict, d: int, k_max: int, noise: dict) -> None:
@@ -191,6 +221,12 @@ def _check_certificate(spec: dict, d: int, k_max: int, noise: dict) -> None:
                          "certificate.estimator")
         _check(0 <= _integer(spec.get("k", 0), "certificate.k") <= k_max,
                f"certificate.k must lie in [0, k_max = {k_max}]")
+
+
+def _section(cfg: dict, key: str, where: str = "config") -> dict:
+    value = cfg.get(key, {})
+    _check(isinstance(value, dict), f"{where}.{key} must be an object")
+    return value
 
 
 def _number(value, field: str) -> float:

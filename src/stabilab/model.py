@@ -12,12 +12,15 @@ Every dataset is bounded: ||x_i|| <= radius_D for the concatenated point
 x_i = (a_i, y_i).  ``derive_constants`` returns constants under which the
 regularity/curvature assumptions hold on the sampled domain, and
 ``check_assumptions`` is the random-sample audit of those claims.
+
+``grad_batch`` is the one gradient; a single point is the one-row batch
+``(a[None], [y])``, and ``max_grad_norm`` and the audit stack their points
+and parameters as lanes of one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +36,6 @@ POWER_SEPARATION_FLOOR = 1e-6
 # Radius of the parameter ball sampled by check_assumptions; constants for the
 # ScalarPower family are certified over this ball.
 ASSUMPTION_BALL_RADIUS = 10.0
-
-
-class DataPoint(NamedTuple):
-    features: np.ndarray
-    label: float
 
 
 @dataclass(frozen=True)
@@ -114,9 +112,6 @@ class Dataset:
     def dim_d(self) -> int:
         return self.features.shape[1]
 
-    def point(self, i: int) -> DataPoint:
-        return DataPoint(self.features[i], float(self.labels[i]))
-
 
 @dataclass
 class NeighborPair:
@@ -157,34 +152,11 @@ class AssumptionConstants:
     D: float
     E: float
 
-    def as_dict(self) -> dict:
-        return {
-            "K1": self.K1, "K2": self.K2, "mu": self.mu, "m": self.m,
-            "K": self.K, "p": self.p, "D": self.D, "E": self.E,
-        }
-
 
 def point_norms(dataset: Dataset) -> np.ndarray:
     """Norms of the concatenated (features, label) vectors."""
     return np.sqrt(
         np.sum(dataset.features ** 2, axis=1) + dataset.labels ** 2)
-
-
-def _check_dim(loss: LossModel, theta: np.ndarray, d: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim < 1 or theta.shape[-1] != d:
-        raise ValueError(
-            f"theta has shape {theta.shape}, expected ({d},)")
-    if loss.family == "ScalarPower" and d != 1:
-        raise ValueError("ScalarPower requires d = 1")
-    return theta
-
-
-def grad(loss: LossModel, theta: np.ndarray, x: DataPoint) -> np.ndarray:
-    """Analytic gradient of f(theta, x) with respect to theta."""
-    a = np.asarray(x.features, dtype=float)
-    theta = _check_dim(loss, theta, a.shape[0])
-    return grad_batch(loss, theta, a[None, :], np.array([x.label]))
 
 
 def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
@@ -198,8 +170,12 @@ def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Y = np.asarray(Y, dtype=float)
-    theta = _check_dim(loss, theta, A.shape[-1])
-    b = A.shape[-2]
+    theta = np.asarray(theta, dtype=float)
+    b, d = A.shape[-2:]
+    if theta.ndim < 1 or theta.shape[-1] != d:
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
+    if loss.family == "ScalarPower" and d != 1:
+        raise ValueError("ScalarPower requires d = 1")
     At = A.swapaxes(-1, -2)
     if loss.family in ("Quadratic", "RidgeQuadratic"):
         residual = (A @ theta[..., None])[..., 0] - Y
@@ -220,6 +196,21 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, bit-equal to np.linalg.norm of
     each 1-D vector."""
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _scalar_pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e through the float64 scalar power, element by element: numpy's
+    SIMD array power rounds some elements differently (seen on AVX-512)."""
+    return np.array([v ** e for v in x])
+
+
+def max_grad_norm(loss: LossModel, dataset: Dataset,
+                  theta: np.ndarray) -> float:
+    """max_i ||grad f(theta, x_i)|| over the points of the dataset, one
+    gradient lane per point."""
+    return float(_norms(grad_batch(
+        loss, theta, dataset.features[:, None, :],
+        dataset.labels[:, None])).max())
 
 
 def _draw_point(generator: str, d: int, radius_D: float, label_range: float,
@@ -326,12 +317,8 @@ def derive_constants(loss: LossModel, dataset: Dataset) -> AssumptionConstants:
     the realized dataset (constants are certified per-dataset).  Formulas are
     conservative, not tight; each carries a one-line derivation.
     """
-    D = dataset.radius_D
-    A, Y = dataset.features, dataset.labels
-    grad_at_zero = np.array([
-        np.linalg.norm(grad(loss, np.zeros(dataset.dim_d), dataset.point(i)))
-        for i in range(dataset.n)])
-    E = float(np.max(grad_at_zero))
+    D, Y = dataset.radius_D, dataset.labels
+    E = max_grad_norm(loss, dataset, np.zeros(dataset.dim_d))
     if loss.family in ("Quadratic", "RidgeQuadratic"):
         mu0 = loss.mu0 if loss.family == "RidgeQuadratic" else 0.0
         # Hessian a a^T + mu0 I has norm <= D^2 + mu0
@@ -382,52 +369,50 @@ def check_assumptions(loss: LossModel, dataset: Dataset,
     reports the violation count plus the worst signed margin (positive =
     satisfied).  For ScalarPower, pairs closer than the certified separation
     floor are skipped (constants are certified away from the diagonal).
+
+    Each sample draws standard_normal(d), random(), standard_normal(d),
+    random(), integers(n), integers(n) on one Philox stream; all
+    3 * n_samples gradients are lanes of one ``grad_batch`` call.
     """
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    d = dataset.dim_d
-    worst = np.inf
-    violations = 0
-    checked = 0
+    d, n = dataset.dim_d, dataset.n
+    thetas, radii = np.empty((n_samples, 2, d)), np.empty((n_samples, 2))
+    ij = np.empty((n_samples, 2), dtype=np.int64)
+    for s in range(n_samples):
+        for c in range(2):
+            thetas[s, c] = rng.standard_normal(d)
+            radii[s, c] = ASSUMPTION_BALL_RADIUS * rng.random() ** (1 / d)
+        ij[s] = rng.integers(n), rng.integers(n)
+    thetas *= (radii / _norms(thetas))[..., None]
+    t1, t2 = thetas[:, 0], thetas[:, 1]
+    rows = ij[:, [0, 0, 1]]
+    g = grad_batch(loss, thetas[:, [0, 1, 1]],
+                   dataset.features[rows][..., None, :],
+                   dataset.labels[rows][..., None])
+    g1x, g2x, g2xh = g[:, 0], g[:, 1], g[:, 2]
+    points = np.column_stack([dataset.features, dataset.labels])
+    dx = _norms(points[ij[:, 0]] - points[ij[:, 1]])
+    sep = _norms(t1 - t2)
+    p, mu, m = constants.p, constants.mu, constants.m
+    theta_exp, data_exp = (p / 2.0, p - 1.0) if p < 2.0 else (1.0, 1.0)
+    # pseudo-Lipschitz / Hoelder gradient bound
+    lhs = _norms(g1x - g2xh)
+    rhs = constants.K1 * _scalar_pow(sep, theta_exp) + constants.K2 * dx * (
+        _scalar_pow(_norms(t1), data_exp)
+        + _scalar_pow(_norms(t2), data_exp) + 1.0)
+    margins = [rhs - lhs]
+    inner = ((g1x - g2x)[:, None, :] @ (t1 - t2)[:, :, None])[:, 0, 0]
+    if p == 2.0 and mu > 0:
+        margins.append(inner - mu * _scalar_pow(sep, 2))
+    if m > 0:
+        margins.append(inner - (m * _scalar_pow(sep, 2) - constants.K))
+    if p < 2.0:
+        margins.append(inner - mu * _scalar_pow(sep, p))
+    worst = np.min(margins, axis=0)[~((p < 2.0)
+                                      & (sep < POWER_SEPARATION_FLOOR))]
     tol = 1e-9  # floating-point slack on inequalities expected to be tight
-    for _ in range(n_samples):
-        t1 = rng.standard_normal(d)
-        t1 *= ASSUMPTION_BALL_RADIUS * rng.random() ** (1 / d) \
-            / np.linalg.norm(t1)
-        t2 = rng.standard_normal(d)
-        t2 *= ASSUMPTION_BALL_RADIUS * rng.random() ** (1 / d) \
-            / np.linalg.norm(t2)
-        i, j = rng.integers(dataset.n), rng.integers(dataset.n)
-        x, x_hat = dataset.point(int(i)), dataset.point(int(j))
-        sep = np.linalg.norm(t1 - t2)
-        if constants.p < 2.0 and sep < POWER_SEPARATION_FLOOR:
-            continue
-        g1x = grad(loss, t1, x)
-        g2x = grad(loss, t2, x)
-        g2xh = grad(loss, t2, x_hat)
-        dx = np.linalg.norm(np.concatenate(
-            [x.features - x_hat.features, [x.label - x_hat.label]]))
-        margins = []
-        theta_exp = constants.p / 2.0 if constants.p < 2.0 else 1.0
-        data_exp = constants.p - 1.0 if constants.p < 2.0 else 1.0
-        # pseudo-Lipschitz / Hoelder gradient bound
-        lhs = np.linalg.norm(g1x - g2xh)
-        rhs = constants.K1 * sep ** theta_exp + constants.K2 * dx * (
-            np.linalg.norm(t1) ** data_exp
-            + np.linalg.norm(t2) ** data_exp + 1.0)
-        margins.append(rhs - lhs)
-        inner = float((g1x - g2x) @ (t1 - t2))
-        if constants.p == 2.0 and constants.mu > 0:
-            margins.append(inner - constants.mu * sep ** 2)
-        if constants.m > 0:
-            margins.append(inner - (constants.m * sep ** 2 - constants.K))
-        if constants.p < 2.0:
-            margins.append(inner - constants.mu * sep ** constants.p)
-        m = min(margins)
-        checked += 1
-        worst = min(worst, m)
-        if m < -tol:
-            violations += 1
-    return {"violations": violations, "worst_margin": float(worst),
-            "checked": checked}
+    return {"violations": int(np.count_nonzero(worst < -tol)),
+            "worst_margin": float(np.min(worst, initial=np.inf)),
+            "checked": int(worst.size)}

@@ -21,7 +21,8 @@ from .dynamics import (_STREAM_NOISE, STREAM_VERSION, NoiseModel, SGDConfig,
                        _block_rows, _IndexStreams, _row_blocks, _stream,
                        run_lanes, step)
 from .model import (Dataset, LossModel, NeighborPair, _norms,
-                    derive_constants, empirical_minimizer, grad_batch)
+                    derive_constants, empirical_minimizer, grad_batch,
+                    max_grad_norm)
 from .transport import TransportEstimate
 
 THREE_SIGMA = "three standard errors of the Monte-Carlo mean"
@@ -248,9 +249,7 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
     Sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
     omegas = minibatches(dataset.n, b)
     theta_star = empirical_minimizer(loss, dataset)
-    grad_sup = float(_norms(grad_batch(
-        loss, theta_star, dataset.features[:, None, :],
-        dataset.labels[:, None])).max())
+    grad_sup = max_grad_norm(loss, dataset, theta_star)
     if K1 is None:
         K1 = derive_constants(loss, dataset).K1
     eh = eta_hat_gaussian_log(Sigma, eta, m, K0, epsilon, K1, grad_sup,

@@ -58,13 +58,13 @@ def coupled_w1(loss, pair, cfg, noise, R, checkpoints, p=1.0):
 
 
 def subset_pair(base, perturbed_point, n):
-    """First-n-rows subset of a dataset and its one-point perturbation."""
+    """First-n-rows subset of a dataset and its one-point perturbation
+    (features, label)."""
     sub = model.Dataset(base.features[:n].copy(), base.labels[:n].copy(),
                         base.radius_D, base.generator_spec)
     pert = model.Dataset(sub.features.copy(), sub.labels.copy(),
                          sub.radius_D, sub.generator_spec)
-    pert.features[0] = perturbed_point.features
-    pert.labels[0] = perturbed_point.label
+    pert.features[0], pert.labels[0] = perturbed_point
     return model.NeighborPair(sub, pert, 0)
 
 
@@ -102,7 +102,8 @@ def test_03_one_over_n_scaling():
         base = model.make_synthetic_dataset(
             {"n": 256, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 0.5}, 7)
-        repl = model.make_neighbor(base, 0, 11).perturbed.point(0)
+        perturbed = model.make_neighbor(base, 0, 11).perturbed
+        repl = perturbed.features[0], perturbed.labels[0]
         ns = [32, 64, 128, 256]
         values = []
         for n in ns:
@@ -208,9 +209,7 @@ def test_06_noisy_nonconvex():
         K0 = k0_constant(constants.m, 0.2, constants.K1, constants.K2,
                          constants.D, Q ** 2, constants.K, noise.sigma2)
         theta_star = model.empirical_minimizer(loss, ds)
-        grad_sup = max(
-            float(np.linalg.norm(model.grad(loss, theta_star, ds.point(i))))
-            for i in range(ds.n))
+        grad_sup = model.max_grad_norm(loss, ds, theta_star)
         eh_run = eta_hat_gaussian_log([0.5], 0.2, constants.m, K0, 0.5,
                                       constants.K1, grad_sup)
         assert math.isfinite(eh_run["log_eta_hat"])
@@ -294,18 +293,18 @@ def test_10_gradient_and_assumption_suites():
             for _ in range(50):
                 z = rng.standard_normal(d + 1)
                 z /= max(np.linalg.norm(z), 1.0)
-                x = model.DataPoint(z[:d], float(z[d]))
+                a, y = z[:d], float(z[d])
                 theta = rng.standard_normal(d)
                 if loss.family == "ScalarPower":
-                    while abs(theta[0] - x.label) < 1e-2:
+                    while abs(theta[0] - y) < 1e-2:
                         theta = rng.standard_normal(1)
-                g = model.grad(loss, theta, x)
+                g = model.grad_batch(loss, theta, a[None], [y])
                 fd = np.empty(d)
                 for j in range(d):
                     e = np.zeros(d)
                     e[j] = h
-                    fd[j] = (_value(loss, theta + e, x)
-                             - _value(loss, theta - e, x)) / (2 * h)
+                    fd[j] = (_value(loss, theta + e, a, y)
+                             - _value(loss, theta - e, a, y)) / (2 * h)
                 rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0)
                 assert rel <= 1e-6
             ds = model.make_synthetic_dataset(
@@ -317,8 +316,7 @@ def test_10_gradient_and_assumption_suites():
             assert report["violations"] == 0, loss.family
 
 
-def _value(loss, theta, x):
-    a, y = x.features, x.label
+def _value(loss, theta, a, y):
     if loss.family == "Quadratic":
         return 0.5 * (a @ theta - y) ** 2
     if loss.family == "RidgeQuadratic":

@@ -3,10 +3,16 @@ import pytest
 
 from stabilab import model
 from stabilab.dynamics import (NoiseModel, SGDConfig, minibatch_sequence,
-                               run_contraction_pair, run_coupled_pair,
-                               run_ensemble, step)
+                               run_contraction_pair, run_ensemble, run_lanes,
+                               step)
 
 NO_NOISE = NoiseModel()
+
+
+def coupled(loss, pair, config, noise, checkpoints=None):
+    """Replica 0 of a one-replica ensemble."""
+    return run_ensemble(loss, pair, config, noise, 1,
+                        checkpoints).replicas[0]
 
 
 def unit_dataset(n=4):
@@ -79,14 +85,14 @@ class TestCoupledPair:
         ds = unit_dataset()
         pair = model.NeighborPair(ds, ds, 0)
         cfg = SGDConfig(0.1, 2, 50, np.zeros(1), 5)
-        res = run_coupled_pair(model.quadratic(), pair, cfg, NO_NOISE, 0)
+        res = coupled(model.quadratic(), pair, cfg, NO_NOISE)
         assert np.array_equal(res.theta[50], res.theta_hat[50])
 
     def test_k_max_zero(self):
         pair = flip_pair()
         cfg = SGDConfig(0.1, 1, 0, np.array([0.7]), 5)
-        res = run_coupled_pair(model.quadratic(), pair, cfg, NO_NOISE, 0,
-                               checkpoints=[0])
+        res = coupled(model.quadratic(), pair, cfg, NO_NOISE,
+                      checkpoints=[0])
         assert res.theta[0][0] == 0.7
         assert res.theta_hat[0][0] == 0.7
 
@@ -96,7 +102,7 @@ class TestCoupledPair:
         n, eta, k = 4, 0.1, 20
         pair = flip_pair(n)
         cfg = SGDConfig(eta, n, k, np.zeros(1), 3)
-        res = run_coupled_pair(model.quadratic(), pair, cfg, NO_NOISE, 0)
+        res = coupled(model.quadratic(), pair, cfg, NO_NOISE)
         ybar = pair.base.labels.mean()
         ybar_hat = pair.perturbed.labels.mean()
         expect = (ybar - ybar_hat) * (1.0 - (1.0 - eta) ** k)
@@ -107,15 +113,15 @@ class TestCoupledPair:
         # eta = 3 on the unit quadratic gives |1 - eta| = 2, which blows up
         pair = flip_pair()
         cfg = SGDConfig(3.0, 4, 200, np.array([1.0]), 3)
-        res = run_coupled_pair(model.quadratic(), pair, cfg, NO_NOISE, 0)
+        res = coupled(model.quadratic(), pair, cfg, NO_NOISE)
         assert res.diverged
 
     def test_checkpoint_beyond_k_max_rejected(self):
         pair = flip_pair()
         cfg = SGDConfig(0.1, 1, 10, np.zeros(1), 3)
         with pytest.raises(ValueError):
-            run_coupled_pair(model.quadratic(), pair, cfg, NO_NOISE, 0,
-                             checkpoints=[11])
+            coupled(model.quadratic(), pair, cfg, NO_NOISE,
+                    checkpoints=[11])
 
 
 class TestEnsemble:
@@ -139,10 +145,11 @@ class TestEnsemble:
         ens = self.make(1)
         pair = flip_pair(8)
         cfg = SGDConfig(0.1, 2, 30, np.zeros(1), 9)
-        direct = run_coupled_pair(model.quadratic(), pair, cfg,
-                                  NoiseModel("gaussian_diag", (0.5,)), 0,
-                                  checkpoints=[30])
-        assert np.array_equal(ens.replicas[0].theta[30], direct.theta[30])
+        direct = run_lanes(model.quadratic(), (pair.base, pair.perturbed),
+                           (cfg.theta0, cfg.theta0), cfg,
+                           NoiseModel("gaussian_diag", (0.5,)), [0], [30])
+        assert np.array_equal(ens.replicas[0].theta[30],
+                              direct.states[0, 0, 0])
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         serial = self.make(8, threads=1, monkeypatch=monkeypatch)

@@ -14,8 +14,8 @@ import pytest
 
 from stabilab import dynamics, model
 from stabilab.dynamics import (CoupledEnsemble, NoiseModel, SGDConfig,
-                               minibatch_sequence, run_coupled_pair,
-                               run_ensemble, run_lanes, step)
+                               minibatch_sequence, run_ensemble, run_lanes,
+                               step)
 
 
 def choice_rows(n, b, rows, seed, replica_id):
@@ -188,12 +188,14 @@ class TestLaneIndependence:
         noise = NoiseModel("gaussian_diag", (0.4,) * 3)
         ens = run_ensemble(loss, pair, config, noise, 64, [30, 60])
         for r in (0, 17, 63):
-            alone = run_coupled_pair(loss, pair, config, noise, r, [30, 60])
-            for k in (30, 60):
+            alone = run_lanes(loss, (pair.base, pair.perturbed),
+                              (config.theta0, config.theta0), config, noise,
+                              [r], [30, 60])
+            for i, k in enumerate((30, 60)):
                 assert np.array_equal(ens.replicas[r].theta[k],
-                                      alone.theta[k])
+                                      alone.states[0, i, 0])
                 assert np.array_equal(ens.replicas[r].theta_hat[k],
-                                      alone.theta_hat[k])
+                                      alone.states[0, i, 1])
 
     def test_block_budget_does_not_change_results(self, monkeypatch):
         pair = sine_pair()
@@ -217,10 +219,11 @@ class TestDivergenceGuard:
         bad = SGDConfig(0.1, 2, 20, np.array([np.nan]), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nan_rep = run_coupled_pair(loss, pair, bad, noise, 0, [0, 20])
+            nan_rep = run_ensemble(loss, pair, bad, noise, 1,
+                                   [0, 20]).replicas[0]
         assert nan_rep.diverged
         assert nan_rep.theta == {} and nan_rep.theta_hat == {}
-        ok_rep = run_coupled_pair(loss, pair, good, noise, 1, [0, 20])
+        ok_rep = run_ensemble(loss, pair, good, noise, 2, [0, 20]).replicas[1]
         assert not ok_rep.diverged
         ens = CoupledEnsemble([nan_rep, ok_rep], [0, 20], good, noise)
         assert ens.any_diverged()
@@ -236,8 +239,8 @@ class TestDivergenceGuard:
         config = SGDConfig(3.0, 4, 2000, np.array([2.0]), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = run_coupled_pair(model.quadratic(), pair, config,
-                                   NoiseModel(), 0, [10, 2000])
+            rep = run_ensemble(model.quadratic(), pair, config,
+                               NoiseModel(), 1, [10, 2000]).replicas[0]
         assert rep.diverged
         assert list(rep.theta) == [10]
         assert rep.theta[10][0] == pytest.approx(1.0 + 2.0 ** 10)

@@ -11,7 +11,10 @@ scalar references they replaced.
   random streams (stream layout v2: one ``choice`` per sample on the
   minibatch stream, one ``NoiseModel.draw`` per sample on the noise stream);
 * the blocked minibatch replay ``dynamics._draw_rows`` against one
-  ``Generator.choice`` call per row.
+  ``Generator.choice`` call per row;
+* the assumption audit ``model.check_assumptions`` against the per-sample
+  loop with three one-row gradients per sample (report dicts equal), and
+  ``model.max_grad_norm`` against one gradient per point.
 
 Every kernel performs the same floating-point operations per element as its
 reference, in the same order, so the results are asserted bit-equal; the
@@ -20,6 +23,7 @@ reference, in the same order, so the results are asserted bit-equal; the
 
 import math
 import time
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
@@ -139,6 +143,57 @@ def kernel_gap_loop(loss, pair, eta, b, kind, grid, R, seed):
             worst = {"theta": theta.tolist(), "measured_gap": ratio,
                      "stderr": se}
     return worst_ratio, worst
+
+
+def assumptions_loop(loss, ds, constants, n_samples, seed):
+    """The assumption audit, one sample at a time with three one-row
+    gradients per sample."""
+    def grad(t, i):
+        return grad_batch(loss, t, ds.features[i][None], [ds.labels[i]])
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    d = ds.dim_d
+    worst = np.inf
+    violations = 0
+    checked = 0
+    tol = 1e-9
+    for _ in range(n_samples):
+        t1 = rng.standard_normal(d)
+        t1 *= model.ASSUMPTION_BALL_RADIUS * rng.random() ** (1 / d) \
+            / np.linalg.norm(t1)
+        t2 = rng.standard_normal(d)
+        t2 *= model.ASSUMPTION_BALL_RADIUS * rng.random() ** (1 / d) \
+            / np.linalg.norm(t2)
+        i, j = int(rng.integers(ds.n)), int(rng.integers(ds.n))
+        sep = np.linalg.norm(t1 - t2)
+        if constants.p < 2.0 and sep < model.POWER_SEPARATION_FLOOR:
+            continue
+        g1x, g2x, g2xh = grad(t1, i), grad(t2, i), grad(t2, j)
+        dx = np.linalg.norm(np.concatenate(
+            [ds.features[i] - ds.features[j],
+             [float(ds.labels[i]) - float(ds.labels[j])]]))
+        margins = []
+        theta_exp = constants.p / 2.0 if constants.p < 2.0 else 1.0
+        data_exp = constants.p - 1.0 if constants.p < 2.0 else 1.0
+        lhs = np.linalg.norm(g1x - g2xh)
+        rhs = constants.K1 * sep ** theta_exp + constants.K2 * dx * (
+            np.linalg.norm(t1) ** data_exp
+            + np.linalg.norm(t2) ** data_exp + 1.0)
+        margins.append(rhs - lhs)
+        inner = float((g1x - g2x) @ (t1 - t2))
+        if constants.p == 2.0 and constants.mu > 0:
+            margins.append(inner - constants.mu * sep ** 2)
+        if constants.m > 0:
+            margins.append(inner - (constants.m * sep ** 2 - constants.K))
+        if constants.p < 2.0:
+            margins.append(inner - constants.mu * sep ** constants.p)
+        m = min(margins)
+        checked += 1
+        worst = min(worst, m)
+        if m < -tol:
+            violations += 1
+    return {"violations": violations, "worst_margin": float(worst),
+            "checked": checked}
 
 
 # tests ---------------------------------------------------------------------
@@ -429,3 +484,68 @@ class TestDrawRows:
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         assert np.array_equal(dynamics._draw_rows(rng(), n, b, 37), expected)
         assert dynamics._draw_rows(rng(), n, b, 0).shape == (0, b)
+
+
+AUDIT_LOSSES = {"Quadratic": model.quadratic(),
+                "RidgeQuadratic": model.ridge_quadratic(1.0),
+                "RegularizedSine": model.regularized_sine(2.0, 0.5),
+                "ScalarPower": model.scalar_power(1.5, 1.0)}
+
+
+class TestAssumptionAudit:
+    @pytest.mark.parametrize("family,d", [
+        ("Quadratic", 2), ("Quadratic", 16), ("RidgeQuadratic", 2),
+        ("RidgeQuadratic", 16), ("RegularizedSine", 2),
+        ("RegularizedSine", 16), ("ScalarPower", 1)])
+    def test_report_equals_per_sample_loop(self, family, d):
+        loss, ds = AUDIT_LOSSES[family], dataset(16, d, 11)
+        c = model.derive_constants(loss, ds)
+        report = model.check_assumptions(loss, ds, c, 4000, seed=123)
+        assert report == assumptions_loop(loss, ds, c, 4000, 123)
+        assert report["checked"] == 4000
+
+    def test_inflated_modulus_report(self):
+        loss, ds = AUDIT_LOSSES["RidgeQuadratic"], dataset(16, 2, 11)
+        c = model.derive_constants(loss, ds)
+        inflated = model.AssumptionConstants(
+            **(asdict(c) | {"mu": 10 * c.mu}))
+        report = model.check_assumptions(loss, ds, inflated, 10_000, seed=123)
+        assert report == assumptions_loop(loss, ds, inflated, 10_000, 123)
+        assert report["violations"] > 0
+
+    def test_skipped_pairs(self, monkeypatch):
+        loss, ds = AUDIT_LOSSES["ScalarPower"], dataset(16, 1, 11)
+        c = model.derive_constants(loss, ds)
+        monkeypatch.setattr(model, "POWER_SEPARATION_FLOOR", 5.0)
+        report = model.check_assumptions(loss, ds, c, 2000, seed=5)
+        assert report == assumptions_loop(loss, ds, c, 2000, 5)
+        assert 0 < report["checked"] < 2000
+
+    def test_needs_a_sample(self):
+        loss, ds = AUDIT_LOSSES["Quadratic"], dataset(16, 2, 11)
+        c = model.derive_constants(loss, ds)
+        with pytest.raises(ValueError):
+            model.check_assumptions(loss, ds, c, 0, seed=1)
+
+
+class TestMaxGradNorm:
+    # ScalarPower is defined in d = 1 only
+    @pytest.mark.parametrize("family,d", [
+        (family, d) for family in AUDIT_LOSSES for d in (1, 2, 3, 16)
+        if family != "ScalarPower" or d == 1])
+    @pytest.mark.parametrize("generator", ["gaussian_clipped",
+                                           "sphere_uniform"])
+    def test_equals_per_point_loop(self, family, d, generator):
+        loss = AUDIT_LOSSES[family]
+        for seed in range(5):
+            ds = dataset(12, d, seed, generator=generator)
+            theta = np.random.default_rng(seed).standard_normal(d)
+            for t in (np.zeros(d), theta):
+                loop = max(float(np.linalg.norm(grad_batch(
+                    loss, t, ds.features[i][None], [ds.labels[i]])))
+                    for i in range(ds.n))
+                assert model.max_grad_norm(loss, ds, t) == loop
+            assert model.derive_constants(loss, ds).E == max(
+                float(np.linalg.norm(grad_batch(
+                    loss, np.zeros(d), ds.features[i][None],
+                    [ds.labels[i]]))) for i in range(ds.n))

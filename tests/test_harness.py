@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -286,6 +287,10 @@ def _contraction(**fields):
     return lambda c: c["certificates"][0].update(fields)
 
 
+def _bound(**fields):
+    return lambda c: c["bound"].update(fields)
+
+
 # (mutation of the worked config, the field its error must name)
 CONFIG_ERRORS = {
     "family": (lambda c: c.update(loss=dict(SINE)), "config.loss.family"),
@@ -375,6 +380,28 @@ CONFIG_ERRORS = {
     "minorization-sigma": (lambda c: (_minorization_grid(c, 9),
                                       c["noise"].update(scale=[1.0, 0.5])),
                            "config.noise.scale"),
+    "bound-k-string": (_bound(k="x"), "config.bound.k"),
+    "bound-k-negative": (_bound(k=-5), "config.bound.k"),
+    "bound-k-fraction": (_bound(k=2.5), "config.bound.k"),
+    "rho-mode": (_bound(rho_mode="x"), "config.bound.rho_mode"),
+    "rho-seed": (_bound(rho_seed="x"), "config.bound.rho_seed"),
+    "bound-list": (lambda c: c.update(bound=[1]), "config.bound"),
+    "noise-list": (lambda c: c.update(noise=[1]), "config.noise"),
+    "epsilon": (_bound(epsilon="x"), "config.bound.epsilon"),
+    "eta-hat-list": (_bound(eta_hat=[1]), "config.bound.eta_hat"),
+    "eta-hat-mode": (_bound(eta_hat={"mode": "x"}),
+                     "config.bound.eta_hat.mode"),
+    "eta-hat-fixed": (_bound(eta_hat={"mode": "fixed"}),
+                      "config.bound.eta_hat.log_eta_hat"),
+    "eta-hat-M": (_bound(eta_hat={"mode": "fixed", "log_eta_hat": -1.0,
+                                  "M": "x"}), "config.bound.eta_hat.M"),
+    "M-grid-string": (_bound(eta_hat={"M_grid": "x"}),
+                      "config.bound.eta_hat.M_grid"),
+    "M-grid-empty": (_bound(eta_hat={"M_grid": []}),
+                     "config.bound.eta_hat.M_grid"),
+    "M-grid-entry": (_bound(eta_hat={"M_grid": [1.0, "x"]}),
+                     "config.bound.eta_hat.M_grid"),
+    "eta-nan": (lambda c: c["sgd"].update(eta=math.nan), "config.sgd.eta"),
 }
 
 

@@ -1,11 +1,13 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from stabilab import model
-from stabilab.model import (AssumptionConstants, DataPoint, Dataset,
-                            NeighborPair, POWER_SEPARATION_FLOOR,
-                            check_assumptions, derive_constants, grad,
-                            make_neighbor, make_synthetic_dataset)
+from stabilab.model import (AssumptionConstants, NeighborPair,
+                            POWER_SEPARATION_FLOOR, check_assumptions,
+                            derive_constants, grad_batch, make_neighbor,
+                            make_synthetic_dataset)
 
 ALL_LOSSES = [
     model.quadratic(),
@@ -22,33 +24,33 @@ def random_point(rng, d, loss):
     norm = np.linalg.norm(z)
     if norm > 1.0:
         z /= norm
-    return DataPoint(z[:d], float(z[d]))
+    return z[:d], float(z[d])
 
 
 class TestGrad:
     def test_quadratic_direct(self):
-        g = grad(model.quadratic(), np.array([2.0, 0.0]),
-                 DataPoint(np.array([1.0, 0.0]), 1.0))
+        g = grad_batch(model.quadratic(), np.array([2.0, 0.0]),
+                       np.array([[1.0, 0.0]]), [1.0])
         assert np.allclose(g, [1.0, 0.0])
 
     def test_ridge_stationary_at_origin(self):
-        g = grad(model.ridge_quadratic(1.0), np.zeros(2),
-                 DataPoint(np.array([1.0, 0.0]), 0.0))
+        g = grad_batch(model.ridge_quadratic(1.0), np.zeros(2),
+                       np.array([[1.0, 0.0]]), [0.0])
         assert np.allclose(g, [0.0, 0.0])
 
     def test_sine_at_origin(self):
-        g = grad(model.regularized_sine(2.0, 0.5), np.zeros(1),
-                 DataPoint(np.array([1.0]), 0.0))
+        g = grad_batch(model.regularized_sine(2.0, 0.5), np.zeros(1),
+                       np.array([[1.0]]), [0.0])
         assert np.allclose(g, [0.5])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            grad(model.quadratic(), np.zeros(3),
-                 DataPoint(np.array([1.0, 0.0]), 1.0))
+            grad_batch(model.quadratic(), np.zeros(3),
+                       np.array([[1.0, 0.0]]), [1.0])
 
     def test_scalar_power_kink_is_zero(self):
-        g = grad(model.scalar_power(1.5, 1.0), np.array([2.0]),
-                 DataPoint(np.array([0.0]), 2.0))
+        g = grad_batch(model.scalar_power(1.5, 1.0), np.array([2.0]),
+                       np.array([[0.0]]), [2.0])
         assert g[0] == 0.0
 
     @pytest.mark.parametrize("loss", ALL_LOSSES,
@@ -59,25 +61,24 @@ class TestGrad:
         h = 1e-5
         for _ in range(100):
             d = 1 if loss.family == "ScalarPower" else 2
-            x = random_point(rng, d, loss)
+            a, y = random_point(rng, d, loss)
             theta = rng.standard_normal(d)
             if loss.family == "ScalarPower":
                 # keep away from the kink where f is not C^2
-                while abs(theta[0] - x.label) < 1e-2:
+                while abs(theta[0] - y) < 1e-2:
                     theta = rng.standard_normal(1)
-            g = grad(loss, theta, x)
+            g = grad_batch(loss, theta, a[None], [y])
             fd = np.empty(d)
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                fd[j] = (_loss_value(loss, theta + e, x)
-                         - _loss_value(loss, theta - e, x)) / (2 * h)
+                fd[j] = (_loss_value(loss, theta + e, a, y)
+                         - _loss_value(loss, theta - e, a, y)) / (2 * h)
             rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1.0)
             assert rel <= 1e-6
 
 
-def _loss_value(loss, theta, x):
-    a, y = x.features, x.label
+def _loss_value(loss, theta, a, y):
     if loss.family == "Quadratic":
         return 0.5 * (a @ theta - y) ** 2
     if loss.family == "RidgeQuadratic":
@@ -186,7 +187,7 @@ class TestConstants:
              "radius_D": 1.0}, 11)
         loss = model.ridge_quadratic(1.0)
         c = derive_constants(loss, ds)
-        inflated = AssumptionConstants(**(c.as_dict() | {"mu": 10 * c.mu}))
+        inflated = AssumptionConstants(**(asdict(c) | {"mu": 10 * c.mu}))
         report = check_assumptions(loss, ds, inflated, 10_000, seed=123)
         assert report["violations"] > 0
 

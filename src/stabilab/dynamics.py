@@ -149,7 +149,11 @@ class ReplicaResult:
     checkpoints: list
     theta: dict           # k -> iterate of the base chain
     theta_hat: dict       # k -> iterate of the perturbed chain
-    diverged: bool = False
+    diverged_at: int | None = None    # first diverged step, None if none
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
 
 @dataclass
@@ -365,6 +369,12 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     <= DIVERGENCE_GUARD (NaN included); it is frozen from then on and its
     states at later checkpoints are meaningless.  With ``distances`` the
     chain distance ||theta_k - theta_tilde_k|| is kept at every step.
+
+    The guard is checked once per block of steps: every lane runs the block
+    unguarded into a buffer, then one vectorized check finds each lane's
+    first failing step and rolls the lane back to its last good state from
+    that step on.  States, divergence steps and distances are the same as
+    with a check after every step.
     """
     replica_ids = list(replica_ids)
     lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
@@ -373,49 +383,63 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     features = np.concatenate([ds.features for ds in datasets])
     labels = np.concatenate([ds.labels for ds in datasets])
     chain_offset = n * np.arange(2)[:, None]
-    state = np.array(starts, dtype=float)[None].repeat(lanes, axis=0)
+    start = np.array(starts, dtype=float)[None].repeat(lanes, axis=0)
     index = _IndexStreams([_stream(config.master_seed, r, _STREAM_MINIBATCH)
                            for r in replica_ids], n, config.batch_b)
     noise_rngs = [] if noise.kind == "none" else [
         _stream(config.master_seed, r, _STREAM_NOISE) for r in replica_ids]
-    checkpoints = list(checkpoints)
-    slot = {k: i for i, k in enumerate(checkpoints)}
-    saved = np.full((lanes, len(checkpoints)) + state.shape[1:], np.nan)
+    checkpoints = np.array(list(checkpoints), dtype=np.int64)
+    saved = np.full((lanes, len(checkpoints)) + start.shape[1:], np.nan)
     dist = np.full((lanes, k_max + 1), np.nan) if distances else None
     diverged_at = np.full(lanes, k_max + 1)
 
-    def record(k):
-        if k in slot:
-            saved[:, slot[k]] = state
+    def record(block, first):
+        """Keep the checkpoints and distances of steps first, first + 1, ..."""
+        hit = (checkpoints >= first) & (checkpoints < first + len(block))
+        saved[:, hit] = block[checkpoints[hit] - first].swapaxes(0, 1)
         if dist is not None:
-            dist[:, k] = _norms(state[:, 0] - state[:, 1])
+            dist[:, first:first + len(block)] = _norms(
+                block[:, :, 0] - block[:, :, 1]).T
 
-    rows = _block_rows(lanes, max(index.width, state.shape[-1]))
+    rows = _block_rows(lanes, max(index.width, start.shape[-1]))
+    # row 0 holds the state before the block, row s + 1 the state after its
+    # step s
+    steps = np.empty((rows + 1,) + start.shape)
+    steps[0] = start
     with np.errstate(over="ignore", invalid="ignore"):
-        live = (_norms(state) <= DIVERGENCE_GUARD).all(axis=-1)
+        live = (_norms(start) <= DIVERGENCE_GUARD).all(axis=-1)
         diverged_at[~live] = 0
-        record(0)
+        record(steps[:1], 0)
         k = 0
         for size in _blocks(k_max, rows):
             rows_at = index.next_rows(size)[:, :, None, :] + chain_offset
-            xis = np.array([noise.draw_block(rng, size)
-                            for rng in noise_rngs]) if noise_rngs else None
+            # eta * xi of every lane and step, the products a step would take
+            kicks = eta * np.array([noise.draw_block(rng, size)
+                                    for rng in noise_rngs])
+            # a failed lane steps on (to inf or NaN, quietly) until the
+            # block ends and it is rolled back
             for s in range(size):
-                k += 1
                 idx = rows_at[:, s]
-                g = grad_batch(loss, state, features[idx], labels[idx])
-                new = state - eta * g
-                if xis is not None:
-                    new = new + eta * xis[:, None, s, :]
-                ok = (_norms(new) <= DIVERGENCE_GUARD).all(axis=-1)
-                fresh = live & ~ok
-                if fresh.any():
-                    diverged_at[fresh] = k
-                    live &= ok
-                if not live.all():
-                    new[~live] = state[~live]
-                state = new
-                record(k)
+                g = grad_batch(loss, steps[s], features[idx], labels[idx])
+                np.subtract(steps[s], eta * g, out=steps[s + 1])
+                if noise_rngs:
+                    steps[s + 1] += kicks[:, None, s, :]
+            block = steps[1:size + 1]
+            ok = (_norms(block) <= DIVERGENCE_GUARD).all(axis=-1)
+            failed = live & ~ok.all(axis=0)
+            first = np.argmin(ok, axis=0)
+            diverged_at[failed] = k + 1 + first[failed]
+            # each lane's last good row: the one before its first failing
+            # step, row 0 for a lane frozen before the block
+            good = np.where(failed, first, np.where(live, size, 0))
+            live &= ~failed
+            held = np.flatnonzero(good < size)
+            if held.size:
+                at = np.minimum(np.arange(size + 1)[:, None], good[held])
+                steps[:size + 1, held] = steps[at, held]
+            record(block, k + 1)
+            steps[0] = steps[size]
+            k += size
     if dist is not None:
         dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
     return LaneRun(saved, diverged_at, dist)
@@ -442,7 +466,7 @@ def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,
         results.append(ReplicaResult(
             r, checkpoints, {k: run.states[r, i, 0] for i, k in kept},
             {k: run.states[r, i, 1] for i, k in kept},
-            diverged=bool(end <= config.k_max)))
+            int(end) if end <= config.k_max else None))
     return CoupledEnsemble(results, checkpoints, config, noise)
 
 

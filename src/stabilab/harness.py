@@ -85,9 +85,13 @@ def validate_config(cfg: dict) -> None:
     _check(name in bnd.REGIMES,
            f"config.regime must be one of {tuple(bnd.REGIMES)}")
     regime = bnd.REGIMES[name]
-    family = _require(_require(cfg, "loss", "config"), "family", "config.loss")
+    loss = _require(cfg, "loss", "config")
+    family = _require(loss, "family", "config.loss")
     _check(family in regime.families, f"config.loss.family: regime {name} "
            f"requires the {' or '.join(regime.families)} loss")
+    for key in sorted(set(loss) - {"family"}):
+        _check(math.isfinite(_number(loss[key], f"config.loss.{key}")),
+               f"config.loss.{key} must be finite")
     noise = _section(cfg, "noise")
     noise_kind = noise.get("kind", "none")
     _check(regime.noise in (None, noise_kind),
@@ -97,13 +101,28 @@ def validate_config(cfg: dict) -> None:
         _require(dataset, key, "config.dataset")
     n = _integer(dataset["n"], "config.dataset.n")
     d = _integer(dataset["d"], "config.dataset.d")
+    _check(n >= 1 and d >= 1, "config.dataset.n and d must be >= 1")
     _check(_integer(dataset["seed"], "config.dataset.seed") >= 0,
            "config.dataset.seed must be >= 0")
+    _check(dataset["generator"] in model.GENERATORS,
+           f"config.dataset.generator {dataset['generator']!r}: one of "
+           f"{model.GENERATORS}")
+    if "radius_D" in dataset:
+        _check(0 < _number(dataset["radius_D"], "config.dataset.radius_D")
+               < math.inf, "config.dataset.radius_D must be finite and > 0")
+    _check(math.isfinite(_number(dataset.get("label_range", 1.0),
+                                 "config.dataset.label_range")),
+           "config.dataset.label_range must be finite")
+    neighbor = _section(cfg, "neighbor")
+    _check(0 <= _integer(neighbor.get("index", 0), "config.neighbor.index")
+           < n, f"config.neighbor.index must lie in [0, n = {n})")
+    _check(_integer(neighbor.get("seed", 1), "config.neighbor.seed") >= 0,
+           "config.neighbor.seed must be >= 0")
     sgd = _require(cfg, "sgd", "config")
     for key in ("eta", "batch_b", "k_max", "theta0", "master_seed"):
         _require(sgd, key, "config.sgd")
-    _check(math.isfinite(_number(sgd["eta"], "config.sgd.eta")),
-           "config.sgd.eta must be finite")
+    _check(0 <= _number(sgd["eta"], "config.sgd.eta") < math.inf,
+           "config.sgd.eta must be finite and >= 0")
     # also the default seed of every certificate
     _check(_integer(sgd["master_seed"], "config.sgd.master_seed") >= 0,
            "config.sgd.master_seed must be >= 0")
@@ -267,8 +286,7 @@ def build_dataset(cfg: dict) -> model.Dataset:
 
 def build_pair(cfg: dict, dataset: model.Dataset) -> model.NeighborPair:
     nb = cfg.get("neighbor", {})
-    return model.make_neighbor(dataset, int(nb.get("index", 0)),
-                               int(nb.get("seed", 1)))
+    return model.make_neighbor(dataset, nb.get("index", 0), nb.get("seed", 1))
 
 
 def build_sgd(cfg: dict) -> SGDConfig:
@@ -352,6 +370,7 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     ensemble = run_ensemble(exp.loss, exp.pair, exp.sgd, exp.noise, R,
                             checkpoints)
     elapsed = time.perf_counter() - start
+    diverged = [r.diverged_at for r in ensemble.replicas if r.diverged]
     rows = _estimates_rows(cfg, ensemble, float(cfg.get("p", 1.0)))
     with open(out_dir / "estimates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -364,11 +383,13 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
         "master_seed": cfg["sgd"]["master_seed"],
         "replicas": R,
         "checkpoints": list(checkpoints),
-        "diverged_replicas": sum(r.diverged for r in ensemble.replicas),
+        "diverged_replicas": len(diverged),
         "config": cfg,
     }
     _write_json(out_dir / "run_summary.json", summary)
-    print(f"simulated {R} replicas to k={exp.sgd.k_max} in {elapsed:.2f}s")
+    print(f"simulated {R} replicas to k={exp.sgd.k_max} in {elapsed:.2f}s; "
+          f"{len(diverged)} diverged"
+          + (f", the first at step {min(diverged)}" if diverged else ""))
     return EXIT_OK
 
 

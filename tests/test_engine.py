@@ -4,7 +4,11 @@
   against per-step draws, over several blocks;
 * the engine against a loop of scalar ``step`` calls, for every loss family,
   noise kind and chain pairing;
-* a replica's result against the size of the ensemble it runs in.
+* a replica's result against the size of the ensemble it runs in;
+* the block-checked divergence guard against the per-step guard it
+  replaced (``run_lanes_per_step``), for lanes that diverge at step 0, at
+  step 1, at the first and last step of a block and at a checkpoint, at
+  several block budgets.
 """
 
 import warnings
@@ -255,3 +259,153 @@ class TestDivergenceGuard:
         first = int(np.argmax(np.isnan(dist)))
         assert first > 0 and np.all(np.isnan(dist[first:]))
         assert np.all(np.isfinite(dist[:first]))
+
+
+def run_lanes_per_step(loss, datasets, starts, config, noise, replica_ids,
+                       checkpoints=(), distances=False):
+    """Reference: ``run_lanes`` with the divergence guard checked, and the
+    checkpoints and distances recorded, after every step."""
+    _norms, guard = model._norms, dynamics.DIVERGENCE_GUARD
+    replica_ids = list(replica_ids)
+    lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
+    n = datasets[0].n
+    features = np.concatenate([ds.features for ds in datasets])
+    labels = np.concatenate([ds.labels for ds in datasets])
+    chain_offset = n * np.arange(2)[:, None]
+    state = np.array(starts, dtype=float)[None].repeat(lanes, axis=0)
+    index = dynamics._IndexStreams(
+        [dynamics._stream(config.master_seed, r, dynamics._STREAM_MINIBATCH)
+         for r in replica_ids], n, config.batch_b)
+    noise_rngs = [] if noise.kind == "none" else [
+        dynamics._stream(config.master_seed, r, dynamics._STREAM_NOISE)
+        for r in replica_ids]
+    checkpoints = list(checkpoints)
+    slot = {k: i for i, k in enumerate(checkpoints)}
+    saved = np.full((lanes, len(checkpoints)) + state.shape[1:], np.nan)
+    dist = np.full((lanes, k_max + 1), np.nan) if distances else None
+    diverged_at = np.full(lanes, k_max + 1)
+
+    def record(k):
+        if k in slot:
+            saved[:, slot[k]] = state
+        if dist is not None:
+            dist[:, k] = _norms(state[:, 0] - state[:, 1])
+
+    rows = dynamics._block_rows(lanes, max(index.width, state.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = (_norms(state) <= guard).all(axis=-1)
+        diverged_at[~live] = 0
+        record(0)
+        k = 0
+        for size in dynamics._blocks(k_max, rows):
+            rows_at = index.next_rows(size)[:, :, None, :] + chain_offset
+            xis = np.array([noise.draw_block(rng, size)
+                            for rng in noise_rngs]) if noise_rngs else None
+            for s in range(size):
+                k += 1
+                idx = rows_at[:, s]
+                g = model.grad_batch(loss, state, features[idx], labels[idx])
+                new = state - eta * g
+                if xis is not None:
+                    new = new + eta * xis[:, None, s, :]
+                ok = (_norms(new) <= guard).all(axis=-1)
+                fresh = live & ~ok
+                if fresh.any():
+                    diverged_at[fresh] = k
+                    live &= ok
+                if not live.all():
+                    new[~live] = state[~live]
+                state = new
+                record(k)
+    if dist is not None:
+        dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
+    return dynamics.LaneRun(saved, diverged_at, dist)
+
+
+# With eta = 1e13 the first step whose minibatch holds point HOT sends
+# theta past the guard: that point's gradient is (theta_0, 0), and the other
+# points only pull theta gently (a_i of norm ~1e-7) towards TARGET, so
+# |theta_0| stays near 1 and a lane diverges at its first draw of HOT.
+HOT, TARGET, ETA_HOT = 15, np.array([1.5, 0.5]), 1e13
+GUARD_KMAX, GUARD_CHECKPOINTS = 24, [0, 7, 12, 24]
+
+
+def explosive_datasets(pairing):
+    rng = np.random.default_rng(0)
+    features = 1e-7 * np.column_stack(
+        [rng.uniform(0.5, 1.0, 16), rng.uniform(-0.1, 0.1, 16)])
+    features[HOT] = (1.0, 0.0)
+    base = model.Dataset(features, features @ TARGET * (np.arange(16) != HOT),
+                         1.0)
+    if pairing == "two_starts":
+        return (base, base), (np.array([1.0, 1.0]), np.array([2.0, 0.0]))
+    moved = features.copy()
+    moved[0] = 1e-7 * np.array([0.6, -0.1])
+    perturbed = model.Dataset(moved, moved @ TARGET * (np.arange(16) != HOT),
+                              1.0)
+    return (base, perturbed), (np.array([1.0, 1.0]),) * 2
+
+
+def pick_lanes(pool, rows, k_max, checkpoints):
+    """Replica ids from ``pool`` (id -> diverged_at) whose lanes diverge at
+    step 1, at a block's first and last step, at a checkpoint, and never."""
+    firsts = [k for k in range(2, k_max + 1) if (k - 1) % rows == 0] or [1]
+    lasts = [k for k in range(1, k_max + 1) if k % rows == 0 or k == k_max]
+    wanted = [[1], firsts, lasts, [c for c in checkpoints if 0 < c < k_max],
+              [k_max + 1], [k_max + 1]]
+    chosen = []
+    for steps in wanted:
+        found = [r for r, at in pool.items() if at in steps
+                 and r not in chosen]
+        assert found, f"no lane of the pool diverges at {steps}"
+        chosen.append(found[0])
+    return chosen
+
+
+class TestBlockGuardAgainstPerStepGuard:
+    @pytest.mark.parametrize("budget", [1, 7, 64, None])
+    @pytest.mark.parametrize("kind", ["none", "gaussian_diag", "laplace"])
+    @pytest.mark.parametrize("pairing", ["two_datasets", "two_starts"])
+    def test_matches_per_step_guard(self, monkeypatch, pairing, kind, budget):
+        datasets, starts = explosive_datasets(pairing)
+        loss = model.quadratic()
+        config = SGDConfig(ETA_HOT, 1, GUARD_KMAX, starts[0], 5)
+        # kicks of eta * 1e-15 ~ 0.01 per step leave |theta_0| near 1
+        noise = NoiseModel() if kind == "none" else NoiseModel(kind,
+                                                               (1e-15,) * 2)
+        pool = run_lanes_per_step(loss, datasets, starts, config, noise,
+                                  range(400)).diverged_at
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        rows = dynamics._block_rows(6, 2)
+        lanes = pick_lanes(dict(enumerate(pool)), rows, GUARD_KMAX,
+                           GUARD_CHECKPOINTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_lanes(loss, datasets, starts, config, noise, lanes,
+                            GUARD_CHECKPOINTS, distances=True)
+        ref = run_lanes_per_step(loss, datasets, starts, config, noise,
+                                 lanes, GUARD_CHECKPOINTS, distances=True)
+        assert np.array_equal(got.diverged_at, pool[lanes])
+        for field in ("states", "diverged_at", "distances"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field),
+                                  equal_nan=True), field
+
+    @pytest.mark.parametrize("budget", [1, 7, None])
+    @pytest.mark.parametrize("pairing", ["two_datasets", "two_starts"])
+    def test_nan_start_matches_per_step_guard(self, monkeypatch, pairing,
+                                              budget):
+        datasets, starts = explosive_datasets(pairing)
+        starts = (starts[0], np.array([np.nan, 1.0]))
+        config = SGDConfig(ETA_HOT, 1, GUARD_KMAX, starts[0], 5)
+        noise = NoiseModel("gaussian_diag", (1e-15,) * 2)
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        args = (model.quadratic(), datasets, starts, config, noise,
+                [0, 3], GUARD_CHECKPOINTS)
+        got = run_lanes(*args, distances=True)
+        ref = run_lanes_per_step(*args, distances=True)
+        assert np.all(got.diverged_at == 0)
+        for field in ("states", "diverged_at", "distances"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field),
+                                  equal_nan=True), field

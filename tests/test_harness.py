@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from stabilab import cli, harness, verify
-from stabilab.dynamics import NoiseModel
+from stabilab.dynamics import NoiseModel, run_ensemble
 from stabilab.harness import (EXIT_CERT_FAILURE, EXIT_INADMISSIBLE, EXIT_OK,
                               ConfigError, cmd_bounds, cmd_report,
                               cmd_simulate, cmd_verify, evaluate_bound,
@@ -120,6 +120,35 @@ class TestSimulateCommand:
         for name in ("estimates.csv", "run_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_stdout_names_diverged_replicas(self, tmp_path, capsys):
+        # eta = 10 on b = 1 multiplies theta - y_i/a_i by 1 - 10 a_i^2 per
+        # step, so replicas leave the guard at different steps
+        cfg = quadratic_config(replicas=16, checkpoints=[5, 100])
+        cfg["dataset"].update(generator="gaussian_clipped")
+        cfg["sgd"]["eta"] = 10.0
+        exp = harness.build_experiment(cfg)
+        ens = run_ensemble(exp.loss, exp.pair, exp.sgd, exp.noise, 16,
+                           [5, 100])
+        steps = [r.diverged_at for r in ens.replicas if r.diverged]
+        assert 1 < len(steps) and len(set(steps)) > 1
+        assert cmd_simulate(cfg, tmp_path / "a") == EXIT_OK
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(f"; {len(steps)} diverged, the first at step "
+                             f"{min(steps)}")
+        cmd_simulate(cfg, tmp_path / "b")
+        summary = json.loads((tmp_path / "a" / "run_summary.json").read_text())
+        assert summary["diverged_replicas"] == len(steps)
+        assert set(summary) == {"schema_version", "stream_version", "regime",
+                                "master_seed", "replicas", "checkpoints",
+                                "diverged_replicas", "config"}
+        for name in ("estimates.csv", "run_summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_stdout_without_divergence(self, tmp_path, capsys):
+        assert cmd_simulate(quadratic_config(**self.CFG), tmp_path) == EXIT_OK
+        assert capsys.readouterr().out.strip().endswith("s; 0 diverged")
 
     def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = quadratic_config(**self.CFG)
@@ -402,6 +431,23 @@ CONFIG_ERRORS = {
     "M-grid-entry": (_bound(eta_hat={"M_grid": [1.0, "x"]}),
                      "config.bound.eta_hat.M_grid"),
     "eta-nan": (lambda c: c["sgd"].update(eta=math.nan), "config.sgd.eta"),
+    "eta-negative": (lambda c: c["sgd"].update(eta=-0.1), "config.sgd.eta"),
+    "neighbor-list": (lambda c: c.update(neighbor=[1]), "config.neighbor"),
+    "neighbor-index-string": (lambda c: c.update(neighbor={"index": "x"}),
+                              "config.neighbor.index"),
+    "neighbor-index-range": (lambda c: c.update(neighbor={"index": 99}),
+                             "config.neighbor.index"),
+    "neighbor-seed-negative": (lambda c: c.update(neighbor={"seed": -1}),
+                               "config.neighbor.seed"),
+    "radius-D-string": (lambda c: c["dataset"].update(radius_D="x"),
+                        "config.dataset.radius_D"),
+    "radius-D-zero": (lambda c: c["dataset"].update(radius_D=0.0),
+                      "config.dataset.radius_D"),
+    "label-range-string": (lambda c: c["dataset"].update(label_range="x"),
+                           "config.dataset.label_range"),
+    "n-zero": (lambda c: c["dataset"].update(n=0), "config.dataset.n"),
+    "loss-param-string": (lambda c: c["loss"].update(m0="x"),
+                          "config.loss.m0"),
 }
 
 

@@ -89,23 +89,6 @@ class PerturbationInputs:
 
 
 @dataclass(frozen=True)
-class NoisyRegimeConstants:
-    """Drift/minorization constants for the noisy non-convex regime."""
-
-    K0: float
-    log_eta_hat: float
-    epsilon: float
-    eta0: float                    # eta_hat / 2 (0.0 if it underflows)
-    gamma0: float                  # 1 - m*eta*epsilon/2
-    psi: float                     # eta_hat / (2 eta K0), may underflow
-    log_psi: float
-    eta_bar: float                 # may round to 1.0; use the log form
-    log_one_minus_eta_bar: float
-    R: float                       # (2 K0 / m)(1 + epsilon)
-    M: float = 0.0
-
-
-@dataclass(frozen=True)
 class Experiment:
     """One configured experiment; every command builds it once."""
 
@@ -332,51 +315,28 @@ def eta_hat_gaussian_log(Sigma, eta: float, m: float, K0: float,
             "branches": rows}
 
 
-def eta_bar(m: float, eta: float, epsilon: float, eta_hat: float = None,
-            log_eta_hat: float = None, K0: float = None) -> dict:
+def eta_bar(m: float, eta: float, epsilon: float, log_eta_hat: float,
+            K0: float) -> dict:
     """Contraction factor eta_bar = 1 - m eta eps (1+eps) eta_hat
-    / (4m + 2 (1+eps) eta_hat), plus the implied (eta0, gamma0, psi).
+    / (4m + 2 (1+eps) eta_hat), plus the weight psi = eta_hat / (2 eta K0),
+    from log(eta_hat).
 
-    Returns log(1 - eta_bar) alongside, since eta_bar rounds to 1.0 when
-    eta_hat is astronomically small.
+    Returns log(1 - eta_bar) and log(psi) alongside, since eta_bar rounds to
+    1.0 and psi to 0.0 when eta_hat is astronomically small.
     """
     if eta > 1.0:
         raise InadmissibleError(f"eta = {eta} violates eta <= 1")
     if not (0 < epsilon < 1):
         raise InadmissibleError("epsilon must lie in (0, 1)")
-    if log_eta_hat is None:
-        if not (0 < eta_hat < 1):
-            raise InadmissibleError("eta_hat must lie in (0, 1)")
-        log_eta_hat = math.log(eta_hat)
     if log_eta_hat >= 0:
         raise InadmissibleError("eta_hat must lie in (0, 1)")
-    l1m = (math.log(m * eta * epsilon) + math.log1p(epsilon) + log_eta_hat
-           - np.logaddexp(math.log(4.0 * m),
-                          math.log(2.0) + math.log1p(epsilon) + log_eta_hat))
-    l1m = float(l1m)
-    out = {
-        "eta_bar": 1.0 - math.exp(l1m),
-        "log_one_minus_eta_bar": l1m,
-        "eta0": math.exp(log_eta_hat) / 2.0,
-        "gamma0": 1.0 - m * eta * epsilon / 2.0,
-    }
-    if K0 is not None:
-        out["log_psi"] = log_eta_hat - math.log(2.0 * eta * K0)
-        out["psi"] = math.exp(out["log_psi"])
-    return out
-
-
-def noisy_regime_constants(m: float, eta: float, epsilon: float, K0: float,
-                           log_eta_hat: float, M: float = 0.0
-                           ) -> NoisyRegimeConstants:
-    """Bundle the drift/minorization constants for the noisy regime."""
-    eb = eta_bar(m, eta, epsilon, log_eta_hat=log_eta_hat, K0=K0)
-    return NoisyRegimeConstants(
-        K0=K0, log_eta_hat=log_eta_hat, epsilon=epsilon,
-        eta0=eb["eta0"], gamma0=eb["gamma0"], psi=eb["psi"],
-        log_psi=eb["log_psi"], eta_bar=eb["eta_bar"],
-        log_one_minus_eta_bar=eb["log_one_minus_eta_bar"],
-        R=2.0 * K0 / m * (1.0 + epsilon), M=M)
+    l1m = float(math.log(m * eta * epsilon) + math.log1p(epsilon)
+                + log_eta_hat
+                - np.logaddexp(math.log(4.0 * m), math.log(2.0)
+                               + math.log1p(epsilon) + log_eta_hat))
+    log_psi = log_eta_hat - math.log(2.0 * eta * K0)
+    return {"eta_bar": 1.0 - math.exp(l1m), "log_one_minus_eta_bar": l1m,
+            "log_psi": log_psi, "psi": math.exp(log_psi)}
 
 
 def _log_one_minus_pow(l1m: float, k: float) -> float:
@@ -394,24 +354,27 @@ def _log_one_minus_pow(l1m: float, k: float) -> float:
 
 def bound_nonconvex_noisy(constants: AssumptionConstants, eta: float,
                           sigma2: float, b: int, n: int, theta0_norm: float,
-                          k: float, noisy: NoisyRegimeConstants
-                          ) -> StabilityBound:
+                          k: float, K0: float, log_eta_hat: float,
+                          epsilon: float) -> StabilityBound:
     """W1 bound for dissipative losses with additive noise.
 
     Product of the geometric prefactor (1-eta_bar^k)/(2 sqrt(psi(1+psi))
     (1-eta_bar)), the kernel-gap factor (2b/n) max{...}, and the Lyapunov
     factor max{...}; evaluated in log-space because 1/(1-eta_bar) can be
-    e^{1000} or more.  The minimizer norms are replaced by their
-    dissipativity bound Q = (E + sqrt(E^2 + 4mK)) / (2m).
+    e^{1000} or more.  eta_bar and psi are the weighted-metric constants of
+    Hairer & Mattingly's Harris theorem, from the drift constant K0 and the
+    minorization level eta_hat (see :func:`eta_bar`).  The minimizer norms
+    are replaced by their dissipativity bound Q = (E + sqrt(E^2 + 4mK)) / (2m).
     """
-    _check_step_size(constants, eta, "m")
     m, K1, K2, D, E, K = (constants.m, constants.K1, constants.K2,
                           constants.D, constants.E, constants.K)
-    if noisy.log_one_minus_eta_bar >= 0:
+    eb = eta_bar(m, eta, epsilon, log_eta_hat, K0)
+    _check_step_size(constants, eta, "m")
+    psi, log_psi = eb["psi"], eb["log_psi"]
+    l1m = eb["log_one_minus_eta_bar"]
+    if l1m >= 0:
         raise InadmissibleError("eta_bar >= 1: no kernel contraction")
     Q = minimizer_norm_bound("dissipative", m=m, K=K, E=E)
-    psi, log_psi = noisy.psi, noisy.log_psi
-    l1m = noisy.log_one_minus_eta_bar
 
     log_num = _log_one_minus_pow(l1m, k)
     if log_num == -math.inf:
@@ -439,8 +402,8 @@ def bound_nonconvex_noisy(constants: AssumptionConstants, eta: float,
         value = math.inf
     cu = asdict(constants) | {
         "eta": eta, "sigma2": sigma2, "b": b, "n": n,
-        "theta0_norm": theta0_norm, "Q": Q, "K0": noisy.K0,
-        "log_eta_hat": noisy.log_eta_hat, "epsilon": noisy.epsilon,
+        "theta0_norm": theta0_norm, "Q": Q, "K0": K0,
+        "log_eta_hat": log_eta_hat, "epsilon": epsilon,
         "log_psi": log_psi, "log_one_minus_eta_bar": l1m,
         "log_prefactor": log_pref, "log_kernel_gap_factor": log_gap,
         "lyapunov_max": lyap}
@@ -567,19 +530,15 @@ def _noisy(exp: Experiment, cfg: dict) -> StabilityBound:
     eh_cfg = cfg.get("eta_hat", {"mode": "corollary"})
     if eh_cfg.get("mode", "corollary") == "fixed":
         log_eta_hat = float(eh_cfg["log_eta_hat"])
-        argmax_M = float(eh_cfg.get("M", 0.0))
     else:
         theta_star = empirical_minimizer(exp.loss, data)
         grad_sup = max_grad_norm(exp.loss, data, theta_star)
-        eh = eta_hat_gaussian_log(np.array(exp.noise.scale) ** 2, sgd.eta,
-                                  c.m, exp.K0, epsilon, c.K1, grad_sup,
-                                  M_grid=eh_cfg.get("M_grid"))
-        log_eta_hat, argmax_M = eh["log_eta_hat"], eh["argmax_M"]
-    noisy = noisy_regime_constants(c.m, sgd.eta, epsilon, exp.K0,
-                                   log_eta_hat, M=argmax_M)
+        log_eta_hat = eta_hat_gaussian_log(
+            np.array(exp.noise.scale) ** 2, sgd.eta, c.m, exp.K0, epsilon,
+            c.K1, grad_sup, M_grid=eh_cfg.get("M_grid"))["log_eta_hat"]
     return bound_nonconvex_noisy(c, sgd.eta, exp.noise.sigma2, sgd.batch_b,
                                  data.n, _theta0_norm(exp), _bound_k(cfg),
-                                 noisy)
+                                 exp.K0, log_eta_hat, epsilon)
 
 
 class Regime(NamedTuple):

@@ -9,9 +9,8 @@ One engine, :func:`run_lanes`, runs every multi-step simulation.  It
 advances L coupled pairs ("lanes", one per replica) as a single
 ``(L, 2, d)`` state array with one lane-vectorized gradient per step, for
 both pairings: two datasets from one start (:func:`run_ensemble`) and one
-dataset from two starts (:func:`run_contraction_pair`,
-``verify.check_contraction``).  The scalar :func:`step` is the reference
-path the engine is tested against.
+dataset from two starts (``verify.check_contraction``).  The scalar
+:func:`step` is the reference path the engine is tested against.
 
 Stream layout v2 (``STREAM_VERSION``)
 -------------------------------------
@@ -145,10 +144,6 @@ class NoiseModel:
 
 @dataclass
 class ReplicaResult:
-    replica_id: int
-    checkpoints: list
-    theta: dict           # k -> iterate of the base chain
-    theta_hat: dict       # k -> iterate of the perturbed chain
     diverged_at: int | None = None    # first diverged step, None if none
 
     @property
@@ -158,15 +153,16 @@ class ReplicaResult:
 
 @dataclass
 class CoupledEnsemble:
-    replicas: list            # ReplicaResult, ordered by replica_id
+    states: np.ndarray        # (R, len(checkpoints), 2, d), from run_lanes
     checkpoints: list
-    config: SGDConfig
-    noise: NoiseModel
+    replicas: list            # ReplicaResult, ordered by replica id
 
-    def pairs_at(self, k: int) -> list:
-        """(theta, theta_hat) across non-diverged replicas at checkpoint k."""
-        return [(r.theta[k], r.theta_hat[k]) for r in self.replicas
-                if not r.diverged]
+    def clouds_at(self, k: int) -> tuple:
+        """(A, B), each (R', d): the base and perturbed iterates at
+        checkpoint k of the R' replicas that never diverged."""
+        live = [not r.diverged for r in self.replicas]
+        i = self.checkpoints.index(k)
+        return self.states[live, i, 0], self.states[live, i, 1]
 
     def any_diverged(self) -> bool:
         return any(r.diverged for r in self.replicas)
@@ -369,6 +365,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     <= DIVERGENCE_GUARD (NaN included); it is frozen from then on and its
     states at later checkpoints are meaningless.  With ``distances`` the
     chain distance ||theta_k - theta_tilde_k|| is kept at every step.
+    Stepping stops once every lane has diverged.
 
     The guard is checked once per block of steps: every lane runs the block
     unguarded into a buffer, then one vectorized check finds each lane's
@@ -412,6 +409,8 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
         record(steps[:1], 0)
         k = 0
         for size in _blocks(k_max, rows):
+            if not live.any():
+                break
             rows_at = index.next_rows(size)[:, :, None, :] + chain_offset
             # eta * xi of every lane and step, the products a step would take
             kicks = eta * np.array([noise.draw_block(rng, size)
@@ -440,6 +439,8 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
             record(block, k + 1)
             steps[0] = steps[size]
             k += size
+    # every lane is frozen once the loop ends early
+    saved[:, checkpoints > k] = steps[0][:, None]
     if dist is not None:
         dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
     return LaneRun(saved, diverged_at, dist)
@@ -459,21 +460,6 @@ def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,
     run = run_lanes(loss, (pair.base, pair.perturbed),
                     (config.theta0, config.theta0), config, noise, range(R),
                     checkpoints)
-    results = []
-    for r in range(R):
-        end = run.diverged_at[r]
-        kept = [(i, k) for i, k in enumerate(checkpoints) if k < end]
-        results.append(ReplicaResult(
-            r, checkpoints, {k: run.states[r, i, 0] for i, k in kept},
-            {k: run.states[r, i, 1] for i, k in kept},
-            int(end) if end <= config.k_max else None))
-    return CoupledEnsemble(results, checkpoints, config, noise)
-
-
-def run_contraction_pair(loss: LossModel, dataset: Dataset, config: SGDConfig,
-                         theta0_a: np.ndarray, theta0_b: np.ndarray,
-                         noise: NoiseModel, replica_id: int = 0) -> np.ndarray:
-    """Distances ||theta_k - theta_tilde_k|| for k = 0..k_max under shared
-    randomness, both chains on the same dataset from two initial points."""
-    return run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
-                     noise, [replica_id], distances=True).distances[0]
+    return CoupledEnsemble(run.states, checkpoints, [
+        ReplicaResult(int(end) if end <= config.k_max else None)
+        for end in run.diverged_at])

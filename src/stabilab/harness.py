@@ -85,7 +85,7 @@ def validate_config(cfg: dict) -> None:
     _check(name in bnd.REGIMES,
            f"config.regime must be one of {tuple(bnd.REGIMES)}")
     regime = bnd.REGIMES[name]
-    loss = _require(cfg, "loss", "config")
+    loss = _object(_require(cfg, "loss", "config"), "config.loss")
     family = _require(loss, "family", "config.loss")
     _check(family in regime.families, f"config.loss.family: regime {name} "
            f"requires the {' or '.join(regime.families)} loss")
@@ -96,7 +96,7 @@ def validate_config(cfg: dict) -> None:
     noise_kind = noise.get("kind", "none")
     _check(regime.noise in (None, noise_kind),
            f"config.noise.kind: regime {name} requires {regime.noise} noise")
-    dataset = _require(cfg, "dataset", "config")
+    dataset = _object(_require(cfg, "dataset", "config"), "config.dataset")
     for key in ("n", "d", "generator", "seed"):
         _require(dataset, key, "config.dataset")
     n = _integer(dataset["n"], "config.dataset.n")
@@ -118,7 +118,7 @@ def validate_config(cfg: dict) -> None:
            < n, f"config.neighbor.index must lie in [0, n = {n})")
     _check(_integer(neighbor.get("seed", 1), "config.neighbor.seed") >= 0,
            "config.neighbor.seed must be >= 0")
-    sgd = _require(cfg, "sgd", "config")
+    sgd = _object(_require(cfg, "sgd", "config"), "config.sgd")
     for key in ("eta", "batch_b", "k_max", "theta0", "master_seed"):
         _require(sgd, key, "config.sgd")
     _check(0 <= _number(sgd["eta"], "config.sgd.eta") < math.inf,
@@ -171,7 +171,6 @@ def _check_bound(bound: dict) -> None:
     if mode == "fixed":
         _number(_require(eta_hat, "log_eta_hat", "config.bound.eta_hat"),
                 "config.bound.eta_hat.log_eta_hat")
-    _number(eta_hat.get("M", 0.0), "config.bound.eta_hat.M")
     grid = eta_hat.get("M_grid")    # null: the default grid
     _check(grid is None or isinstance(grid, list) and grid,
            "config.bound.eta_hat.M_grid must be a nonempty list")
@@ -243,8 +242,11 @@ def _check_certificate(spec: dict, d: int, k_max: int, noise: dict) -> None:
 
 
 def _section(cfg: dict, key: str, where: str = "config") -> dict:
-    value = cfg.get(key, {})
-    _check(isinstance(value, dict), f"{where}.{key} must be an object")
+    return _object(cfg.get(key, {}), f"{where}.{key}")
+
+
+def _object(value, field: str) -> dict:
+    _check(isinstance(value, dict), f"{field} must be an object")
     return value
 
 
@@ -333,11 +335,10 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
     return EXIT_OK
 
 
-def _estimate(est: str, p: float, pairs) -> transport.TransportEstimate:
-    """The ``est`` estimate of W_p from coupled (theta, theta_hat) pairs."""
+def _estimate(est: str, p: float, A, B) -> transport.TransportEstimate:
+    """The ``est`` estimate of W_p between coupled clouds A and B."""
     if est == "coupled":
-        return transport.coupled_upper_bound(p, pairs)
-    A, B = map(np.array, zip(*pairs))
+        return transport.coupled_upper_bound(p, A, B)
     if est == "assignment":
         return transport.wasserstein_assignment(p, A, B)
     return transport.wasserstein_exact_1d(p, A, B)
@@ -347,12 +348,12 @@ def _estimates_rows(cfg: dict, ensemble, p: float) -> list:
     status = "partial_divergence" if ensemble.any_diverged() else "ok"
     rows = []
     for k in ensemble.checkpoints:
-        pairs = ensemble.pairs_at(k)
+        A, B = ensemble.clouds_at(k)
         for est in cfg.get("estimators", ["coupled"]):
-            if not pairs:
+            if not len(A):
                 rows.append([k, est, p, "", "", "diverged"])
                 continue
-            res = _estimate(est, p, pairs)
+            res = _estimate(est, p, A, B)
             rows.append([k, est, p, repr(res.value), repr(res.stderr),
                          status])
     return rows
@@ -427,8 +428,7 @@ def _run_certificate(cfg: dict, exp: bnd.Experiment,
             np.array(exp.noise.scale) ** 2, exp.constants.m, exp.K0,
             float(spec.get("epsilon", 0.5)),
             float(_require(spec, "M", "certificate")),
-            n_grid=int(spec.get("n_grid", 9)), seed=seed,
-            K1=exp.constants.K1)
+            n_grid=int(spec.get("n_grid", 9)), K1=exp.constants.K1)
     if kind != "dominance":
         raise ConfigError(f"unknown certificate kind {kind!r}")
     bound = evaluate_bound(cfg, exp)
@@ -438,7 +438,7 @@ def _run_certificate(cfg: dict, exp: bnd.Experiment,
     diverged = sum(r.diverged for r in ensemble.replicas)
     emp = None if diverged else _estimate(spec.get("estimator", "coupled"),
                                           float(cfg.get("p", 1.0)),
-                                          ensemble.pairs_at(k))
+                                          *ensemble.clouds_at(k))
     return verify.check_bound_dominates(
         emp, bound, margin_rule=spec.get("margin_rule", "three_sigma"),
         fixed_rel=float(spec.get("fixed_rel", 0.0)),

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _norms
+
 ASSIGNMENT_CAP = 1024
 
 
@@ -104,19 +106,18 @@ def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
                              power_mean=power_mean, stderr=stderr)
 
 
-def coupled_upper_bound(p: float, pairs) -> TransportEstimate:
-    """Upper bound on W_p from coupled pairs: (mean ||theta-theta_hat||^p)^{1/p}.
+def coupled_upper_bound(p: float, A, B) -> TransportEstimate:
+    """Upper bound on W_p from coupled clouds, row i of A coupled with row i
+    of B: (mean ||a_i - b_i||^p)^{1/p}.
 
     Also reports the Monte-Carlo standard error of the p-th-power mean.
     """
-    if len(pairs) < 1:
-        raise ValueError("need at least one coupled pair")
-    dists = np.array([
-        np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        for a, b in pairs])
-    powers = dists ** p
+    A, B = _as_cloud(A), _as_cloud(B)
+    if A.shape != B.shape:
+        raise ValueError("clouds must have equal shapes")
+    powers = _norms(A - B) ** p
     power_mean = float(np.mean(powers))
-    n = len(pairs)
+    n = A.shape[0]
     stderr = float(np.std(powers, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return TransportEstimate(value=power_mean ** (1.0 / p), p=p,
                              method="coupled", n_samples=n,

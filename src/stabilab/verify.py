@@ -233,8 +233,7 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
 def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
                                 b: int, Sigma, m: float, K0: float,
                                 epsilon: float, M: float, n_grid: int = 33,
-                                seed: int = 0, K1: float = None
-                                ) -> Certificate:
+                                K1: float = None) -> Certificate:
     """Density-ratio minorization audit for diagonal Gaussian noise, d <= 2.
 
     Checks inf p(theta, theta1) / p(theta*, theta1) >= sqrt(eta_hat) over

@@ -16,9 +16,8 @@ from stabilab import model, transport
 from stabilab.bounds import (bound_nonconvex_noisy, bound_nonconvex_plain,
                              bound_strongly_convex, eta_hat_gaussian_log,
                              k0_constant, minimizer_norm_bound,
-                             noisy_regime_constants, rho_quadratic)
-from stabilab.dynamics import NoiseModel, SGDConfig, run_contraction_pair, \
-    run_ensemble
+                             rho_quadratic)
+from stabilab.dynamics import NoiseModel, SGDConfig, run_ensemble, run_lanes
 from stabilab.harness import cmd_bounds, cmd_simulate, cmd_verify, \
     evaluate_bound
 from stabilab.model import AssumptionConstants
@@ -53,7 +52,7 @@ class _Budget:
 def coupled_w1(loss, pair, cfg, noise, R, checkpoints, p=1.0):
     ens = run_ensemble(loss, pair, cfg, noise, R, checkpoints)
     assert not ens.any_diverged()
-    return {k: transport.coupled_upper_bound(p, ens.pairs_at(k))
+    return {k: transport.coupled_upper_bound(p, *ens.clouds_at(k))
             for k in checkpoints}
 
 
@@ -73,9 +72,9 @@ def test_01_exact_contraction():
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "unit_fixed"}, 0)
         cfg = SGDConfig(0.1, 4, 50, np.zeros(1), 0)
-        dist = run_contraction_pair(model.quadratic(), ds, cfg,
-                                    np.array([1.0]), np.array([0.0]),
-                                    NoiseModel())
+        dist = run_lanes(model.quadratic(), (ds, ds),
+                         (np.array([1.0]), np.array([0.0])), cfg,
+                         NoiseModel(), [0], distances=True).distances[0]
         expect = 0.9 ** np.arange(51)
         assert np.max(np.abs(dist - expect)) <= 1e-12
 
@@ -168,10 +167,7 @@ def test_05_dominance_sweep():
             pair = model.make_neighbor(dataset, 0, 1000 + trial)
             sgd = SGDConfig(eta, b, k, np.zeros(d), 2000 + trial)
             ens = run_ensemble(loss, pair, sgd, NoiseModel(), 64, [k])
-            pairs = ens.pairs_at(k)
-            emp = transport.wasserstein_assignment(
-                1.0, np.array([a for a, _ in pairs]),
-                np.array([bb for _, bb in pairs]))
+            emp = transport.wasserstein_assignment(1.0, *ens.clouds_at(k))
             cert = check_bound_dominates(emp, bound)
             assert cert.passed, f"trial {trial}: margin {cert.margin}"
             found += 1
@@ -213,11 +209,9 @@ def test_06_noisy_nonconvex():
         eh_run = eta_hat_gaussian_log([0.5], 0.2, constants.m, K0, 0.5,
                                       constants.K1, grad_sup)
         assert math.isfinite(eh_run["log_eta_hat"])
-        noisy = noisy_regime_constants(constants.m, 0.2, 0.5, K0,
-                                       eh_run["log_eta_hat"],
-                                       M=eh_run["argmax_M"])
         bound = bound_nonconvex_noisy(constants, 0.2, noise.sigma2, 4,
-                                      ds.n, 0.0, math.inf, noisy)
+                                      ds.n, 0.0, math.inf, K0,
+                                      eh_run["log_eta_hat"], 0.5)
         assert math.isfinite(bound.value) and bound.value > 0
         assert long <= bound.value
 
@@ -265,7 +259,7 @@ def test_08_transport_oracle():
             B = A + 0.2 * rng.standard_normal((N, d))
             p = float(rng.choice([1.0, 1.5, 2.0]))
             assign = transport.wasserstein_assignment(p, A, B)
-            coupled = transport.coupled_upper_bound(p, list(zip(A, B)))
+            coupled = transport.coupled_upper_bound(p, A, B)
             assert assign.value <= coupled.value + 1e-12
 
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from stabilab import model
-from stabilab.bounds import (InadmissibleError, NoisyRegimeConstants,
-                             PerturbationInputs, bound_nonconvex_noisy,
+from stabilab.bounds import (InadmissibleError, PerturbationInputs,
+                             bound_nonconvex_noisy,
                              bound_nonconvex_plain, bound_quadratic,
                              bound_strongly_convex, bound_subconvex, eta_bar,
                              eta_hat_gaussian_log, expected_q_norm,
                              k0_constant, minimizer_norm_bound,
-                             noisy_regime_constants,
                              perturbation_combine, rho_quadratic)
 from stabilab.model import AssumptionConstants
 
@@ -152,23 +151,23 @@ class TestEtaHatGaussian:
 
 class TestEtaBar:
     def test_worked_value(self):
-        out = eta_bar(1.0, 0.01, 0.5, eta_hat=0.25)
+        out = eta_bar(1.0, 0.01, 0.5, math.log(0.25), 2.44)
         assert out["eta_bar"] == pytest.approx(1.0 - 0.001875 / 4.75,
                                                rel=1e-14)
         assert out["eta_bar"] == pytest.approx(0.9996052631578948)
 
     def test_implied_constants(self):
-        out = eta_bar(1.0, 0.01, 0.5, eta_hat=0.25, K0=2.44)
-        assert out["eta0"] == pytest.approx(0.125)
-        assert out["gamma0"] == pytest.approx(1.0 - 0.01 * 0.5 / 2.0)
+        out = eta_bar(1.0, 0.01, 0.5, math.log(0.25), 2.44)
         assert out["psi"] == pytest.approx(0.25 / (2.0 * 0.01 * 2.44))
+        assert set(out) == {"eta_bar", "log_one_minus_eta_bar", "log_psi",
+                            "psi"}
 
     def test_eta_above_one_rejected(self):
         with pytest.raises(InadmissibleError):
-            eta_bar(1.0, 1.5, 0.5, eta_hat=0.25)
+            eta_bar(1.0, 1.5, 0.5, math.log(0.25), 2.44)
 
     def test_tiny_eta_hat_stays_representable(self):
-        out = eta_bar(1.0, 0.01, 0.5, log_eta_hat=-2746.0)
+        out = eta_bar(1.0, 0.01, 0.5, -2746.0, 2.44)
         assert out["eta_bar"] == 1.0          # rounds in float
         assert math.isfinite(out["log_one_minus_eta_bar"])
         assert out["log_one_minus_eta_bar"] < -2000
@@ -180,37 +179,41 @@ class TestEtaBar:
             eta = rng.uniform(1e-4, min(1.0, 1.0 / m))
             eps = rng.uniform(0.01, 0.99)
             eh = rng.uniform(1e-6, 1.0 - 1e-6)
-            out = eta_bar(m, eta, eps, eta_hat=eh)
+            out = eta_bar(m, eta, eps, math.log(eh), 2.44)
             assert 0.0 < out["eta_bar"] < 1.0
 
 
 class TestBoundNonconvexNoisy:
     C = const(m=1.0, K=0.5)
 
-    def make_noisy(self):
-        return noisy_regime_constants(1.0, 0.01, 0.5, 2.44,
-                                      math.log(0.25))
+    # K0, log_eta_hat and epsilon
+    NOISY = (2.44, math.log(0.25), 0.5)
 
     def test_frozen_regression_value(self):
         sb = bound_nonconvex_noisy(self.C, 0.01, 1.0, 1, 100, 0.0,
-                                   math.inf, self.make_noisy())
+                                   math.inf, *self.NOISY)
         assert sb.value == pytest.approx(NOISY_BOUND_FROZEN, rel=1e-12)
 
     def test_k_zero(self):
         sb = bound_nonconvex_noisy(self.C, 0.01, 1.0, 1, 100, 0.0, 0,
-                                   self.make_noisy())
+                                   *self.NOISY)
         assert sb.value == 0.0
 
     def test_inadmissible_eta(self):
         with pytest.raises(InadmissibleError):
             bound_nonconvex_noisy(self.C, 0.5, 1.0, 1, 100, 0.0, math.inf,
-                                  self.make_noisy())
+                                  *self.NOISY)
+
+    def test_eta_bar_checked_before_step_size(self):
+        # eta = 1.5 violates both; the reason an inadmissible bounds.json
+        # records is eta_bar's
+        with pytest.raises(InadmissibleError, match="eta <= 1"):
+            bound_nonconvex_noisy(self.C, 1.5, 1.0, 1, 100, 0.0, math.inf,
+                                  *self.NOISY)
 
     def test_log_value_finite_at_tiny_eta_hat(self):
-        noisy = noisy_regime_constants(1.0, 0.01, 0.5, 2.44,
-                                       LOG_ETA_HAT_FROZEN)
         sb = bound_nonconvex_noisy(self.C, 0.01, 1.0, 1, 100, 0.0,
-                                   math.inf, noisy)
+                                   math.inf, 2.44, LOG_ETA_HAT_FROZEN, 0.5)
         assert math.isfinite(sb.log_value)
         assert sb.value == math.inf   # too large for float, by design
 
@@ -356,11 +359,10 @@ class TestStructuralProperties:
             return bound_strongly_convex(const(mu=1.0, E=1.0), 0.01, n, 0.0,
                                          math.inf).value
 
-        noisy = noisy_regime_constants(1.0, 0.01, 0.5, 2.44, math.log(0.25))
-
         def nnoisy(n):
             return bound_nonconvex_noisy(const(m=1.0, K=0.5), 0.01, 1.0, 1,
-                                         n, 0.0, math.inf, noisy).value
+                                         n, 0.0, math.inf, 2.44,
+                                         math.log(0.25), 0.5).value
 
         def subc(n):
             return bound_subconvex(const(mu=1.0, p=1.5), 0.01, 1, n).value

@@ -3,16 +3,20 @@ import pytest
 
 from stabilab import model
 from stabilab.dynamics import (NoiseModel, SGDConfig, minibatch_sequence,
-                               run_contraction_pair, run_ensemble, run_lanes,
-                               step)
+                               run_ensemble, run_lanes, step)
 
 NO_NOISE = NoiseModel()
 
 
 def coupled(loss, pair, config, noise, checkpoints=None):
-    """Replica 0 of a one-replica ensemble."""
-    return run_ensemble(loss, pair, config, noise, 1,
-                        checkpoints).replicas[0]
+    """A one-replica ensemble."""
+    return run_ensemble(loss, pair, config, noise, 1, checkpoints)
+
+
+def contraction(loss, dataset, config, theta0_a, theta0_b, replica_id=0):
+    """Noiseless distances of one replica's chains from two starts."""
+    return run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
+                     NO_NOISE, [replica_id], distances=True).distances[0]
 
 
 def unit_dataset(n=4):
@@ -85,16 +89,16 @@ class TestCoupledPair:
         ds = unit_dataset()
         pair = model.NeighborPair(ds, ds, 0)
         cfg = SGDConfig(0.1, 2, 50, np.zeros(1), 5)
-        res = coupled(model.quadratic(), pair, cfg, NO_NOISE)
-        assert np.array_equal(res.theta[50], res.theta_hat[50])
+        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE)
+        assert np.array_equal(ens.states[0, 0, 0], ens.states[0, 0, 1])
 
     def test_k_max_zero(self):
         pair = flip_pair()
         cfg = SGDConfig(0.1, 1, 0, np.array([0.7]), 5)
-        res = coupled(model.quadratic(), pair, cfg, NO_NOISE,
+        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE,
                       checkpoints=[0])
-        assert res.theta[0][0] == 0.7
-        assert res.theta_hat[0][0] == 0.7
+        assert ens.states[0, 0, 0, 0] == 0.7
+        assert ens.states[0, 0, 1, 0] == 0.7
 
     def test_full_batch_closed_form(self):
         # full-batch gradient on unit_fixed is theta - mean(y); with a
@@ -102,19 +106,19 @@ class TestCoupledPair:
         n, eta, k = 4, 0.1, 20
         pair = flip_pair(n)
         cfg = SGDConfig(eta, n, k, np.zeros(1), 3)
-        res = coupled(model.quadratic(), pair, cfg, NO_NOISE)
+        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE)
         ybar = pair.base.labels.mean()
         ybar_hat = pair.perturbed.labels.mean()
         expect = (ybar - ybar_hat) * (1.0 - (1.0 - eta) ** k)
-        got = res.theta[k][0] - res.theta_hat[k][0]
+        got = ens.states[0, 0, 0, 0] - ens.states[0, 0, 1, 0]
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_divergence_guard(self):
         # eta = 3 on the unit quadratic gives |1 - eta| = 2, which blows up
         pair = flip_pair()
         cfg = SGDConfig(3.0, 4, 200, np.array([1.0]), 3)
-        res = coupled(model.quadratic(), pair, cfg, NO_NOISE)
-        assert res.diverged
+        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE)
+        assert ens.replicas[0].diverged
 
     def test_checkpoint_beyond_k_max_rejected(self):
         pair = flip_pair()
@@ -137,9 +141,7 @@ class TestEnsemble:
     def test_deterministic(self):
         a = self.make(8)
         b = self.make(8)
-        for ra, rb in zip(a.replicas, b.replicas):
-            assert np.array_equal(ra.theta[30], rb.theta[30])
-            assert np.array_equal(ra.theta_hat[30], rb.theta_hat[30])
+        assert np.array_equal(a.states, b.states)
 
     def test_single_replica_matches_direct_run(self):
         ens = self.make(1)
@@ -148,16 +150,12 @@ class TestEnsemble:
         direct = run_lanes(model.quadratic(), (pair.base, pair.perturbed),
                            (cfg.theta0, cfg.theta0), cfg,
                            NoiseModel("gaussian_diag", (0.5,)), [0], [30])
-        assert np.array_equal(ens.replicas[0].theta[30],
-                              direct.states[0, 0, 0])
+        assert np.array_equal(ens.states, direct.states)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         serial = self.make(8, threads=1, monkeypatch=monkeypatch)
         threaded = self.make(8, threads=4, monkeypatch=monkeypatch)
-        for ra, rb in zip(serial.replicas, threaded.replicas):
-            assert ra.replica_id == rb.replica_id
-            assert np.array_equal(ra.theta[30], rb.theta[30])
-            assert np.array_equal(ra.theta_hat[30], rb.theta_hat[30])
+        assert np.array_equal(serial.states, threaded.states)
 
     def test_replicas_are_independent_streams(self):
         mb0 = minibatch_sequence(8, 2, 10, 9, 0)
@@ -172,17 +170,15 @@ class TestContraction:
         # full batch on unit_fixed contracts by exactly (1 - eta) per step
         ds = unit_dataset()
         cfg = SGDConfig(0.1, 4, 10, np.zeros(1), 0)
-        dist = run_contraction_pair(model.quadratic(), ds, cfg,
-                                    np.array([1.0]), np.array([0.0]),
-                                    NO_NOISE)
+        dist = contraction(model.quadratic(), ds, cfg, np.array([1.0]),
+                           np.array([0.0]))
         assert dist[10] == pytest.approx(0.9 ** 10, rel=1e-12)
 
     def test_identical_starts(self):
         ds = unit_dataset()
         cfg = SGDConfig(0.1, 2, 10, np.zeros(1), 0)
-        dist = run_contraction_pair(model.quadratic(), ds, cfg,
-                                    np.array([0.5]), np.array([0.5]),
-                                    NO_NOISE)
+        dist = contraction(model.quadratic(), ds, cfg, np.array([0.5]),
+                           np.array([0.5]))
         assert np.all(dist == 0.0)
 
     def test_ridge_contraction_rate_holds_empirically(self):
@@ -198,6 +194,5 @@ class TestContraction:
         d0 = np.linalg.norm(t0a - t0b)
         for r in range(64):
             cfg = SGDConfig(eta, 4, k, np.zeros(2), 100)
-            dist = run_contraction_pair(loss, ds, cfg, t0a, t0b,
-                                        NO_NOISE, replica_id=r)
+            dist = contraction(loss, ds, cfg, t0a, t0b, replica_id=r)
             assert np.all(dist <= d0 * rate ** np.arange(k + 1) + 1e-12)

@@ -195,11 +195,7 @@ class TestLaneIndependence:
             alone = run_lanes(loss, (pair.base, pair.perturbed),
                               (config.theta0, config.theta0), config, noise,
                               [r], [30, 60])
-            for i, k in enumerate((30, 60)):
-                assert np.array_equal(ens.replicas[r].theta[k],
-                                      alone.states[0, i, 0])
-                assert np.array_equal(ens.replicas[r].theta_hat[k],
-                                      alone.states[0, i, 1])
+            assert np.array_equal(ens.states[r], alone.states[0])
 
     def test_block_budget_does_not_change_results(self, monkeypatch):
         pair = sine_pair()
@@ -209,9 +205,7 @@ class TestLaneIndependence:
         wide = run_ensemble(loss, pair, config, noise, 8, [50])
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)
         narrow = run_ensemble(loss, pair, config, noise, 8, [50])
-        for a, b in zip(wide.replicas, narrow.replicas):
-            assert np.array_equal(a.theta[50], b.theta[50])
-            assert np.array_equal(a.theta_hat[50], b.theta_hat[50])
+        assert np.array_equal(wide.states, narrow.states)
 
 
 class TestDivergenceGuard:
@@ -223,17 +217,18 @@ class TestDivergenceGuard:
         bad = SGDConfig(0.1, 2, 20, np.array([np.nan]), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nan_rep = run_ensemble(loss, pair, bad, noise, 1,
-                                   [0, 20]).replicas[0]
-        assert nan_rep.diverged
-        assert nan_rep.theta == {} and nan_rep.theta_hat == {}
-        ok_rep = run_ensemble(loss, pair, good, noise, 2, [0, 20]).replicas[1]
-        assert not ok_rep.diverged
-        ens = CoupledEnsemble([nan_rep, ok_rep], [0, 20], good, noise)
+            nan_ens = run_ensemble(loss, pair, bad, noise, 1, [0, 20])
+        assert nan_ens.replicas[0].diverged_at == 0
+        assert [len(c) for c in nan_ens.clouds_at(0)] == [0, 0]
+        ok_ens = run_ensemble(loss, pair, good, noise, 2, [0, 20])
+        assert not ok_ens.replicas[1].diverged
+        ens = CoupledEnsemble(
+            np.concatenate([nan_ens.states, ok_ens.states[1:]]), [0, 20],
+            nan_ens.replicas + ok_ens.replicas[1:])
         assert ens.any_diverged()
-        pairs = ens.pairs_at(20)
-        assert len(pairs) == 1
-        assert pairs[0][0] is ok_rep.theta[20]
+        A, B = ens.clouds_at(20)
+        assert np.array_equal(A, ok_ens.states[1:, 1, 0])
+        assert np.array_equal(B, ok_ens.states[1:, 1, 1])
 
     def test_overflow_is_quiet_and_keeps_earlier_checkpoints(self):
         # eta = 3 on unit data multiplies the distance to 1 by -2 per step
@@ -243,19 +238,19 @@ class TestDivergenceGuard:
         config = SGDConfig(3.0, 4, 2000, np.array([2.0]), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = run_ensemble(model.quadratic(), pair, config,
-                               NoiseModel(), 1, [10, 2000]).replicas[0]
-        assert rep.diverged
-        assert list(rep.theta) == [10]
-        assert rep.theta[10][0] == pytest.approx(1.0 + 2.0 ** 10)
+            ens = run_ensemble(model.quadratic(), pair, config,
+                               NoiseModel(), 1, [10, 2000])
+        assert 10 < ens.replicas[0].diverged_at <= 2000
+        assert ens.states[0, 0, 0, 0] == pytest.approx(1.0 + 2.0 ** 10)
+        assert ens.states[0, 0, 1, 0] == pytest.approx(1.0 + 2.0 ** 10)
 
     def test_contraction_distances_stop_at_divergence(self):
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "unit_fixed"}, 0)
         config = SGDConfig(3.0, 4, 60, np.zeros(1), 0)
-        dist = dynamics.run_contraction_pair(
-            model.quadratic(), ds, config, np.array([1.0]), np.array([0.0]),
-            NoiseModel())
+        dist = run_lanes(model.quadratic(), (ds, ds),
+                         (np.array([1.0]), np.array([0.0])), config,
+                         NoiseModel(), [0], distances=True).distances[0]
         first = int(np.argmax(np.isnan(dist)))
         assert first > 0 and np.all(np.isnan(dist[first:]))
         assert np.all(np.isfinite(dist[:first]))
@@ -409,3 +404,54 @@ class TestBlockGuardAgainstPerStepGuard:
         for field in ("states", "diverged_at", "distances"):
             assert np.array_equal(getattr(got, field), getattr(ref, field),
                                   equal_nan=True), field
+
+
+class TestStopOnceAllDiverged:
+    """The block loop ends once no lane is live; later checkpoints hold the
+    frozen states, as if the lanes had been stepped to k_max."""
+
+    def lanes(self, k_max):
+        base = model.make_synthetic_dataset(
+            {"n": 10, "d": 1, "generator": "unit_fixed"}, 0)
+        pair = model.make_neighbor(base, 0, 1)
+        # eta = 3 doubles the distance to the fixed point at every step
+        config = SGDConfig(3.0, 1, k_max, np.zeros(1), 42)
+        return (model.quadratic(), (pair.base, pair.perturbed),
+                (config.theta0, config.theta0), config, NoiseModel(),
+                range(16), [0, 10, k_max // 2, k_max])
+
+    def count_grad_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return model.grad_batch(*args)
+
+        monkeypatch.setattr(dynamics, "grad_batch", counted)
+        return calls
+
+    @pytest.mark.parametrize("budget", [64, None])
+    def test_matches_per_step_guard(self, monkeypatch, budget):
+        args = self.lanes(10000)
+        ref = run_lanes_per_step(*args, distances=True)
+        assert np.all(ref.diverged_at <= 100)
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        rows = dynamics._block_rows(16, 1)
+        calls = self.count_grad_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_lanes(*args, distances=True)
+        for field in ("states", "diverged_at", "distances"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field),
+                                  equal_nan=True), field
+        last = int(ref.diverged_at.max())
+        assert len(calls) == rows * -(-last // rows) < 10000
+
+    def test_a_live_lane_runs_to_k_max(self, monkeypatch):
+        args = list(self.lanes(300))
+        args[3] = SGDConfig(0.1, 1, 300, np.zeros(1), 42)
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 64)
+        calls = self.count_grad_calls(monkeypatch)
+        assert np.all(run_lanes(*args).diverged_at == 301)
+        assert len(calls) == 300

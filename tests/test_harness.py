@@ -422,8 +422,6 @@ CONFIG_ERRORS = {
                      "config.bound.eta_hat.mode"),
     "eta-hat-fixed": (_bound(eta_hat={"mode": "fixed"}),
                       "config.bound.eta_hat.log_eta_hat"),
-    "eta-hat-M": (_bound(eta_hat={"mode": "fixed", "log_eta_hat": -1.0,
-                                  "M": "x"}), "config.bound.eta_hat.M"),
     "M-grid-string": (_bound(eta_hat={"M_grid": "x"}),
                       "config.bound.eta_hat.M_grid"),
     "M-grid-empty": (_bound(eta_hat={"M_grid": []}),
@@ -448,6 +446,12 @@ CONFIG_ERRORS = {
     "n-zero": (lambda c: c["dataset"].update(n=0), "config.dataset.n"),
     "loss-param-string": (lambda c: c["loss"].update(m0="x"),
                           "config.loss.m0"),
+    # strings that hold the section's key names, so `key in section` holds
+    "loss-string": (lambda c: c.update(loss="family"), "config.loss"),
+    "dataset-string": (lambda c: c.update(dataset="n d generator seed"),
+                       "config.dataset"),
+    "sgd-string": (lambda c: c.update(sgd="eta batch_b k_max theta0 "
+                                          "master_seed"), "config.sgd"),
 }
 
 

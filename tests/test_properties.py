@@ -19,7 +19,7 @@ from stabilab.transport import wasserstein_exact_1d
        eta_hat=st.floats(1e-6, 1.0 - 1e-6))
 def test_eta_bar_in_unit_interval(m, eta_frac, epsilon, eta_hat):
     eta = eta_frac * min(1.0, 1.0 / m)
-    out = eta_bar(m, eta, epsilon, eta_hat=eta_hat)
+    out = eta_bar(m, eta, epsilon, math.log(eta_hat), 1.0)
     assert 0.0 < out["eta_bar"] < 1.0
     assert out["log_one_minus_eta_bar"] < 0.0
 

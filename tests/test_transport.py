@@ -63,7 +63,7 @@ class TestAssignment:
         B = A + 0.1 * rng.standard_normal((40, 3))
         for p in (1.0, 1.5, 2.0):
             opt = wasserstein_assignment(p, A, B).value
-            coupled = coupled_upper_bound(p, list(zip(A, B))).value
+            coupled = coupled_upper_bound(p, A, B).value
             assert opt <= coupled + 1e-12
 
     def test_monotone_in_p_for_small_clouds(self):
@@ -164,20 +164,46 @@ class TestAssignmentPotential:
             value, rel=1e-12, abs=0)
 
 
+def coupled_loop(p, A, B):
+    """Reference: the coupled bound from one np.linalg.norm per row pair,
+    as (value, stderr, power_mean)."""
+    dists = np.array([np.linalg.norm(a - b) for a, b in zip(A, B)])
+    powers = dists ** p
+    power_mean = float(np.mean(powers))
+    n = len(dists)
+    stderr = float(np.std(powers, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return power_mean ** (1.0 / p), stderr, power_mean
+
+
 class TestCoupledBound:
     def test_simple_mean(self):
-        pairs = [(np.array([0.0]), np.array([1.0])),
-                 (np.array([0.0]), np.array([3.0]))]
-        est = coupled_upper_bound(1.0, pairs)
+        est = coupled_upper_bound(1.0, [[0.0], [0.0]], [[1.0], [3.0]])
         assert est.value == pytest.approx(2.0)
         assert est.n_samples == 2
 
     def test_power_mean_and_value(self):
-        pairs = [(np.array([0.0]), np.array([2.0]))]
-        est = coupled_upper_bound(2.0, pairs)
+        est = coupled_upper_bound(2.0, [[0.0]], [[2.0]])
         assert est.power_mean == pytest.approx(4.0)
         assert est.value == pytest.approx(2.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            coupled_upper_bound(1.0, [])
+            coupled_upper_bound(1.0, np.empty((0, 2)), np.empty((0, 2)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            coupled_upper_bound(1.0, np.zeros((3, 2)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_matches_per_pair_loop(self, d, p):
+        rng = np.random.default_rng(100 * d + int(10 * p))
+        for N in (1, 2, 7, 64, 1024):
+            scale = 10.0 ** rng.uniform(-6, 6)
+            A = scale * rng.standard_normal((N, d))
+            B = A + scale * rng.uniform(0.01, 2.0) * rng.standard_normal(
+                (N, d))
+            est = coupled_upper_bound(p, A, B)
+            assert (est.value, est.stderr, est.power_mean) == \
+                coupled_loop(p, A, B), N
+            assert est.n_samples == N

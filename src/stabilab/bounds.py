@@ -1,19 +1,42 @@
-"""Closed-form stability bounds and the generic perturbation combinator.
+"""Closed-form stability bounds and the one perturbation combinator.
 
-Five bound regimes are implemented, one per theorem of the underlying
-analysis, plus the shared ingredients: the quadratic contraction factor,
-the drift constant K0, the minorization level eta_hat for Gaussian noise
-(kept in log-space; its exponents reach -10^3 at realistic parameters),
-the contraction factor eta_bar it implies, and the minimizer-norm bounds.
+One bound per regime (Quadratic, StronglyConvex, NonconvexNoisy,
+NonconvexPlain, SubConvexStationary), one :class:`Regime` record each in
+``REGIMES``, and the shared ingredients: the quadratic contraction factor,
+the drift constant K0, the Gaussian minorization level eta_hat (in
+log-space; its exponents reach -10^3), the contraction factor eta_bar it
+implies, and the dissipative radius.
 
-``REGIMES`` holds every rule of each regime in one :class:`Regime` record.
+The three k-dependent W1 bounds are instances of the perturbation theorem
+of Rudolf & Schweizer (Bernoulli 2018):
+
+    W1 <= C (1 - rate^k) / (1 - rate) * gamma * max{V0, L / (1 - delta)}
+
+for P contracting at ``rate`` in a metric that is C times W1, the kernel
+gap gamma = sup_theta W1(delta_theta P, delta_theta P_hat) / V_hat(theta),
+the V_hat-mass V0 of the initial law and the drift (delta, L) of P_hat.
+:func:`_perturbation_bound` alone assembles it, in log-space:
+
+* Quadratic: C = 1, rate rho (log1p(-rho)), gamma = 2 eta D^2 / n,
+  V0 = 1 + ||theta0||, drift (rho_hat, 1 - rho_hat + (eta/b) E||q1||).
+* StronglyConvex: C = 1, rate 1 - eta mu/2 (log(eta mu/2)), gamma = 4 eta
+  D K2 (2E/mu + 1) / n, i.e. the theorem's 8 D K2 (2E/mu + 1) / (n mu)
+  times 1 - rate; V0 and L / (1 - delta) are the two terms of its max.
+* NonconvexNoisy: in Hairer & Mattingly's weighted metric, C = 1 / (2
+  sqrt(psi (1 + psi))) and rate eta_bar (:func:`eta_bar`); gamma = (2b/n)
+  max{...}; V0 and L / (1 - delta) are the two terms of its Lyapunov max.
+
+NonconvexPlain (W2^2, persistent 2K/m) keeps its closed form, with
+1 - (1 - eta m)^k from the same log-space power; SubConvexStationary is
+stationary.
 
 Conventions:
 
 * ``k`` may be ``math.inf``; the geometric factor then uses its limit.
-* Every bound returns a :class:`StabilityBound` with a ``constants_used``
-  map for term-by-term provenance and a ``log_value`` that stays finite
-  even when ``value`` overflows.
+* Every bound returns a :class:`StabilityBound` whose ``constants_used``
+  gives its terms (the combinator adds ``log_C``, ``log_one_minus_rate``,
+  ``log_gamma``, ``V0``, ``drift`` and ``kappa``) and whose ``log_value``
+  stays finite when ``value`` overflows.
 * Inadmissible step sizes raise :class:`InadmissibleError` naming the
   violated constraint.
 """
@@ -21,6 +44,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -32,8 +56,6 @@ from .dynamics import NoiseModel, SGDConfig, _block_rows, _draw_rows
 from .model import (AssumptionConstants, Dataset, LossModel, NeighborPair,
                     _norms, derive_constants, empirical_minimizer,
                     max_grad_norm)
-
-K_INF = math.inf
 
 EXACT_ENUMERATION_CAP = 20000
 
@@ -59,36 +81,6 @@ class StabilityBound:
 
 
 @dataclass(frozen=True)
-class PerturbationInputs:
-    """Inputs to the generic one-step perturbation bound.
-
-    gamma is the kernel gap sup_theta W1(delta_theta P, delta_theta P_hat)
-    / V_hat(theta); (delta, L) the drift pair of the perturbed kernel;
-    V0_integral the Lyapunov mass of the initial law.
-    """
-
-    C: float
-    rho: float
-    gamma: float
-    delta: float
-    L: float
-    V0_integral: float
-    W0: float
-    n_steps: float
-
-    def __post_init__(self):
-        if not (0 <= self.rho < 1):
-            raise InadmissibleError("rho must lie in [0, 1)")
-        if not (0 <= self.delta < 1):
-            raise InadmissibleError("delta must lie in [0, 1)")
-        for name in ("C", "gamma", "L", "W0"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.V0_integral < 1:
-            raise ValueError("V0_integral is an integral of V >= 1")
-
-
-@dataclass(frozen=True)
 class Experiment:
     """One configured experiment; every command builds it once."""
 
@@ -106,33 +98,9 @@ class Experiment:
     def K0(self) -> float:
         """Drift constant, ||theta*|| replaced by its dissipativity bound Q."""
         c = self.constants
-        Q = minimizer_norm_bound("dissipative", m=c.m, K=c.K, E=c.E)
+        Q = dissipative_radius(c.m, c.K, c.E)
         return k0_constant(c.m, self.sgd.eta, c.K1, c.K2, c.D, Q ** 2, c.K,
                            self.noise.sigma2)
-
-
-def _geom_factor(rate: float, k: float) -> float:
-    """(1 - rate^k) / (1 - rate), with the k = inf limit."""
-    if not (0 <= rate < 1):
-        raise InadmissibleError(f"geometric rate {rate} must lie in [0, 1)")
-    if k == 0:
-        return 0.0
-    if rate == 0.0:
-        return 1.0
-    if math.isinf(k):
-        return 1.0 / (1.0 - rate)
-    # log(rate) via log1p only when rate is near 1, where 1 - rate is exact
-    log_rate = math.log1p(-(1.0 - rate)) if rate > 0.5 else math.log(rate)
-    return -math.expm1(k * log_rate) / (1.0 - rate)
-
-
-def _one_minus_pow(rate: float, k: float) -> float:
-    """1 - rate^k with the k = inf limit."""
-    if k == 0:
-        return 0.0
-    if math.isinf(k):
-        return 1.0
-    return -math.expm1(k * math.log(rate)) if rate > 0 else 1.0
 
 
 def minibatches(n: int, b: int) -> np.ndarray:
@@ -194,6 +162,65 @@ def expected_q_norm(dataset: Dataset, b: int, mode: str = "exact",
     return float(np.mean(vals))
 
 
+def _log(x: float) -> float:
+    """log(x), with log(0) = -inf."""
+    return math.log(x) if x > 0 else -math.inf
+
+
+def _log_one_minus_pow(l1m: float, k: float) -> float:
+    """log(1 - rate^k) given l1m = log(1 - rate) <= 0, with the k = 0 and
+    k = inf limits; rate 1 (l1m = -inf) gives -inf for every k."""
+    if k == 0 or l1m == -math.inf:
+        return -math.inf
+    if math.isinf(k):
+        return 0.0
+    q = math.exp(l1m)
+    if q < sys.float_info.min:
+        # q = 1 - rate is subnormal or 0 and has lost its low bits, while
+        # rate^k = 1 - k q holds to far below float precision
+        return math.log(k) + l1m
+    # log(rate) from whichever of q and 1 - q is exact
+    log_rate = math.log1p(-q) if q < 0.5 else _log(-math.expm1(l1m))
+    return math.log(-math.expm1(k * log_rate))
+
+
+def _perturbation_bound(regime: str, k: float, l1m: float, log_C: float,
+                        log_gamma: float, V0: float, drift: float,
+                        constants_used: dict) -> StabilityBound:
+    """C (1 - rate^k) / (1 - rate) * gamma * max{V0, drift}, in log-space.
+
+    ``l1m`` is log(1 - rate) and ``drift`` the drift ratio L / (1 - delta).
+    The bound is 0 at k = 0 and for identical kernels (gamma = 0, the only
+    case in which rate 1 is admissible); ``value`` is inf where
+    ``log_value`` overflows.
+    """
+    if not (l1m <= 0.0 and (l1m > -math.inf or log_gamma == -math.inf)):
+        raise InadmissibleError(
+            f"{regime}: log(1 - rate) = {l1m} gives no contraction")
+    kappa = max(V0, drift)
+    log_num = _log_one_minus_pow(l1m, k)
+    if log_num == -math.inf or log_gamma == -math.inf:
+        log_value = -math.inf
+    else:
+        log_value = (log_num - l1m) + log_gamma + log_C + math.log(kappa)
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    cu = constants_used | {"log_C": log_C, "log_one_minus_rate": l1m,
+                           "log_gamma": log_gamma, "V0": V0, "drift": drift,
+                           "kappa": kappa}
+    return StabilityBound(regime, value, k, cu, log_value=log_value)
+
+
+def dissipative_radius(m: float, K: float, E: float) -> float:
+    """Q = (E + sqrt(E^2 + 4mK)) / (2m), the dissipativity bound on the
+    empirical minimizer norm."""
+    if m <= 0:
+        raise ValueError("the dissipative radius needs m > 0")
+    return (E + math.sqrt(E ** 2 + 4.0 * m * K)) / (2.0 * m)
+
+
 def bound_quadratic(rho: float, rho_hat: float, Eq1_norm: float, D: float,
                     eta: float, b: int, n: int, theta0_norm: float,
                     k: float) -> StabilityBound:
@@ -206,17 +233,12 @@ def bound_quadratic(rho: float, rho_hat: float, Eq1_norm: float, D: float,
         raise InadmissibleError(f"rho = {rho} violates rho < 1")
     if rho_hat >= 1:
         raise InadmissibleError(f"rho_hat = {rho_hat} violates rho_hat < 1")
-    geom = _geom_factor(rho, k)
-    gamma = 2.0 * eta * D ** 2 / n
-    kappa = max(1.0 + theta0_norm,
-                (1.0 - rho_hat + eta / b * Eq1_norm) / (1.0 - rho_hat))
-    value = geom * gamma * kappa
-    constants = {"rho": rho, "rho_hat": rho_hat, "Eq1_norm": Eq1_norm,
-                 "D": D, "eta": eta, "b": b, "n": n,
-                 "theta0_norm": theta0_norm, "geom_factor": geom,
-                 "kernel_gap_gamma": gamma, "kappa": kappa}
-    return StabilityBound("Quadratic", value, k, constants,
-                          log_value=math.log(value) if value > 0 else -math.inf)
+    return _perturbation_bound(
+        "Quadratic", k, math.log1p(-rho), 0.0, _log(2.0 * eta * D ** 2 / n),
+        1.0 + theta0_norm,
+        (1.0 - rho_hat + eta / b * Eq1_norm) / (1.0 - rho_hat),
+        {"rho": rho, "rho_hat": rho_hat, "Eq1_norm": Eq1_norm, "D": D,
+         "eta": eta, "b": b, "n": n, "theta0_norm": theta0_norm})
 
 
 def _check_step_size(constants: AssumptionConstants, eta: float,
@@ -235,21 +257,18 @@ def _check_step_size(constants: AssumptionConstants, eta: float,
 
 def bound_strongly_convex(constants: AssumptionConstants, eta: float, n: int,
                           theta0_norm: float, k: float) -> StabilityBound:
-    """W1 bound for mu-strongly convex losses."""
+    """W1 bound for mu-strongly convex losses:
+    8 D K2 (1 - (1 - eta mu/2)^k) / (n mu) * (2E/mu + 1) * max{...}."""
     _check_step_size(constants, eta, "mu")
     mu, K1, K2, D, E = (constants.mu, constants.K1, constants.K2,
                         constants.D, constants.E)
-    pref = 8.0 * D * K2 * _one_minus_pow(1.0 - eta * mu / 2.0, k) / (n * mu) \
-        * (2.0 * E / mu + 1.0)
-    lyap = max(1.0 + 2.0 * theta0_norm ** 2 + 2.0 * E ** 2 / mu ** 2,
-               2.0 - eta / mu * K1 ** 2 - 56.0 * eta / mu * D ** 2 * K2 ** 2
-               + 64.0 * eta / mu ** 3 * D ** 2 * K2 ** 2 * E ** 2)
-    value = pref * lyap
-    cu = asdict(constants) | {"eta": eta, "n": n,
-                              "theta0_norm": theta0_norm,
-                              "prefactor": pref, "lyapunov_max": lyap}
-    return StabilityBound("StronglyConvex", value, k, cu,
-                          log_value=math.log(value) if value > 0 else -math.inf)
+    return _perturbation_bound(
+        "StronglyConvex", k, _log(eta * mu / 2.0), 0.0,
+        _log(4.0 * eta * D * K2 * (2.0 * E / mu + 1.0) / n),
+        1.0 + 2.0 * theta0_norm ** 2 + 2.0 * E ** 2 / mu ** 2,
+        2.0 - eta / mu * K1 ** 2 - 56.0 * eta / mu * D ** 2 * K2 ** 2
+        + 64.0 * eta / mu ** 3 * D ** 2 * K2 ** 2 * E ** 2,
+        asdict(constants) | {"eta": eta, "n": n, "theta0_norm": theta0_norm})
 
 
 def k0_constant(m: float, eta: float, K1: float, K2: float, D: float,
@@ -265,12 +284,6 @@ def k0_constant(m: float, eta: float, K1: float, K2: float, D: float,
     return val
 
 
-def default_m_grid(eta: float, grad_sup: float, size: int = 32) -> np.ndarray:
-    lo = max(eta * grad_sup, 1e-8)
-    hi = max(1e3 * eta * grad_sup, 1.0)
-    return np.geomspace(lo, hi, size)
-
-
 def eta_hat_gaussian_log(Sigma, eta: float, m: float, K0: float,
                          epsilon: float, K1: float, grad_at_star_sup: float,
                          M_grid=None) -> dict:
@@ -281,6 +294,8 @@ def eta_hat_gaussian_log(Sigma, eta: float, m: float, K0: float,
     branch, whose exponent carries 1/(2 eta^2) and routinely reaches -10^3);
     eta_hat is the square of the best min over the grid.
     """
+    if eta <= 0:
+        raise InadmissibleError(f"eta = {eta} violates eta > 0")
     Sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
     if np.any(Sigma <= 0) or np.any(Sigma >= 1):
         raise ValueError("Sigma must satisfy 0 < Sigma < I (diagonal)")
@@ -292,7 +307,8 @@ def eta_hat_gaussian_log(Sigma, eta: float, m: float, K0: float,
     sigma_inv_norm = 1.0 / float(np.min(Sigma))
     half_logdet = 0.5 * float(np.sum(np.log1p(-Sigma)))
     if M_grid is None:
-        M_grid = default_m_grid(eta, grad_at_star_sup)
+        M_grid = np.geomspace(max(eta * grad_at_star_sup, 1e-8),
+                              max(1e3 * eta * grad_at_star_sup, 1.0), 32)
     M_grid = np.atleast_1d(np.asarray(M_grid, dtype=float))
     if np.any(M_grid < eta * grad_at_star_sup - 1e-15):
         raise ValueError("every M must satisfy M >= eta * grad_at_star_sup")
@@ -324,6 +340,8 @@ def eta_bar(m: float, eta: float, epsilon: float, log_eta_hat: float,
     Returns log(1 - eta_bar) and log(psi) alongside, since eta_bar rounds to
     1.0 and psi to 0.0 when eta_hat is astronomically small.
     """
+    if eta <= 0:
+        raise InadmissibleError(f"eta = {eta} violates eta > 0")
     if eta > 1.0:
         raise InadmissibleError(f"eta = {eta} violates eta <= 1")
     if not (0 < epsilon < 1):
@@ -339,76 +357,43 @@ def eta_bar(m: float, eta: float, epsilon: float, log_eta_hat: float,
             "log_psi": log_psi, "psi": math.exp(log_psi)}
 
 
-def _log_one_minus_pow(l1m: float, k: float) -> float:
-    """log(1 - rate^k) given l1m = log(1 - rate), with the k = inf limit."""
-    if k == 0:
-        return -math.inf
-    if math.isinf(k):
-        return 0.0
-    q = math.exp(l1m)
-    if q == 0.0 or k * q < 1e-12:
-        # rate^k = exp(k log(1-q)) ~ 1 - k q; avoids 1 - 1.0 cancellation
-        return math.log(k) + l1m
-    return math.log(-math.expm1(k * math.log1p(-q)))
-
-
 def bound_nonconvex_noisy(constants: AssumptionConstants, eta: float,
                           sigma2: float, b: int, n: int, theta0_norm: float,
                           k: float, K0: float, log_eta_hat: float,
                           epsilon: float) -> StabilityBound:
     """W1 bound for dissipative losses with additive noise.
 
-    Product of the geometric prefactor (1-eta_bar^k)/(2 sqrt(psi(1+psi))
-    (1-eta_bar)), the kernel-gap factor (2b/n) max{...}, and the Lyapunov
-    factor max{...}; evaluated in log-space because 1/(1-eta_bar) can be
+    (1-eta_bar^k)/(2 sqrt(psi(1+psi)) (1-eta_bar)) * (2b/n) max{...}
+    * max{...}, evaluated in log-space because 1/(1-eta_bar) can be
     e^{1000} or more.  eta_bar and psi are the weighted-metric constants of
     Hairer & Mattingly's Harris theorem, from the drift constant K0 and the
     minorization level eta_hat (see :func:`eta_bar`).  The minimizer norms
-    are replaced by their dissipativity bound Q = (E + sqrt(E^2 + 4mK)) / (2m).
+    are replaced by the dissipative radius Q (:func:`dissipative_radius`).
     """
     m, K1, K2, D, E, K = (constants.m, constants.K1, constants.K2,
                           constants.D, constants.E, constants.K)
     eb = eta_bar(m, eta, epsilon, log_eta_hat, K0)
     _check_step_size(constants, eta, "m")
     psi, log_psi = eb["psi"], eb["log_psi"]
-    l1m = eb["log_one_minus_eta_bar"]
-    if l1m >= 0:
-        raise InadmissibleError("eta_bar >= 1: no kernel contraction")
-    Q = minimizer_norm_bound("dissipative", m=m, K=K, E=E)
-
-    log_num = _log_one_minus_pow(l1m, k)
-    if log_num == -math.inf:
-        return StabilityBound("NonconvexNoisy", 0.0, k,
-                              asdict(constants) | {"Q": Q})
-    log_pref = log_num - math.log(2.0) \
-        - 0.5 * (log_psi + math.log1p(psi)) - l1m
-
+    Q = dissipative_radius(m, K, E)
     log_gap_a = log_psi + math.log(4.0 + 8.0 * eta ** 2 * K1 ** 2)
     gap_b_inner = psi * (1.0 + eta ** 2 * sigma2
                          + 16.0 * (1.0 + 2.0 * eta ** 2 * K1 ** 2) * Q ** 2
                          + 4.0 * eta ** 2 * (2.0 * E ** 2
                                              + 2.0 * K1 ** 2 * Q ** 2))
-    log_gap_b = math.log1p(gap_b_inner)
-    log_gap = math.log(2.0 * b / n) + max(log_gap_a, log_gap_b)
-
-    lyap = max(1.0 + 2.0 * theta0_norm ** 2 + 2.0 * Q ** 2,
-               2.0 - eta / m * K1 ** 2 - 56.0 * eta / m * D ** 2 * K2 ** 2
-               + 64.0 * eta / m * D ** 2 * K2 ** 2 * Q ** 2
-               + 2.0 * K / m + eta / m * sigma2)
-    log_value = log_pref + log_gap + math.log(lyap)
-    try:
-        value = math.exp(log_value)
-    except OverflowError:
-        value = math.inf
-    cu = asdict(constants) | {
-        "eta": eta, "sigma2": sigma2, "b": b, "n": n,
-        "theta0_norm": theta0_norm, "Q": Q, "K0": K0,
-        "log_eta_hat": log_eta_hat, "epsilon": epsilon,
-        "log_psi": log_psi, "log_one_minus_eta_bar": l1m,
-        "log_prefactor": log_pref, "log_kernel_gap_factor": log_gap,
-        "lyapunov_max": lyap}
-    return StabilityBound("NonconvexNoisy", value, k, cu,
-                          log_value=log_value)
+    return _perturbation_bound(
+        "NonconvexNoisy", k, eb["log_one_minus_eta_bar"],
+        -math.log(2.0) - 0.5 * (log_psi + math.log1p(psi)),
+        math.log(2.0 * b / n) + max(log_gap_a, math.log1p(gap_b_inner)),
+        1.0 + 2.0 * theta0_norm ** 2 + 2.0 * Q ** 2,
+        2.0 - eta / m * K1 ** 2 - 56.0 * eta / m * D ** 2 * K2 ** 2
+        + 64.0 * eta / m * D ** 2 * K2 ** 2 * Q ** 2
+        + 2.0 * K / m + eta / m * sigma2,
+        asdict(constants) | {
+            "eta": eta, "sigma2": sigma2, "b": b, "n": n,
+            "theta0_norm": theta0_norm, "Q": Q, "K0": K0,
+            "log_eta_hat": log_eta_hat, "epsilon": epsilon,
+            "log_psi": log_psi})
 
 
 def bound_nonconvex_plain(constants: AssumptionConstants, eta: float, b: int,
@@ -418,12 +403,12 @@ def bound_nonconvex_plain(constants: AssumptionConstants, eta: float, b: int,
     _check_step_size(constants, eta, "m")
     m, K1, K2, D, E, K = (constants.m, constants.K1, constants.K2,
                           constants.D, constants.E, constants.K)
-    Q = minimizer_norm_bound("dissipative", m=m, K=K, E=E)
+    Q = dissipative_radius(m, K, E)
     B = (4.0 * theta0_norm ** 2 + 4.0 * Q ** 2 + 4.0
          - 2.0 * eta / m * K1 ** 2 - 112.0 * eta / m * D ** 2 * K2 ** 2
          + 128.0 * eta / m * D ** 2 * K2 ** 2 * Q ** 2
          + 4.0 * K / m + 2.0 * Q ** 2)
-    factor = _one_minus_pow(1.0 - eta * m, k)
+    factor = math.exp(_log_one_minus_pow(_log(eta * m), k))
     term1 = 4.0 * D ** 2 * K2 ** 2 * eta * (8.0 * B + 2.0) / (b * n * m)
     term2 = 4.0 * K2 * D * (1.0 + K1 * eta) * (1.0 + 5.0 * B) / (n * m)
     term3 = 2.0 * K / m
@@ -433,7 +418,7 @@ def bound_nonconvex_plain(constants: AssumptionConstants, eta: float, b: int,
         "B": B, "geometric_factor": factor, "term_batch": term1,
         "term_data": term2, "term_persistent": term3}
     return StabilityBound("NonconvexPlain", value, k, cu,
-                          log_value=math.log(value) if value > 0 else -math.inf)
+                          log_value=_log(value))
 
 
 def bound_subconvex(constants: AssumptionConstants, eta: float, b: int,
@@ -468,44 +453,13 @@ def bound_subconvex(constants: AssumptionConstants, eta: float, b: int,
         "eta": eta, "b": b, "n": n, "C2": C2, "C3": C3,
         "value_proof_display": value,
         "value_statement_reading": C2 / (b * n) + C3 / n}
-    return StabilityBound("SubConvexStationary", value, K_INF, cu,
-                          log_value=math.log(value) if value > 0 else -math.inf)
-
-
-def minimizer_norm_bound(regime: str, mu: float = None, m: float = None,
-                         K: float = None, p: float = None,
-                         E: float = None) -> float:
-    """Upper bound on the empirical minimizer norm per regime."""
-    if regime == "strongly_convex":
-        if not mu or mu <= 0:
-            raise ValueError("strongly_convex needs mu > 0")
-        return E / mu
-    if regime == "dissipative":
-        if not m or m <= 0:
-            raise ValueError("dissipative needs m > 0")
-        return (E + math.sqrt(E ** 2 + 4.0 * m * K)) / (2.0 * m)
-    if regime == "subconvex":
-        if not mu or mu <= 0:
-            raise ValueError("subconvex needs mu > 0")
-        return (E / mu) ** (1.0 / (p - 1.0))
-    raise ValueError(f"unknown regime {regime!r}")
-
-
-def perturbation_combine(inputs: PerturbationInputs) -> float:
-    """Generic kernel-perturbation bound:
-    C (rho^n W0 + (1 - rho^n) gamma kappa / (1 - rho)),
-    kappa = max{V0_integral, L / (1 - delta)}."""
-    kappa = max(inputs.V0_integral, inputs.L / (1.0 - inputs.delta))
-    decayed = inputs.rho ** inputs.n_steps if not math.isinf(inputs.n_steps) \
-        else 0.0
-    return inputs.C * (decayed * inputs.W0
-                       + (1.0 - decayed) * inputs.gamma * kappa
-                       / (1.0 - inputs.rho))
+    return StabilityBound("SubConvexStationary", value, math.inf, cu,
+                          log_value=_log(value))
 
 
 def _bound_k(cfg: dict) -> float:
     k = cfg.get("k", "inf")
-    return K_INF if k in ("inf", None) else float(int(k))
+    return math.inf if k in ("inf", None) else float(int(k))
 
 
 def _theta0_norm(exp: Experiment) -> float:

@@ -14,8 +14,8 @@ import pytest
 
 from stabilab import model, transport
 from stabilab.bounds import (bound_nonconvex_noisy, bound_nonconvex_plain,
-                             bound_strongly_convex, eta_hat_gaussian_log,
-                             k0_constant, minimizer_norm_bound,
+                             bound_strongly_convex, dissipative_radius,
+                             eta_hat_gaussian_log, k0_constant,
                              rho_quadratic)
 from stabilab.dynamics import NoiseModel, SGDConfig, run_ensemble, run_lanes
 from stabilab.harness import cmd_bounds, cmd_simulate, cmd_verify, \
@@ -200,8 +200,7 @@ def test_06_noisy_nonconvex():
         assert rel < 0.25, f"plateau relative difference {rel}"
 
         constants = model.derive_constants(loss, ds)
-        Q = minimizer_norm_bound("dissipative", m=constants.m,
-                                 K=constants.K, E=constants.E)
+        Q = dissipative_radius(constants.m, constants.K, constants.E)
         K0 = k0_constant(constants.m, 0.2, constants.K1, constants.K2,
                          constants.D, Q ** 2, constants.K, noise.sigma2)
         theta_star = model.empirical_minimizer(loss, ds)

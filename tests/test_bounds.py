@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from stabilab import model
-from stabilab.bounds import (InadmissibleError, PerturbationInputs,
-                             bound_nonconvex_noisy,
-                             bound_nonconvex_plain, bound_quadratic,
-                             bound_strongly_convex, bound_subconvex, eta_bar,
+from stabilab.bounds import (InadmissibleError, _perturbation_bound,
+                             bound_nonconvex_noisy, bound_nonconvex_plain,
+                             bound_quadratic, bound_strongly_convex,
+                             bound_subconvex, dissipative_radius, eta_bar,
                              eta_hat_gaussian_log, expected_q_norm,
-                             k0_constant, minimizer_norm_bound,
-                             perturbation_combine, rho_quadratic)
+                             k0_constant, rho_quadratic)
 from stabilab.model import AssumptionConstants
 
 # frozen regression constants, computed once by independent closed-form
@@ -86,6 +85,32 @@ class TestBoundQuadratic:
             bound_quadratic(1.0, 0.9, 1.0, 1.0, 0.1, 1, 10, 0.0, 10)
         with pytest.raises(InadmissibleError):
             bound_quadratic(0.9, 1.0, 1.0, 1.0, 0.1, 1, 10, 0.0, 10)
+
+
+class TestPerturbationBound:
+    def test_worked_value(self):
+        # rate 0.5, gamma 0.1, drift (0.9, 0.2): (1 - 0.5^3)/0.5 * 0.1 * 2
+        sb = _perturbation_bound("P", 3, math.log1p(-0.5), 0.0,
+                                 math.log(0.1), 1.0, 0.2 / (1.0 - 0.9),
+                                 {"x": 1})
+        assert sb.value == pytest.approx(0.35, rel=1e-12)
+        assert sb.log_value == pytest.approx(math.log(0.35), rel=1e-12)
+        assert set(sb.constants_used) == {"x", "log_C", "log_one_minus_rate",
+                                          "log_gamma", "V0", "drift",
+                                          "kappa"}
+        assert sb.constants_used["kappa"] == pytest.approx(2.0)
+
+    def test_rate_one_needs_zero_gap(self):
+        with pytest.raises(InadmissibleError, match="no contraction"):
+            _perturbation_bound("P", 3, -math.inf, 0.0, math.log(0.1), 1.0,
+                                1.0, {})
+        sb = _perturbation_bound("P", math.inf, -math.inf, 0.0, -math.inf,
+                                 1.0, 1.0, {})
+        assert sb.value == 0.0 and sb.log_value == -math.inf
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(InadmissibleError, match="no contraction"):
+            _perturbation_bound("P", 3, 0.1, 0.0, 0.0, 1.0, 1.0, {})
 
 
 class TestBoundStronglyConvex:
@@ -272,55 +297,13 @@ class TestBoundSubconvex:
             bound_subconvex(const(mu=1.0, p=2.0), 0.01, 1, 100)
 
 
-class TestMinimizerNormBound:
-    def test_strongly_convex(self):
-        assert minimizer_norm_bound("strongly_convex", mu=2.0, E=1.0) == 0.5
-
-    def test_dissipative(self):
-        assert minimizer_norm_bound("dissipative", m=1.0, K=1.0, E=0.0) == 1.0
-
-    def test_subconvex(self):
-        assert minimizer_norm_bound("subconvex", mu=1.0, p=1.5, E=1.0) == 1.0
+class TestDissipativeRadius:
+    def test_worked_value(self):
+        assert dissipative_radius(1.0, 1.0, 0.0) == 1.0
 
     def test_zero_modulus(self):
         with pytest.raises(ValueError):
-            minimizer_norm_bound("strongly_convex", mu=0.0, E=1.0)
-
-
-class TestPerturbationCombine:
-    def test_worked_value(self):
-        inp = PerturbationInputs(C=1.0, rho=0.5, gamma=0.1, delta=0.9,
-                                 L=0.2, V0_integral=1.0, W0=0.0, n_steps=3)
-        assert perturbation_combine(inp) == pytest.approx(0.35, rel=1e-12)
-
-    def test_zero_steps(self):
-        inp = PerturbationInputs(1.0, 0.5, 0.1, 0.9, 0.2, 1.0, 0.7, 0)
-        assert perturbation_combine(inp) == pytest.approx(0.7)
-
-    def test_identical_kernels(self):
-        inp = PerturbationInputs(1.0, 0.5, 0.0, 0.9, 0.2, 1.0, 0.7, 3)
-        assert perturbation_combine(inp) == pytest.approx(0.5 ** 3 * 0.7)
-
-    def test_rho_gate(self):
-        with pytest.raises(InadmissibleError):
-            PerturbationInputs(1.0, 1.0, 0.1, 0.9, 0.2, 1.0, 0.0, 3)
-
-    def test_reproduces_quadratic_bound(self):
-        # the generic combinator with the quadratic regime's ingredients
-        # must agree with the closed-form quadratic bound exactly
-        rho, rho_hat, Eq1, D = 0.9, 0.9, 1.0, math.sqrt(2.0)
-        eta, b, n, theta0 = 0.1, 1, 10, 0.0
-        for k in (1, 3, 10, 100):
-            gamma = 2.0 * eta * D ** 2 / n
-            L = 1.0 - rho_hat + eta / b * Eq1
-            inp = PerturbationInputs(C=1.0, rho=rho, gamma=gamma,
-                                     delta=rho_hat, L=L,
-                                     V0_integral=1.0 + theta0, W0=0.0,
-                                     n_steps=k)
-            direct = bound_quadratic(rho, rho_hat, Eq1, D, eta, b, n,
-                                     theta0, k)
-            assert perturbation_combine(inp) == pytest.approx(
-                direct.value, rel=1e-14)
+            dissipative_radius(0.0, 1.0, 1.0)
 
 
 class TestStructuralProperties:

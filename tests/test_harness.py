@@ -538,6 +538,28 @@ def test_every_regime_through_the_cli(tmp_path, regime):
     assert rep["log_value"] == pytest.approx(log_value, rel=1e-12)
 
 
+# eta = 0 passes validate_config; the noisy regime's eta_bar and eta_hat
+# need eta > 0
+@pytest.mark.parametrize("command, eta_hat, stream", [
+    ("bounds", {"mode": "corollary"}, "out"),
+    ("bounds", {"mode": "fixed", "log_eta_hat": -10.0}, "out"),
+    ("verify", {"mode": "corollary"}, "err")])
+def test_noisy_eta_zero_is_inadmissible(tmp_path, capsys, command, eta_hat,
+                                        stream):
+    cfg = _regime("NonconvexNoisy", SINE, 0.0, 4, 500,
+                  noise={"kind": "gaussian_diag", "scale": [0.5 ** 0.5]})
+    cfg["bound"]["eta_hat"] = eta_hat
+    cfg["certificates"] = [{"kind": "minorization", "M": 1.0, "n_grid": 3}]
+    assert cli.main([command, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == EXIT_INADMISSIBLE
+    out = capsys.readouterr()
+    text = getattr(out, stream)
+    assert text.startswith("inadmissible configuration: eta = 0.0 violates "
+                           "eta > 0")
+    assert text.count("\n") == 1
+    assert "Traceback" not in out.out + out.err
+
+
 class TestReportCommand:
     def test_composes_all_outputs(self, tmp_path):
         cfg = quadratic_config(

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilab.bounds import (PerturbationInputs, bound_quadratic, eta_bar,
-                             perturbation_combine)
+from stabilab.bounds import _perturbation_bound, bound_quadratic, eta_bar
 from stabilab.transport import wasserstein_exact_1d
 
 
@@ -24,22 +23,27 @@ def test_eta_bar_in_unit_interval(m, eta_frac, epsilon, eta_hat):
     assert out["log_one_minus_eta_bar"] < 0.0
 
 
-@settings(max_examples=100, deadline=None)
-@given(rho=st.floats(0.0, 0.99),
+@settings(max_examples=200, deadline=None)
+@given(rho=st.floats(0.0, 1.0, exclude_max=True),
        gamma=st.floats(0.0, 1.0),
        delta=st.floats(0.0, 0.99),
        L=st.floats(0.0, 1.0),
        v0=st.floats(1.0, 10.0),
-       w0=st.floats(0.0, 5.0),
-       n=st.integers(0, 1000))
-def test_perturbation_combine_monotone_in_gamma(rho, gamma, delta, L, v0,
-                                                w0, n):
-    lo = perturbation_combine(PerturbationInputs(1.0, rho, gamma, delta, L,
-                                                 v0, w0, n))
-    hi = perturbation_combine(PerturbationInputs(1.0, rho, gamma + 0.5,
-                                                 delta, L, v0, w0, n))
+       log_C=st.floats(-5.0, 5.0),
+       k=st.integers(0, 1000))
+def test_perturbation_bound_nondecreasing_in_k_and_gamma(rho, gamma, delta,
+                                                         L, v0, log_C, k):
+    def bound(k, gamma):
+        log_gamma = math.log(gamma) if gamma > 0 else -math.inf
+        return _perturbation_bound("P", k, math.log1p(-rho), log_C,
+                                   log_gamma, v0, L / (1.0 - delta),
+                                   {}).value
+
+    lo = bound(k, gamma)
     assert lo >= 0.0
-    assert lo <= hi + 1e-15
+    assert lo <= bound(k + 1, gamma) * (1 + 1e-12)
+    assert bound(k + 1, gamma) <= bound(math.inf, gamma) * (1 + 1e-12)
+    assert lo <= bound(k, gamma + 0.5) * (1 + 1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -217,7 +217,9 @@ def dissipative_radius(m: float, K: float, E: float) -> float:
     """Q = (E + sqrt(E^2 + 4mK)) / (2m), the dissipativity bound on the
     empirical minimizer norm."""
     if m <= 0:
-        raise ValueError("the dissipative radius needs m > 0")
+        raise InadmissibleError(
+            f"m = {m} violates m > 0: the dissipative radius needs a "
+            "dissipative loss")
     return (E + math.sqrt(E ** 2 + 4.0 * m * K)) / (2.0 * m)
 
 

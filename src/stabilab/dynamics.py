@@ -12,6 +12,17 @@ both pairings: two datasets from one start (:func:`run_ensemble`) and one
 dataset from two starts (``verify.check_contraction``).  The scalar
 :func:`step` is the reference path the engine is tested against.
 
+The engine's cost is a fixed handful of small numpy calls per step, so
+everything that can be done once is.  The loss's gradient kernel
+(``model.grad_kernel``) is bound once per run to buffers for the
+``(L, 2)`` lanes.  Per block of steps, every lane's minibatches are
+replayed at once (column-major, see :func:`_floyd_shuffle`), and its noise
+is drawn into a step-major ``(rows, L, 1, d)`` buffer scaled by eta in
+place.  Per sub-block, the minibatches' features and labels are gathered
+with ``np.take`` into fixed step-major buffers.  A step is then the kernel
+and two in-place updates, ``theta - eta * g`` and ``+ eta * xi``, with no
+validation and no temporaries.
+
 Stream layout v2 (``STREAM_VERSION``)
 -------------------------------------
 Randomness is counter-based: every stream is a Philox generator keyed by
@@ -65,7 +76,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, LossModel, NeighborPair, _norms, grad_batch
+from .model import (Dataset, LossModel, NeighborPair, _norms, grad_batch,
+                    grad_kernel)
 
 # version of the random-stream layout described in the module docstring
 STREAM_VERSION = 2
@@ -204,27 +216,34 @@ def _floyd_shuffle(vals: np.ndarray, n: int, b: int) -> np.ndarray:
     ``vals`` (..., T) holds each row's draws in the order numpy consumes
     them: Floyd's draws for j = n-b .. n-1 (none for j = 0), then the
     shuffle's draws for i = b-1 .. 1.  Returns shape (..., b).
+
+    The work is column-major: draw t of every row is one contiguous row of
+    a (T, count) array, and so is pick t of a (b, count) array, so each
+    duplicate test and each Fisher-Yates swap is one pass over contiguous
+    memory (the swaps through flat take/put).
     """
-    lead = vals.shape[:-1]
-    vals = vals.reshape(math.prod(lead), vals.shape[-1]).astype(np.int64)
-    picks = np.empty((len(vals), b), dtype=np.int64)
+    lead, T = vals.shape[:-1], vals.shape[-1]
+    count = math.prod(lead)
+    draws = np.ascontiguousarray(vals.reshape(count, T).T, dtype=np.int64)
+    picks = np.empty((b, count), dtype=np.int64)
     col = 0
     for t, j in enumerate(range(n - b, n)):
         if j == 0:
-            picks[:, t] = 0
+            picks[t] = 0
             continue
-        v = vals[:, col]
+        v = draws[col]
         col += 1
-        duplicate = (picks[:, :t] == v[:, None]).any(axis=1)
-        picks[:, t] = np.where(duplicate, j, v)
-    rows = np.arange(len(vals))
+        duplicate = (picks[:t] == v).any(axis=0)
+        picks[t] = np.where(duplicate, j, v)
+    flat = picks.reshape(-1)
+    lanes = np.arange(count)
     for i in range(b - 1, 0, -1):
-        k = vals[:, col]
+        at = draws[col] * count + lanes
         col += 1
-        swapped = picks[rows, k]
-        picks[rows, k] = picks[:, i]
-        picks[:, i] = swapped
-    return picks.reshape(*lead, b)
+        swapped = flat.take(at)
+        flat.put(at, picks[i])
+        picks[i] = swapped
+    return picks.T.reshape(*lead, b)
 
 
 class _IndexStreams:
@@ -250,25 +269,30 @@ class _IndexStreams:
     def _words(self, lanes: np.ndarray, count: int) -> np.ndarray:
         """The next ``count`` 32-bit words of each lane, shape (lanes, count)."""
         out = np.empty((len(lanes), count), dtype=np.uint64)
+        if not count:
+            return out
         has_carry = self.has_carry[lanes]
         for carried in (False, True):
             pick = has_carry == carried
             group = lanes[pick]
             if not group.size:
                 continue
-            raws = (count - carried + 1) // 2
-            raw = np.array([self.rngs[r].bit_generator.random_raw(raws)
-                            for r in group], dtype=np.uint64)
-            words = np.empty((len(group), carried + 2 * raws), dtype=np.uint64)
-            words[:, carried::2] = raw & _MASK32
-            words[:, carried + 1::2] = raw >> np.uint64(32)
+            fresh = count - carried
+            raws = (fresh + 1) // 2
+            raw = np.empty((len(group), raws), dtype="<u8")
+            np.concatenate([self.rngs[r].bit_generator.random_raw(raws)
+                            for r in group], out=raw.reshape(-1))
+            # each 64-bit word splits low half first
+            halves = raw.view("<u4")
+            words = np.empty((len(group), count), dtype=np.uint64)
             if carried:
                 words[:, 0] = self.carry[group]
-            out[pick] = words[:, :count]
-            spare = words.shape[1] > count
+            words[:, carried:] = halves[:, :fresh]
+            out[pick] = words
+            spare = halves.shape[1] > fresh
             self.has_carry[group] = spare
             if spare:
-                self.carry[group] = words[:, count]
+                self.carry[group] = halves[:, -1]
         return out
 
     def _replay_exact(self, lane: int, words: np.ndarray, rows: int
@@ -398,7 +422,16 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
             dist[:, first:first + len(block)] = _norms(
                 block[:, :, 0] - block[:, :, 1]).T
 
-    rows = _block_rows(lanes, max(index.width, start.shape[-1]))
+    b, d = config.batch_b, start.shape[-1]
+    rows = _block_rows(lanes, max(index.width, d))
+    # steps per sub-block, whose gathered minibatches (both chains' b rows
+    # of d features per lane and step) hold about _BLOCK_ELEMENTS numbers
+    sub = min(rows, _block_rows(lanes, 2 * b * d))
+    grad = grad_kernel(loss, (lanes, 2), b, d)
+    A = np.empty((sub, lanes, 2, b, d))
+    Y = np.empty((sub, lanes, 2, b))
+    # eta * xi of every step and lane, the products a step would take
+    kicks = np.empty((rows, lanes, 1, d)) if noise_rngs else None
     # row 0 holds the state before the block, row s + 1 the state after its
     # step s
     steps = np.empty((rows + 1,) + start.shape)
@@ -411,18 +444,28 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
         for size in _blocks(k_max, rows):
             if not live.any():
                 break
-            rows_at = index.next_rows(size)[:, :, None, :] + chain_offset
-            # eta * xi of every lane and step, the products a step would take
-            kicks = eta * np.array([noise.draw_block(rng, size)
-                                    for rng in noise_rngs])
+            # (step, lane, chain, b) indices into the stacked data
+            rows_at = index.next_rows(size).swapaxes(0, 1)[:, :, None, :] \
+                + chain_offset
+            if kicks is not None:
+                for lane, rng in enumerate(noise_rngs):
+                    kicks[:size, lane, 0] = noise.draw_block(rng, size)
+                kicks[:size] *= eta
             # a failed lane steps on (to inf or NaN, quietly) until the
             # block ends and it is rolled back
-            for s in range(size):
-                idx = rows_at[:, s]
-                g = grad_batch(loss, steps[s], features[idx], labels[idx])
-                np.subtract(steps[s], eta * g, out=steps[s + 1])
-                if noise_rngs:
-                    steps[s + 1] += kicks[:, None, s, :]
+            for lo in range(0, size, sub):
+                part = rows_at[lo:lo + sub]
+                # in range by construction; "clip" gathers without the
+                # bounds-checked copy that "raise" makes through out=
+                np.take(features, part, axis=0, out=A[:len(part)],
+                        mode="clip")
+                np.take(labels, part, out=Y[:len(part)], mode="clip")
+                for s, (a, y) in enumerate(zip(A[:len(part)], Y), lo):
+                    g = grad(steps[s], a, y)
+                    g *= eta
+                    np.subtract(steps[s], g, out=steps[s + 1])
+                    if kicks is not None:
+                        steps[s + 1] += kicks[s]
             block = steps[1:size + 1]
             ok = (_norms(block) <= DIVERGENCE_GUARD).all(axis=-1)
             failed = live & ~ok.all(axis=0)

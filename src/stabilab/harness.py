@@ -137,17 +137,18 @@ def validate_config(cfg: dict) -> None:
     _check(all(0 <= _integer(k, "config.checkpoints") <= k_max
                for k in cfg.get("checkpoints", [])),
            f"config.checkpoints must lie in [0, k_max = {k_max}]")
-    _check(_integer(cfg.get("replicas", 1), "config.replicas") >= 1,
-           "config.replicas must be >= 1")
+    replicas = _integer(cfg.get("replicas", 1), "config.replicas")
+    _check(replicas >= 1, "config.replicas must be >= 1")
     _check(1 <= _number(cfg.get("p", 1.0), "config.p") < math.inf,
            "config.p must be a finite number >= 1")
     for est in cfg.get("estimators", ["coupled"]):
-        _check_estimator(est, d, "config.estimators")
+        _check_estimator(est, d, replicas, "config.estimators",
+                         "config.replicas")
     _check_bound(_section(cfg, "bound"))
     certificates = cfg.get("certificates", [])
     _check(isinstance(certificates, list), "config.certificates must be a list")
     for spec in certificates:
-        _check_certificate(spec, d, k_max, noise)
+        _check_certificate(cfg, spec, d, k_max, noise)
         if spec["kind"] == "dominance":
             _check(regime.p in (None, float(cfg.get("p", 1.0))),
                    f"config.p must be {regime.p} for a {name} dominance")
@@ -178,7 +179,8 @@ def _check_bound(bound: dict) -> None:
         _number(M, "config.bound.eta_hat.M_grid")
 
 
-def _check_certificate(spec: dict, d: int, k_max: int, noise: dict) -> None:
+def _check_certificate(cfg: dict, spec: dict, d: int, k_max: int,
+                       noise: dict) -> None:
     """Reject a certificate spec that its check would refuse mid-run."""
     noise_kind = noise.get("kind", "none")
     _check(isinstance(spec, dict), "config.certificates entries must be "
@@ -236,7 +238,9 @@ def _check_certificate(spec: dict, d: int, k_max: int, noise: dict) -> None:
                f"certificate.n_grid < {2 * d - 1} leaves the {d}-D grid empty")
     if kind == "dominance":
         _check_estimator(spec.get("estimator", "coupled"), d,
-                         "certificate.estimator")
+                         _dominance_replicas(cfg, spec),
+                         "certificate.estimator",
+                         "certificate.R" if "R" in spec else "config.replicas")
         _check(0 <= _integer(spec.get("k", 0), "certificate.k") <= k_max,
                f"certificate.k must lie in [0, k_max = {k_max}]")
 
@@ -269,9 +273,14 @@ def _vector(value, d: int, field: str) -> None:
         _number(entry, field)
 
 
-def _check_estimator(est: str, d: int, where: str) -> None:
+def _check_estimator(est: str, d: int, replicas: int, where: str,
+                     replicas_field: str) -> None:
     _check(est in ESTIMATORS and (est != "exact_1d" or d == 1),
            f"{where} {est!r}: one of {ESTIMATORS}, exact_1d only in d = 1")
+    cap = transport.ASSIGNMENT_CAP
+    _check(est != "assignment" or 2 <= replicas <= cap,
+           f"{replicas_field} must lie in [2, {cap}] for the assignment "
+           f"estimator")
 
 
 def build_loss(cfg: dict) -> model.LossModel:
@@ -363,8 +372,6 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     R = int(cfg.get("replicas", 1))
-    if "assignment" in cfg.get("estimators", ["coupled"]) and R < 2:
-        raise ConfigError("assignment estimator needs replicas >= 2")
     exp = build_experiment(cfg)
     checkpoints = cfg.get("checkpoints", [exp.sgd.k_max])
     start = time.perf_counter()
@@ -392,6 +399,10 @@ def cmd_simulate(cfg: dict, out_dir) -> int:
           f"{len(diverged)} diverged"
           + (f", the first at step {min(diverged)}" if diverged else ""))
     return EXIT_OK
+
+
+def _dominance_replicas(cfg: dict, spec: dict) -> int:
+    return int(spec.get("R", cfg.get("replicas", 64)))
 
 
 def _run_certificate(cfg: dict, exp: bnd.Experiment,
@@ -432,7 +443,7 @@ def _run_certificate(cfg: dict, exp: bnd.Experiment,
     if kind != "dominance":
         raise ConfigError(f"unknown certificate kind {kind!r}")
     bound = evaluate_bound(cfg, exp)
-    R = int(spec.get("R", cfg.get("replicas", 64)))
+    R = _dominance_replicas(cfg, spec)
     k = int(spec.get("k", sgd.k_max))
     ensemble = run_ensemble(exp.loss, exp.pair, sgd, exp.noise, R, [k])
     diverged = sum(r.diverged for r in ensemble.replicas)

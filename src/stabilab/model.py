@@ -15,7 +15,9 @@ regularity/curvature assumptions hold on the sampled domain, and
 
 ``grad_batch`` is the one gradient; a single point is the one-row batch
 ``(a[None], [y])``, and ``max_grad_norm`` and the audit stack their points
-and parameters as lanes of one call.
+and parameters as lanes of one call.  It validates its arguments and calls
+``grad_kernel``, where each family's formula is written once; the SGD
+engine binds that kernel once per run and calls it every step.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
     Leading lane axes broadcast: theta (..., d), A (..., b, d) and Y (..., b)
     give one mean gradient per lane, shape (..., d).  Every lane runs the
     same matrix-vector products as a single call, so a lane's result does
-    not depend on how many lanes share the call.
+    not depend on how many lanes share the call.  This is the validating
+    wrapper of :func:`grad_kernel`, bound afresh for each call.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Y = np.asarray(Y, dtype=float)
@@ -176,20 +179,62 @@ def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
     if loss.family == "ScalarPower" and d != 1:
         raise ValueError("ScalarPower requires d = 1")
-    At = A.swapaxes(-1, -2)
-    if loss.family in ("Quadratic", "RidgeQuadratic"):
-        residual = (A @ theta[..., None])[..., 0] - Y
-        g = (At @ residual[..., None])[..., 0] / b
-        if loss.family == "RidgeQuadratic":
-            g = g + loss.mu0 * theta
+    lead = np.broadcast_shapes(theta.shape[:-1], A.shape[:-2], Y.shape[:-1])
+    return grad_kernel(loss, lead, b, d)(theta, A, Y)
+
+
+def grad_kernel(loss: LossModel, lead: tuple, b: int, d: int):
+    """``loss``'s mean gradient bound to buffers for lanes of shape ``lead``.
+
+    Returns ``kernel(theta, A, Y)`` for theta (*lead, d), A (*lead, b, d)
+    and Y (*lead, b), all float.  It checks nothing, allocates nothing, and
+    returns the gradient (*lead, d) as a view of its own buffer, which the
+    next call overwrites; the caller may scale that view in place.  Each
+    family's formula is written here once.  Its operations run in the order
+    of the formula's plain numpy expression, on buffers laid out as numpy
+    would allocate them there, so the result is bit-equal to that
+    expression (``tests/test_model.py`` keeps it as the oracle).
+    """
+    lead = tuple(lead)
+    out = np.empty(lead + (d, 1))       # At @ column, as matmul allocates
+    g = out[..., 0]
+    rows = np.empty(lead + (b, 1))      # A @ theta, as matmul allocates
+    r = rows[..., 0]
+    if loss.family == "ScalarPower":
+        # d = 1: mu*sign(theta - y)|theta - y|^{p-1}, 0 at the kink
+        signs, mu, power = np.empty(lead + (b,)), loss.mu, loss.p - 1.0
+
+        def kernel(theta, A, Y):
+            u, t = r, signs
+            np.subtract(theta[..., :1], Y, out=u)
+            np.sign(u, out=t)
+            t *= mu
+            np.abs(u, out=u)
+            u **= power     # the operator: x ** 0.5 is np.sqrt(x)
+            t *= u
+            return np.mean(t, axis=-1, keepdims=True, out=g)
+
+        return kernel
+    # Quadratic and RidgeQuadratic: A^T (A theta - y) / b + mu0 theta;
+    # RegularizedSine: m0 theta + s A^T cos(A theta - y) / b
+    sine = loss.family == "RegularizedSine"
+    base = loss.m0 if sine else loss.mu0
+    weighted = np.empty(lead + (d,)) if base else None
+
+    def kernel(theta, A, Y):
+        np.matmul(A, theta[..., None], out=rows)
+        np.subtract(r, Y, out=r)
+        if sine:
+            np.cos(r, out=r)
+        np.matmul(A.swapaxes(-1, -2), r[..., None], out=out)
+        if sine:
+            np.multiply(g, loss.s, out=g)
+        np.divide(g, b, out=g)
+        if weighted is not None:
+            np.add(g, np.multiply(base, theta, out=weighted), out=g)
         return g
-    if loss.family == "RegularizedSine":
-        phase = np.cos((A @ theta[..., None])[..., 0] - Y)
-        return loss.m0 * theta + loss.s * (At @ phase[..., None])[..., 0] / b
-    # ScalarPower, d = 1: mu*sign(theta - y)|theta - y|^{p-1}, 0 at the kink
-    u = theta[..., :1] - Y
-    g = loss.mu * np.sign(u) * np.abs(u) ** (loss.p - 1.0)
-    return np.mean(g, axis=-1, keepdims=True)
+
+    return kernel
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 * the minibatch replay against ``Generator.choice`` and the block noise
   against per-step draws, over several blocks;
+* the column-major Floyd replay against the row-major one, and the
+  half-word split against mask and shift;
 * the engine against a loop of scalar ``step`` calls, for every loss family,
   noise kind and chain pairing;
 * a replica's result against the size of the ensemble it runs in;
@@ -11,6 +13,7 @@
   several block budgets.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -97,6 +100,87 @@ class TestMinibatchReplay:
     def test_batch_larger_than_dataset_rejected(self):
         with pytest.raises(ValueError):
             minibatch_sequence(4, 5, 3, 0, 0)
+
+
+def floyd_shuffle_rows(vals, n, b):
+    """Oracle: the row-major ``_floyd_shuffle``, one (count, b) pick array
+    with a fancy-indexed swap per shuffle draw."""
+    lead = vals.shape[:-1]
+    vals = vals.reshape(math.prod(lead), vals.shape[-1]).astype(np.int64)
+    picks = np.empty((len(vals), b), dtype=np.int64)
+    col = 0
+    for t, j in enumerate(range(n - b, n)):
+        if j == 0:
+            picks[:, t] = 0
+            continue
+        v = vals[:, col]
+        col += 1
+        duplicate = (picks[:, :t] == v[:, None]).any(axis=1)
+        picks[:, t] = np.where(duplicate, j, v)
+    rows = np.arange(len(vals))
+    for i in range(b - 1, 0, -1):
+        k = vals[:, col]
+        col += 1
+        swapped = picks[rows, k]
+        picks[rows, k] = picks[:, i]
+        picks[:, i] = swapped
+    return picks.reshape(*lead, b)
+
+
+def split_words(rng, count):
+    """Oracle: ``count`` 32-bit words of a fresh stream, each 64-bit draw
+    split by mask and shift, low half first."""
+    raw = rng.bit_generator.random_raw((count + 1) // 2)
+    words = np.stack([raw & dynamics._MASK32, raw >> np.uint64(32)], axis=1)
+    return words.ravel()[:count]
+
+
+class TestColumnMajorReplay:
+    """The column-major Floyd replay and the half-word split against the
+    row-major and mask/shift forms they replaced."""
+
+    # b = n (its first Floyd draw is j = 0), b = 1, b = n - 1, and
+    # n = 10,000 with b <= n // 50
+    @pytest.mark.parametrize("n,b", [(1, 1), (8, 8), (16, 16), (16, 1),
+                                     (256, 1), (16, 15), (16, 8), (32, 4),
+                                     (10000, 1), (10000, 37), (10000, 200)])
+    @pytest.mark.parametrize("lead", [(1,), (257,), (3, 50)])
+    def test_floyd_equals_row_major(self, n, b, lead):
+        excl = dynamics._IndexStreams([], n, b).excl.astype(np.int64)
+        rng = np.random.default_rng(n * 31 + b)
+        vals = rng.integers(0, excl, size=lead + excl.shape).astype(
+            np.uint64)
+        got = dynamics._floyd_shuffle(vals, n, b)
+        assert got.shape == lead + (b,)
+        assert np.array_equal(got, floyd_shuffle_rows(vals, n, b))
+        # every row is a set of b distinct indices below n
+        rows = np.sort(got.reshape(-1, b), axis=1)
+        assert rows.min() >= 0 and rows.max() < n
+        assert np.all(np.diff(rows, axis=1) > 0)
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (3, 4, 5, 2),
+                                        (7, 1, 0, 6), (2, 9, 3)])
+    def test_words_equal_mask_and_shift(self, counts):
+        replica_ids = [0, 4, 9]
+
+        def streams():
+            return [dynamics._stream(5, r, dynamics._STREAM_MINIBATCH)
+                    for r in replica_ids]
+
+        index = dynamics._IndexStreams(streams(), 16, 8)
+        lanes = np.arange(len(replica_ids))
+        drawn = [[] for _ in replica_ids]
+        for i, count in enumerate(counts):
+            # alternate all lanes with lane 1 alone, so that carried and
+            # fresh lanes share one call
+            pick = lanes if i % 2 == 0 else lanes[1:2]
+            words = index._words(pick, count)
+            assert words.shape == (len(pick), count)
+            for row, lane in zip(words, pick):
+                drawn[lane].extend(row.tolist())
+        for lane, rng in enumerate(streams()):
+            want = split_words(rng, len(drawn[lane]))
+            assert drawn[lane] == want.tolist()
 
 
 class TestNoiseBlocks:
@@ -421,13 +505,19 @@ class TestStopOnceAllDiverged:
                 range(16), [0, 10, k_max // 2, k_max])
 
     def count_grad_calls(self, monkeypatch):
+        """Calls of the gradient kernel that ``run_lanes`` binds per run."""
         calls = []
 
-        def counted(*args):
-            calls.append(1)
-            return model.grad_batch(*args)
+        def bind(*args):
+            kernel = model.grad_kernel(*args)
 
-        monkeypatch.setattr(dynamics, "grad_batch", counted)
+            def counted(*step):
+                calls.append(1)
+                return kernel(*step)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, "grad_kernel", bind)
         return calls
 
     @pytest.mark.parametrize("budget", [64, None])

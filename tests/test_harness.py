@@ -159,10 +159,10 @@ class TestSimulateCommand:
         assert (tmp_path / "serial" / "estimates.csv").read_bytes() == \
             (tmp_path / "threaded" / "estimates.csv").read_bytes()
 
-    def test_assignment_needs_two_replicas(self, tmp_path):
+    def test_assignment_needs_two_replicas(self):
         cfg = quadratic_config(replicas=1, estimators=["assignment"])
         with pytest.raises(ConfigError, match="assignment"):
-            cmd_simulate(cfg, tmp_path)
+            validate_config(cfg)
 
 
 class TestVerifyCommand:
@@ -452,6 +452,21 @@ CONFIG_ERRORS = {
                        "config.dataset"),
     "sgd-string": (lambda c: c.update(sgd="eta batch_b k_max theta0 "
                                           "master_seed"), "config.sgd"),
+    # the assignment estimator matches 2 to ASSIGNMENT_CAP replicas
+    "assignment-one-replica": (
+        lambda c: c.update(replicas=1, estimators=["assignment"]),
+        "config.replicas"),
+    "assignment-over-cap": (
+        lambda c: c.update(replicas=1025, estimators=["assignment"]),
+        "config.replicas"),
+    "dominance-assignment-R": (
+        lambda c: c["certificates"].append(
+            {"kind": "dominance", "estimator": "assignment", "R": 2000}),
+        "certificate.R"),
+    "dominance-assignment-replicas": (
+        lambda c: c.update(replicas=1, certificates=[
+            {"kind": "dominance", "estimator": "assignment"}]),
+        "config.replicas"),
 }
 
 
@@ -540,6 +555,24 @@ def test_every_regime_through_the_cli(tmp_path, regime):
 
 # eta = 0 passes validate_config; the noisy regime's eta_bar and eta_hat
 # need eta > 0
+def test_minorization_on_a_loss_with_m_zero_is_inadmissible(tmp_path,
+                                                            capsys):
+    # the Quadratic loss is not dissipative (m = 0), so the minorization
+    # certificate's drift constant K0 has no dissipative radius
+    cfg = quadratic_config(noise={"kind": "gaussian_diag",
+                                  "scale": [0.5, 0.5]},
+                           certificates=[{"kind": "minorization", "M": 1.0,
+                                          "n_grid": 3}])
+    cfg["dataset"]["d"] = 2
+    cfg["sgd"]["theta0"] = [0.0, 0.0]
+    assert cli.main(["verify", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == EXIT_INADMISSIBLE
+    out = capsys.readouterr()
+    assert out.err == ("inadmissible configuration: m = 0.0 violates m > 0: "
+                       "the dissipative radius needs a dissipative loss\n")
+    assert "Traceback" not in out.out + out.err
+
+
 @pytest.mark.parametrize("command, eta_hat, stream", [
     ("bounds", {"mode": "corollary"}, "out"),
     ("bounds", {"mode": "fixed", "log_eta_hat": -10.0}, "out"),

@@ -88,6 +88,68 @@ def _loss_value(loss, theta, a, y):
     return loss.mu / loss.p * abs(theta[0] - y) ** loss.p
 
 
+def grad_reference(loss, theta, A, Y):
+    """Oracle: each family's mean gradient as one numpy expression on fresh
+    arrays, the form the gradient kernels must reproduce bit for bit."""
+    b = A.shape[-2]
+    At = A.swapaxes(-1, -2)
+    if loss.family in ("Quadratic", "RidgeQuadratic"):
+        residual = (A @ theta[..., None])[..., 0] - Y
+        g = (At @ residual[..., None])[..., 0] / b
+        if loss.family == "RidgeQuadratic":
+            g = g + loss.mu0 * theta
+        return g
+    if loss.family == "RegularizedSine":
+        phase = np.cos((A @ theta[..., None])[..., 0] - Y)
+        return loss.m0 * theta + loss.s * (At @ phase[..., None])[..., 0] / b
+    u = theta[..., :1] - Y
+    g = loss.mu * np.sign(u) * np.abs(u) ** (loss.p - 1.0)
+    return np.mean(g, axis=-1, keepdims=True)
+
+
+KERNEL_LOSSES = ALL_LOSSES + [model.scalar_power(1.3, 2.0)]
+# ScalarPower is one-dimensional
+KERNEL_CASES = [pytest.param(loss, d, id=f"{loss.family}-{loss.p}-d{d}")
+                for loss in KERNEL_LOSSES
+                for d in ([1] if loss.family == "ScalarPower" else [1, 2, 16])]
+
+
+class TestGradKernel:
+    """``grad_kernel`` against ``grad_batch`` and the expression oracle,
+    under ==, with its buffers reused across calls as ``run_lanes`` does."""
+
+    @pytest.mark.parametrize("loss, d", KERNEL_CASES)
+    @pytest.mark.parametrize("lead", [(), (5,), (16, 2)])
+    def test_kernel_equals_grad_batch(self, loss, d, lead):
+        rng = np.random.default_rng(d)
+        b = 4
+        kernel = model.grad_kernel(loss, lead, b, d)
+        # step-major stacks, sliced per step like the engine's buffers
+        A = rng.standard_normal((3,) + lead + (b, d))
+        Y = rng.standard_normal((3,) + lead + (b,))
+        theta = 3.0 * rng.standard_normal((3,) + lead + (d,))
+        theta[0].flat[0] = Y[0].flat[0]     # a ScalarPower kink
+        for s in range(3):
+            got = kernel(theta[s], A[s], Y[s]).copy()
+            want = grad_batch(loss, theta[s], A[s], Y[s])
+            assert got.shape == want.shape == lead + (d,)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, grad_reference(loss, theta[s], A[s],
+                                                      Y[s]))
+
+    @pytest.mark.parametrize("loss", KERNEL_LOSSES,
+                             ids=lambda l: f"{l.family}-{l.p}")
+    def test_grad_batch_broadcasts_like_the_oracle(self, loss):
+        # one theta against n one-row lanes, as max_grad_norm calls it
+        rng = np.random.default_rng(7)
+        d = 1 if loss.family == "ScalarPower" else 3
+        theta = rng.standard_normal(d)
+        A = rng.standard_normal((6, 1, d))
+        Y = rng.standard_normal((6, 1))
+        assert np.array_equal(grad_batch(loss, theta, A, Y),
+                              grad_reference(loss, theta, A, Y))
+
+
 class TestDatasets:
     def test_unit_fixed_points(self):
         ds = make_synthetic_dataset({"n": 4, "d": 1,

@@ -300,7 +300,7 @@ def eta_hat_gaussian_log(Sigma, eta: float, m: float, K0: float,
         raise InadmissibleError(f"eta = {eta} violates eta > 0")
     Sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
     if np.any(Sigma <= 0) or np.any(Sigma >= 1):
-        raise ValueError("Sigma must satisfy 0 < Sigma < I (diagonal)")
+        raise InadmissibleError("Sigma must satisfy 0 < Sigma < I (diagonal)")
     S2 = 2.0 * K0 / m * (1.0 + epsilon) - 1.0
     if S2 < 0:
         raise InadmissibleError(
@@ -313,7 +313,8 @@ def eta_hat_gaussian_log(Sigma, eta: float, m: float, K0: float,
                               max(1e3 * eta * grad_at_star_sup, 1.0), 32)
     M_grid = np.atleast_1d(np.asarray(M_grid, dtype=float))
     if np.any(M_grid < eta * grad_at_star_sup - 1e-15):
-        raise ValueError("every M must satisfy M >= eta * grad_at_star_sup")
+        raise InadmissibleError(
+            "every M must satisfy M >= eta * grad_at_star_sup")
     best = -math.inf
     best_M = float(M_grid[0])
     rows = []
@@ -460,8 +461,7 @@ def bound_subconvex(constants: AssumptionConstants, eta: float, b: int,
 
 
 def _bound_k(cfg: dict) -> float:
-    k = cfg.get("k", "inf")
-    return math.inf if k in ("inf", None) else float(int(k))
+    return math.inf if cfg["k"] == "inf" else cfg["k"]
 
 
 def _theta0_norm(exp: Experiment) -> float:
@@ -470,8 +470,7 @@ def _theta0_norm(exp: Experiment) -> float:
 
 def _quadratic(exp: Experiment, cfg: dict) -> StabilityBound:
     sgd, data, perturbed = exp.sgd, exp.dataset, exp.pair.perturbed
-    kw = {"mode": cfg.get("rho_mode", "exact"),
-          "seed": int(cfg.get("rho_seed", 0))}
+    kw = {"mode": cfg["rho_mode"], "seed": cfg["rho_seed"]}
     rho = rho_quadratic(data, sgd.eta, sgd.batch_b, **kw)["rho"]
     rho_hat = rho_quadratic(perturbed, sgd.eta, sgd.batch_b, **kw)["rho"]
     eq1 = expected_q_norm(perturbed, sgd.batch_b, **kw)
@@ -482,16 +481,15 @@ def _quadratic(exp: Experiment, cfg: dict) -> StabilityBound:
 
 def _noisy(exp: Experiment, cfg: dict) -> StabilityBound:
     c, sgd, data = exp.constants, exp.sgd, exp.dataset
-    epsilon = float(cfg.get("epsilon", 0.5))
-    eh_cfg = cfg.get("eta_hat", {"mode": "corollary"})
-    if eh_cfg.get("mode", "corollary") == "fixed":
-        log_eta_hat = float(eh_cfg["log_eta_hat"])
+    epsilon, eh_cfg = cfg["epsilon"], cfg["eta_hat"]
+    if eh_cfg["mode"] == "fixed":
+        log_eta_hat = eh_cfg["log_eta_hat"]
     else:
         theta_star = empirical_minimizer(exp.loss, data)
         grad_sup = max_grad_norm(exp.loss, data, theta_star)
         log_eta_hat = eta_hat_gaussian_log(
             np.array(exp.noise.scale) ** 2, sgd.eta, c.m, exp.K0, epsilon,
-            c.K1, grad_sup, M_grid=eh_cfg.get("M_grid"))["log_eta_hat"]
+            c.K1, grad_sup, M_grid=eh_cfg["M_grid"])["log_eta_hat"]
     return bound_nonconvex_noisy(c, sgd.eta, exp.noise.sigma2, sgd.batch_b,
                                  data.n, _theta0_norm(exp), _bound_k(cfg),
                                  exp.K0, log_eta_hat, epsilon)
@@ -501,6 +499,7 @@ class Regime(NamedTuple):
     families: tuple          # loss families the regime accepts
     noise: str | None        # noise kind it requires, if any
     p: float | None          # order of its distance; None: constants_used["p"]
+    # the bound from the experiment and the filled ``bound`` config section
     evaluate: Callable[[Experiment, dict], StabilityBound]
 
 

@@ -94,6 +94,8 @@ _BLOCK_ELEMENTS = 1 << 16
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 
+NOISE_KINDS = ("none", "gaussian_diag", "laplace")
+
 
 @dataclass(frozen=True)
 class SGDConfig:
@@ -122,7 +124,7 @@ class NoiseModel:
     scale: tuple = ()                       # per-coordinate std / scale
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian_diag", "laplace"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         object.__setattr__(self, "scale", tuple(float(s) for s in self.scale))
         if self.kind != "none" and any(s <= 0 for s in self.scale):

@@ -282,8 +282,9 @@ def _draw_point(generator: str, d: int, radius_D: float, label_range: float,
 def make_synthetic_dataset(spec: dict, seed: int) -> Dataset:
     """Deterministically generate a bounded dataset from a generator spec.
 
-    ``spec`` keys: n, d, generator, radius_D (default 1.0, forced to sqrt(2)
-    for unit_fixed), label_range (gaussian_clipped label scale, default 1.0).
+    ``spec`` keys: n, d, generator, radius_D (absent or None: 1.0, and
+    sqrt(2) for unit_fixed), label_range (gaussian_clipped label scale;
+    absent or None: 1.0).
     """
     n = int(spec["n"])
     d = int(spec["d"])
@@ -293,13 +294,16 @@ def make_synthetic_dataset(spec: dict, seed: int) -> Dataset:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     # unit_fixed points are (e1, 1) with norm sqrt(2) exactly
-    default_D = np.sqrt(2.0) if generator == "unit_fixed" else 1.0
-    radius_D = float(spec.get("radius_D", default_D))
+    radius_D = spec.get("radius_D")
+    if radius_D is None:
+        radius_D = np.sqrt(2.0) if generator == "unit_fixed" else 1.0
+    radius_D = float(radius_D)
     if radius_D <= 0:
         raise ValueError("radius_D must be positive")
     if generator == "unit_fixed" and radius_D < np.sqrt(2.0) - 1e-12:
         raise ValueError("unit_fixed points have norm sqrt(2) > radius_D")
-    label_range = float(spec.get("label_range", 1.0))
+    label_range = spec.get("label_range")
+    label_range = 1.0 if label_range is None else float(label_range)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     features = np.empty((n, d))
     labels = np.empty(n)
@@ -321,7 +325,7 @@ def make_neighbor(base: Dataset, index: int, seed: int) -> NeighborPair:
         raise ValueError("base dataset carries no generator spec")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     a, y = _draw_point(spec["generator"], base.dim_d, base.radius_D,
-                       spec.get("label_range", 1.0), rng)
+                       spec["label_range"], rng)
     features = base.features.copy()
     labels = base.labels.copy()
     features[index] = a

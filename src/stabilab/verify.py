@@ -49,10 +49,22 @@ class Certificate:
         self.passed = bool(self.passed)
 
 
+def finite_or_null(obj):
+    """``obj`` with each non-finite float replaced by None, for strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_or_null(value) for value in obj]
+    return obj
+
+
 def write_certificates_jsonl(certs, path) -> None:
     with open(path, "w") as fh:
         for cert in certs:
-            fh.write(json.dumps(asdict(cert), sort_keys=True) + "\n")
+            fh.write(json.dumps(finite_or_null(asdict(cert)), sort_keys=True,
+                                allow_nan=False) + "\n")
 
 
 def _lyapunov(kind: str, loss: LossModel, dataset: Dataset):
@@ -232,7 +244,7 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
 
 def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
                                 b: int, Sigma, m: float, K0: float,
-                                epsilon: float, M: float, n_grid: int = 33,
+                                epsilon: float, M: float, n_grid: int,
                                 K1: float = None) -> Certificate:
     """Density-ratio minorization audit for diagonal Gaussian noise, d <= 2.
 

@@ -19,7 +19,7 @@ from stabilab.bounds import (bound_nonconvex_noisy, bound_nonconvex_plain,
                              rho_quadratic)
 from stabilab.dynamics import NoiseModel, SGDConfig, run_ensemble, run_lanes
 from stabilab.harness import cmd_bounds, cmd_simulate, cmd_verify, \
-    evaluate_bound
+    evaluate_bound, validate_config
 from stabilab.model import AssumptionConstants
 from stabilab.verify import check_bound_dominates, check_drift
 
@@ -160,7 +160,7 @@ def test_05_dominance_sweep():
                         "master_seed": 2000 + trial},
                 "bound": {"k": k},
             }
-            bound = evaluate_bound(cfg)
+            bound = evaluate_bound(validate_config(cfg))
             loss = model.quadratic()
             dataset = model.make_synthetic_dataset(cfg["dataset"],
                                                    trial)

@@ -129,12 +129,10 @@ class TestCoupledPair:
 
 
 class TestEnsemble:
-    def make(self, R, master_seed=9, threads=None, monkeypatch=None):
+    def make(self, R, master_seed=9):
         pair = flip_pair(8)
         cfg = SGDConfig(0.1, 2, 30, np.zeros(1), master_seed)
         noise = NoiseModel("gaussian_diag", (0.5,))
-        if monkeypatch is not None and threads is not None:
-            monkeypatch.setenv("STABILAB_THREADS", str(threads))
         return run_ensemble(model.quadratic(), pair, cfg, noise, R,
                             checkpoints=[30])
 
@@ -151,11 +149,6 @@ class TestEnsemble:
                            (cfg.theta0, cfg.theta0), cfg,
                            NoiseModel("gaussian_diag", (0.5,)), [0], [30])
         assert np.array_equal(ens.states, direct.states)
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        serial = self.make(8, threads=1, monkeypatch=monkeypatch)
-        threaded = self.make(8, threads=4, monkeypatch=monkeypatch)
-        assert np.array_equal(serial.states, threaded.states)
 
     def test_replicas_are_independent_streams(self):
         mb0 = minibatch_sequence(8, 2, 10, 9, 0)

@@ -350,13 +350,15 @@ class TestMinorizationGrid:
             check_minorization_gaussian(loss, ds, 0.2, 3, [0.4, 0.4], 2.0,
                                         4.0, 0.5, 1.0, n_grid=2)
 
-    def test_default_grid_2d_within_budget(self):
-        # 797 x 797 grid points x C(6, 3) = 20 components; about 1 s on a
-        # 2-CPU Xeon, against an extrapolated 15-20 minutes point by point
+    def test_fine_grid_2d_within_budget(self):
+        # n_grid = 33: 797 x 797 grid points x C(6, 3) = 20 components;
+        # about 1 s on a 2-CPU Xeon, against an extrapolated 15-20 minutes
+        # point by point
         loss, ds = minorization_case(2)
         start = time.perf_counter()
         cert = check_minorization_gaussian(loss, ds, 0.2, 3, [0.4, 0.4],
-                                           m=2.0, K0=4.0, epsilon=0.5, M=1.0)
+                                           m=2.0, K0=4.0, epsilon=0.5, M=1.0,
+                                           n_grid=33)
         elapsed = time.perf_counter() - start
         assert cert.details["n_theta"] == cert.details["n_theta1"] == 797
         assert elapsed < 20.0

@@ -1,12 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabilab import cli, harness, verify
 from stabilab.dynamics import NoiseModel, run_ensemble
@@ -93,7 +99,7 @@ class TestBoundsCommand:
         assert "rho" in rep["reason"]
 
     def test_evaluate_bound_matches_direct(self):
-        sb = evaluate_bound(quadratic_config())
+        sb = evaluate_bound(validate_config(quadratic_config()))
         assert sb.value == pytest.approx(0.8, rel=1e-12)
 
 
@@ -127,7 +133,7 @@ class TestSimulateCommand:
         cfg = quadratic_config(replicas=16, checkpoints=[5, 100])
         cfg["dataset"].update(generator="gaussian_clipped")
         cfg["sgd"]["eta"] = 10.0
-        exp = harness.build_experiment(cfg)
+        exp = harness.build_experiment(validate_config(cfg))
         ens = run_ensemble(exp.loss, exp.pair, exp.sgd, exp.noise, 16,
                            [5, 100])
         steps = [r.diverged_at for r in ens.replicas if r.diverged]
@@ -149,15 +155,6 @@ class TestSimulateCommand:
     def test_stdout_without_divergence(self, tmp_path, capsys):
         assert cmd_simulate(quadratic_config(**self.CFG), tmp_path) == EXIT_OK
         assert capsys.readouterr().out.strip().endswith("s; 0 diverged")
-
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = quadratic_config(**self.CFG)
-        monkeypatch.setenv("STABILAB_THREADS", "1")
-        cmd_simulate(cfg, tmp_path / "serial")
-        monkeypatch.setenv("STABILAB_THREADS", "4")
-        cmd_simulate(cfg, tmp_path / "threaded")
-        assert (tmp_path / "serial" / "estimates.csv").read_bytes() == \
-            (tmp_path / "threaded" / "estimates.csv").read_bytes()
 
     def test_assignment_needs_two_replicas(self):
         cfg = quadratic_config(replicas=1, estimators=["assignment"])
@@ -216,8 +213,9 @@ class TestVerifyCommand:
         cfg = quadratic_config(noise=noise, certificates=[spec])
         assert cmd_verify(cfg, tmp_path) == EXIT_OK
         rec = json.loads((tmp_path / "certificates.jsonl").read_text())
-        pair = harness.build_pair(cfg, harness.build_dataset(cfg))
-        args = (harness.build_loss(cfg), pair.perturbed, 0.1, 1,
+        filled = validate_config(cfg)
+        pair = harness.build_pair(filled, harness.build_dataset(filled))
+        args = (harness.build_loss(filled), pair.perturbed, 0.1, 1,
                 "one_plus_norm", 0.95, 1.0, [[0.0], [2.0]])
         noisy = verify.check_drift(*args, mode="monte_carlo", n_mc=200,
                                    seed=42, noise=NoiseModel("gaussian_diag",
@@ -467,6 +465,14 @@ CONFIG_ERRORS = {
         lambda c: c.update(replicas=1, certificates=[
             {"kind": "dominance", "estimator": "assignment"}]),
         "config.replicas"),
+    # a misspelled key is named, not ignored in favour of the default
+    "replica": (lambda c: c.update(replica=1024),
+                "unknown field config.replica"),
+    "n-grd": (lambda c: (_minorization_grid(c, 9),
+                         c["certificates"][0].update(n_grd=5)),
+              "unknown field certificate.n_grd"),
+    "eta-hat-M": (_bound(eta_hat={"M": 1.0}),
+                  "unknown field config.bound.eta_hat.M"),
 }
 
 
@@ -495,6 +501,112 @@ def test_certificate_specs_checked_before_any_runs(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().out == ""
+
+
+# a small valid config with every section and one certificate of each kind,
+# so that each row of harness.FIELDS has a field to mutate
+FUZZ_BASE = {
+    "schema_version": 1, "regime": "NonconvexNoisy",
+    "loss": {"family": "RegularizedSine", "m0": 2.0, "s": 0.01},
+    "dataset": {"n": 6, "d": 1, "generator": "gaussian_clipped",
+                "radius_D": 0.1, "label_range": 0.05, "seed": 0},
+    "neighbor": {"index": 0, "seed": 1},
+    "sgd": {"eta": 0.2, "batch_b": 2, "k_max": 5, "theta0": [0.0],
+            "master_seed": 3},
+    "noise": {"kind": "gaussian_diag", "scale": [0.7]},
+    "replicas": 2, "checkpoints": [5], "p": 1.0,
+    "estimators": ["coupled", "assignment", "exact_1d"],
+    "bound": {"k": 5, "rho_mode": "exact", "rho_seed": 0, "epsilon": 0.5,
+              "eta_hat": {"mode": "corollary", "M_grid": [1.0]}},
+    "certificates": [
+        {"kind": "contraction", "claimed_rate": 0.9, "k_max": 3, "R": 2},
+        {"kind": "drift", "mode": "monte_carlo", "n_mc": 4,
+         "claimed_delta": 0.9, "claimed_L": 1.0, "theta_grid": [[0.0]]},
+        {"kind": "kernel_gap", "claimed_gamma": 1.0, "R": 4},
+        {"kind": "minorization", "M": 1.0, "n_grid": 3},
+        {"kind": "dominance", "R": 2, "k": 5}],
+}
+RETYPED = ["x", None, True, [], {}, 0.5, [0.5]]
+
+
+def _holder(cfg, path):
+    """The dict of ``cfg`` that holds the field at table path ``path``."""
+    section, _, key = path.rpartition(".")
+    if section.startswith("certificates["):
+        kind = section[len("certificates["):-1]
+        return next(s for s in cfg["certificates"]
+                    if not kind or s["kind"] in kind.split(",")), key
+    holder = cfg
+    for part in filter(None, section.split(".")):
+        holder = holder[part]
+    return holder, key
+
+
+def _out_of_range(row, cfg):
+    """Values just outside the range of table row ``row``."""
+    path, kind, rng, _ = row
+    if not isinstance(rng, str):
+        return ["bogus"]    # an enum, object or list
+    lo, hi = rng[1:-1].split(", ")
+    bad = [math.nan]
+    for end, is_open, step in ((lo, rng[0] == "(", -1),
+                               (hi, rng[-1] == ")", 1)):
+        try:
+            value = float(end)
+        except ValueError:
+            holder, key = _holder(cfg, end)
+            value = holder[key]
+        if math.isfinite(value) and kind in ("int", "ints", "horizon"):
+            value = int(value)
+        bad.append(value if is_open or not math.isfinite(value)
+                   else value + step)
+    d = cfg["dataset"]["d"]
+    shape = {"vector": lambda v: [v] * d, "grid": lambda v: [[v] * d],
+             "ints": lambda v: [v], "numbers": lambda v: [v]}
+    return [shape.get(kind, lambda v: v)(v) for v in bad]
+
+
+@settings(max_examples=80, deadline=None)
+@given(row=st.sampled_from(harness.FIELDS),
+       how=st.sampled_from(["drop", "retype", "range", "unknown"]),
+       command=st.sampled_from(["bounds", "simulate", "verify"]),
+       data=st.data())
+def test_cli_survives_one_mutated_field(row, how, command, data):
+    cfg = copy.deepcopy(FUZZ_BASE)
+    holder, key = _holder(cfg, row[0])
+    if how == "drop":
+        holder.pop(key, None)
+    elif how == "retype":
+        holder[key] = data.draw(st.sampled_from(RETYPED))
+    elif how == "range":
+        holder[key] = data.draw(st.sampled_from(_out_of_range(row, cfg)))
+    else:
+        holder[f"{key}_typo"] = 1
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path),
+                             "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+
+
+def test_fuzz_base_config_passes_every_command(tmp_path):
+    path = write_config(tmp_path, FUZZ_BASE)
+    for command in ("bounds", "simulate", "verify"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0, command
+
+
+def test_readme_field_table_matches_the_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config")[1].split("\n## ")[0]
+    paths = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert paths == [row[0] for row in harness.FIELDS]
 
 
 def test_minorization_grid_of_three_is_admissible(tmp_path):
@@ -609,6 +721,14 @@ class TestReportCommand:
         assert "Certificates" in text
         assert "0.8" in text
 
+    def test_overflowed_bound_shows_its_log_value(self, tmp_path):
+        # bounds.json writes an overflowed value as null beside log_value
+        (tmp_path / "bounds.json").write_text(json.dumps(
+            {"regime": "NonconvexNoisy", "k": "inf", "value": None,
+             "log_value": 1525.25, "admissible": True}))
+        assert cmd_report(tmp_path) == EXIT_OK
+        assert "| exp(1525.25) |" in (tmp_path / "report.md").read_text()
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         assert cmd_report(tmp_path) == harness.EXIT_USAGE
 
@@ -628,6 +748,17 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert cli.main(["report", "--in", str(out)]) == 0
         assert (out / "report.md").exists()
+
+    def test_overlong_integer_is_a_config_error(self, tmp_path, capsys):
+        # beyond Python's 4300-digit limit on converting a string to int
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(quadratic_config()).replace(
+            '"seed": 0', '"seed": ' + "9" * 5000))
+        assert cli.main(["bounds", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON")
+        assert err.count("\n") == 1
 
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["bounds", "--config", str(tmp_path / "nope.json"),

@@ -215,7 +215,8 @@ class TestMinorization:
              "radius_D": 1.0}, 6)
         with pytest.raises(ValueError):
             check_minorization_gaussian(model.quadratic(), ds, 0.1, 1,
-                                        [0.5, 0.5, 0.5], 1.0, 2.44, 0.5, 1.0)
+                                        [0.5, 0.5, 0.5], 1.0, 2.44, 0.5, 1.0,
+                                        n_grid=9)
 
 
 class TestDominance:
@@ -295,6 +296,18 @@ class TestSerialization:
             assert type(cert.passed) is bool
             assert rec["passed"] is cert.passed
             assert rec["margin"] == cert.margin
+
+    def test_jsonl_is_strict_json(self, tmp_path):
+        import json
+        certs = [Certificate("contraction", False, math.nan,
+                             {"worst": [math.inf, 1.0], "log": -math.inf})]
+        path = tmp_path / "certs.jsonl"
+        write_certificates_jsonl(certs, path)
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        rec = json.loads(text)
+        assert rec["margin"] is None
+        assert rec["details"] == {"worst": [None, 1.0], "log": None}
 
     def test_jsonl_round_trip(self, tmp_path):
         import json

@@ -47,17 +47,14 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import NoiseModel, SGDConfig, _block_rows, _draw_rows
+from .dynamics import MinibatchSource, NoiseModel, SGDConfig
 from .model import (AssumptionConstants, Dataset, LossModel, NeighborPair,
                     _norms, derive_constants, empirical_minimizer,
                     max_grad_norm)
-
-EXACT_ENUMERATION_CAP = 20000
 
 
 class InadmissibleError(ValueError):
@@ -103,29 +100,6 @@ class Experiment:
                            self.noise.sigma2)
 
 
-def minibatches(n: int, b: int) -> np.ndarray:
-    """All minibatches of range(n), shape (C(n, b), b), in the order of
-    ``itertools.combinations``; ValueError above EXACT_ENUMERATION_CAP."""
-    total = math.comb(n, b)
-    if total > EXACT_ENUMERATION_CAP:
-        raise ValueError(
-            f"C({n},{b}) = {total} minibatches exceed the exact-enumeration "
-            f"cap {EXACT_ENUMERATION_CAP}; use monte_carlo mode")
-    return np.fromiter(chain.from_iterable(combinations(range(n), b)),
-                       dtype=np.int64, count=total * b).reshape(total, b)
-
-
-def _omegas(n: int, b: int, mode: str, n_mc: int, seed: int) -> np.ndarray:
-    """Every minibatch (exact mode), or n_mc ``choice`` rows of the seed's
-    stream, replayed in blocks (monte_carlo mode)."""
-    if mode == "exact":
-        return minibatches(n, b)
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _draw_rows(rng, n, b, n_mc)
-
-
 def rho_quadratic(dataset: Dataset, eta: float, b: int,
                   mode: str = "exact", n_mc: int = 10000,
                   seed: int = 0) -> dict:
@@ -134,32 +108,27 @@ def rho_quadratic(dataset: Dataset, eta: float, b: int,
     Exact mode enumerates all C(n, b) minibatches (cap 20000); Monte-Carlo
     mode samples n_mc minibatches and reports a standard error.
     """
-    if b > dataset.n:
-        raise ValueError("batch size exceeds dataset size")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    omegas, d = _omegas(dataset.n, b, mode, n_mc, seed), dataset.dim_d
-    eye, vals = np.eye(d), np.empty(len(omegas))
-    rows = _block_rows(1, b * d + d * d)    # bounds the temporaries
-    for i in range(0, len(omegas), rows):
-        A = dataset.features[omegas[i:i + rows]]
+    d, eye = dataset.dim_d, np.eye(dataset.dim_d)
+
+    def norms(omegas, _):
+        A = dataset.features[omegas]
         H = A.swapaxes(-1, -2) @ A / b
-        vals[i:i + rows] = np.linalg.norm(eye - eta * H, 2, axis=(-2, -1))
-    stderr = 0.0 if mode == "exact" \
-        else float(np.std(vals, ddof=1) / np.sqrt(n_mc))
-    return {"rho": float(np.mean(vals)), "stderr": stderr}
+        return np.linalg.norm(eye - eta * H, 2, axis=(-2, -1))
+
+    rho, stderr = MinibatchSource(dataset.n, b, mode, seed).average(
+        norms, n_mc, b * d + d * d)
+    return {"rho": rho, "stderr": stderr}
 
 
 def expected_q_norm(dataset: Dataset, b: int, mode: str = "exact",
                     n_mc: int = 10000, seed: int = 0) -> float:
     """E||sum_{i in Omega} a_i y_i|| over minibatches of size b."""
     q = dataset.features * dataset.labels[:, None]
-    omegas = _omegas(dataset.n, b, mode, n_mc, seed)
-    vals = np.empty(len(omegas))
-    rows = _block_rows(1, b * dataset.dim_d)
-    for i in range(0, len(omegas), rows):
-        vals[i:i + rows] = _norms(q[omegas[i:i + rows]].sum(axis=1))
-    return float(np.mean(vals))
+    return MinibatchSource(dataset.n, b, mode, seed).average(
+        lambda omegas, _: _norms(q[omegas].sum(axis=1)), n_mc,
+        b * dataset.dim_d)[0]
 
 
 def _log(x: float) -> float:

@@ -51,14 +51,13 @@ per step:
 A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes, so the
 transient memory stays near a few MB whatever R and k_max are.
 
-The drift and kernel-gap certificates of ``verify`` and the Monte-Carlo
-modes of ``bounds`` draw their minibatches from one
-``Philox(SeedSequence(seed))`` stream, replayed in the same blocks
-(:func:`_row_blocks`): consecutive ``choice(n, b, replace=False)`` rows on
-that stream, grid point after grid point.  The Monte-Carlo drift
-certificate draws its noise from a second stream,
-``_stream(seed, 0, _STREAM_NOISE)``: one :meth:`NoiseModel.draw_block` of
-n_mc rows per grid point.
+Every average over the minibatch law outside the engine (the contraction
+factor and E||q|| of ``bounds``, the drift and kernel-gap certificates of
+``verify``) runs over one :class:`MinibatchSource`.  In Monte-Carlo mode it
+replays consecutive ``choice(n, b, replace=False)`` rows of one
+``Philox(SeedSequence(seed))`` stream in the same blocks, and draws noise
+from a second stream, ``_stream(seed, 0, _STREAM_NOISE)``, one
+:meth:`NoiseModel.draw_block` per block.
 
 v2 differs from v1 only in where that noise comes from: v1 drew each drift
 sample's minibatch and then its noise from the one minibatch stream.  So
@@ -76,8 +75,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (Dataset, LossModel, NeighborPair, _norms, grad_batch,
-                    grad_kernel)
+from .model import (Dataset, LossModel, NeighborPair, _mean_stderr, _norms,
+                    grad_batch, grad_kernel)
 
 # version of the random-stream layout described in the module docstring
 STREAM_VERSION = 2
@@ -88,6 +87,8 @@ _STREAM_NOISE = 1
 
 # a lane diverges once an iterate norm is not <= this (NaN included)
 DIVERGENCE_GUARD = 1e12
+
+EXACT_ENUMERATION_CAP = 20000
 
 # draws held per block across all lanes
 _BLOCK_ELEMENTS = 1 << 16
@@ -319,7 +320,8 @@ class _IndexStreams:
         if not self.replay:
             return np.array([[rng.choice(self.n, size=self.b, replace=False)
                               for _ in range(rows)] for rng in self.rngs],
-                            dtype=np.int64).reshape(-1, rows, self.b)
+                            dtype=np.int64).reshape(len(self.rngs), rows,
+                                                    self.b)
         lanes = np.arange(len(self.rngs))
         words = self._words(lanes, rows * self.width).reshape(
             len(lanes), rows, self.width)
@@ -331,30 +333,68 @@ class _IndexStreams:
         return picks
 
 
-def _row_blocks(index: _IndexStreams, count: int):
-    """The next ``count`` minibatches of a one-lane stream in blocks of
-    about ``_BLOCK_ELEMENTS`` words: yields (slice of 0..count, rows)."""
-    start = 0
-    for size in _blocks(count, _block_rows(1, index.width)):
-        yield slice(start, start + size), index.next_rows(size)[0]
-        start += size
-
-
-def _draw_rows(rng: np.random.Generator, n: int, b: int, count: int
-               ) -> np.ndarray:
-    """``count`` consecutive ``rng.choice(n, b, replace=False)`` rows,
-    shape (count, b), replayed in blocks."""
-    out = np.empty((count, b), dtype=np.int64)
-    for rows, picks in _row_blocks(_IndexStreams([rng], n, b), count):
-        out[rows] = picks
-    return out
-
-
 def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
                        replica_id: int) -> np.ndarray:
     """The per-step index sets Omega_k, shape (k_max, b), without replacement."""
-    return _draw_rows(_stream(master_seed, replica_id, _STREAM_MINIBATCH),
-                      n, b, k_max)
+    return _IndexStreams([_stream(master_seed, replica_id, _STREAM_MINIBATCH)],
+                         n, b).next_rows(k_max)[0]
+
+
+def minibatches(n: int, b: int) -> np.ndarray:
+    """All minibatches of range(n), shape (C(n, b), b), in the order of
+    ``itertools.combinations``; ValueError above EXACT_ENUMERATION_CAP."""
+    total = math.comb(n, b)
+    if total > EXACT_ENUMERATION_CAP:
+        raise ValueError(
+            f"C({n},{b}) = {total} minibatches exceed the exact-enumeration "
+            f"cap {EXACT_ENUMERATION_CAP}; use monte_carlo mode")
+    return np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), b)), dtype=np.int64,
+        count=total * b).reshape(total, b)
+
+
+class MinibatchSource:
+    """The minibatches that averages over the minibatch law run over.
+
+    ``exact`` mode: every minibatch (:func:`minibatches`) for every average,
+    without noise.  ``monte_carlo`` mode: consecutive ``choice(n, b,
+    replace=False)`` rows of the seed's stream and noise from the second
+    stream (stream layout v2), carrying on from one average to the next.
+    Blocking changes no value: the streams are block-invariant, and a
+    lane's gradient does not depend on the other lanes in its call.
+    """
+
+    def __init__(self, n: int, b: int, mode: str, seed: int = 0,
+                 noise: NoiseModel = NoiseModel()):
+        if mode not in ("exact", "monte_carlo"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "exact" and noise.kind != "none":
+            raise ValueError("exact mode enumerates the noiseless kernel")
+        # built in both modes: it also rejects b > n
+        self.index = _IndexStreams([np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed)))], n, b)
+        self.noise, self.noise_rng = noise, _stream(seed, 0, _STREAM_NOISE)
+        self.exact = minibatches(n, b) if mode == "exact" else None
+
+    def blocks(self, count: int, width: int):
+        """One average's (minibatches, noise or None), in blocks of about
+        ``_BLOCK_ELEMENTS`` numbers at ``width`` a minibatch: the next
+        ``count`` rows, or in exact mode every minibatch."""
+        rows = _block_rows(1, width)
+        if self.exact is not None:
+            for start in range(0, len(self.exact), rows):
+                yield self.exact[start:start + rows], None
+            return
+        for size in _blocks(count, rows):
+            yield (self.index.next_rows(size)[0],
+                   self.noise.draw_block(self.noise_rng, size))
+
+    def average(self, f, count: int, width: int) -> tuple:
+        """(mean, standard error) of ``f(rows, noise)``, one value per
+        minibatch, over :meth:`blocks`; the error is 0 in exact mode."""
+        vals = np.concatenate([f(rows, xis)
+                               for rows, xis in self.blocks(count, width)])
+        return tuple(map(float, _mean_stderr(vals, self.exact is None)))
 
 
 def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,

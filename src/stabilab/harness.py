@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import fields
 from functools import lru_cache, reduce
@@ -31,8 +32,8 @@ import numpy as np
 from . import bounds as bnd
 from . import model, transport, verify
 from .bounds import InadmissibleError, StabilityBound
-from .dynamics import (NOISE_KINDS, STREAM_VERSION, NoiseModel, SGDConfig,
-                       run_ensemble)
+from .dynamics import (EXACT_ENUMERATION_CAP, NOISE_KINDS, STREAM_VERSION,
+                       NoiseModel, SGDConfig, run_ensemble)
 from .verify import DRIFT_MODES, LYAPUNOV_KINDS, MARGIN_RULES
 
 SCHEMA_VERSION = 1
@@ -258,14 +259,20 @@ def _check_rules(cfg: dict) -> None:
     eta_hat = cfg["bound"]["eta_hat"]
     _check(eta_hat["mode"] != "fixed" or eta_hat["log_eta_hat"] is not None,
            "missing field config.bound.eta_hat.log_eta_hat")
+    # the fields whose work enumerates every minibatch
+    enumerated = ["config.bound.rho_mode exact"] if name == "Quadratic" \
+        and cfg["bound"]["rho_mode"] == "exact" else []
     uses = [(est, cfg["replicas"], "config.estimators", "config.replicas")
             for est in cfg["estimators"]]
     for spec in cfg["certificates"]:
         kind = spec["kind"]
-        _check(kind != "drift" or spec["mode"] != "exact"
-               or noise["kind"] == "none", "certificate.mode exact "
-               "enumerates the noiseless kernel; use monte_carlo with noise")
+        if kind == "drift" and spec["mode"] == "exact":
+            _check(noise["kind"] == "none", "certificate.mode exact "
+                   "enumerates the noiseless kernel; use monte_carlo with "
+                   "noise")
+            enumerated.append("certificate.mode exact")
         if kind == "minorization":
+            enumerated.append("certificate.kind minorization")
             _check(noise["kind"] == "gaussian_diag" and max(noise["scale"])
                    < 1, "certificate.kind minorization needs gaussian_diag "
                    "noise with config.noise.scale entries < 1 (Sigma < I)")
@@ -274,8 +281,9 @@ def _check_rules(cfg: dict) -> None:
             _check(spec["n_grid"] >= 2 * d - 1, f"certificate.n_grid < "
                    f"{2 * d - 1} leaves the {d}-D grid empty")
         if kind == "dominance":
-            _check(regime.p in (None, cfg["p"]),
-                   f"config.p must be {regime.p} for a {name} dominance")
+            p = cfg["loss"]["p"] if regime.p is None else regime.p
+            _check(cfg["p"] == p, f"config.p must be {p} for a {name} "
+                   "dominance")
             uses.append((spec["estimator"], spec["R"], "certificate.estimator",
                          "certificate.R (default: config.replicas)"))
     for est, replicas, where, replicas_field in uses:
@@ -283,6 +291,12 @@ def _check_rules(cfg: dict) -> None:
         _check(est != "assignment" or 2 <= replicas <= cap,
                f"{replicas_field} must lie in [2, {cap}] for the assignment "
                f"estimator")
+    n, b = cfg["dataset"]["n"], cfg["sgd"]["batch_b"]
+    # C(n, b) >= 2^min(b, n - b); math.comb(10^6, 5 * 10^5) takes seconds
+    _check(not enumerated or min(b, n - b) < EXACT_ENUMERATION_CAP.bit_length()
+           and math.comb(n, b) <= EXACT_ENUMERATION_CAP,
+           f"{', '.join(enumerated)}: C({n},{b}) minibatches exceed the "
+           f"exact-enumeration cap {EXACT_ENUMERATION_CAP}")
 
 
 def build_loss(cfg: dict) -> model.LossModel:
@@ -326,7 +340,7 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
     try:
         bound = evaluate_bound(cfg)
     except InadmissibleError as exc:
-        print(f"inadmissible configuration: {exc}")
+        print(f"inadmissible configuration: {exc}", file=sys.stderr)
         _write_json(out_dir / "bounds.json", {
             "regime": cfg["regime"], "admissible": False, "reason": str(exc)})
         return EXIT_INADMISSIBLE

@@ -70,22 +70,6 @@ class LossModel:
                 raise ValueError("ScalarPower requires mu > 0")
 
 
-def quadratic() -> LossModel:
-    return LossModel("Quadratic")
-
-
-def ridge_quadratic(mu0: float) -> LossModel:
-    return LossModel("RidgeQuadratic", mu0=mu0)
-
-
-def regularized_sine(m0: float, s: float) -> LossModel:
-    return LossModel("RegularizedSine", m0=m0, s=s)
-
-
-def scalar_power(p: float, mu: float) -> LossModel:
-    return LossModel("ScalarPower", p=p, mu=mu)
-
-
 @dataclass
 class Dataset:
     """An ordered, bounded collection of n points x_i = (a_i, y_i)."""
@@ -241,6 +225,13 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, bit-equal to np.linalg.norm of
     each 1-D vector."""
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _mean_stderr(x: np.ndarray, sampled: bool = True) -> tuple:
+    """The mean of ``x`` over its first axis and its standard error
+    std(ddof=1) / sqrt(N), 0 for N = 1 or an exact (not ``sampled``) mean."""
+    return np.mean(x, axis=0), np.std(x, axis=0, ddof=1) / np.sqrt(len(x)) \
+        if sampled and len(x) > 1 else np.zeros(x.shape[1:])
 
 
 def _scalar_pow(x: np.ndarray, e: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _norms
+from .model import _mean_stderr, _norms
 
 ASSIGNMENT_CAP = 1024
 
@@ -38,6 +38,15 @@ def _as_cloud(points) -> np.ndarray:
     return cloud
 
 
+def _estimate(method: str, p: float, powers: np.ndarray) -> TransportEstimate:
+    """(mean)^{1/p} of per-sample p-th powers, with the plug-in standard
+    error of the mean: the statistical margin of dominance checks."""
+    power_mean, stderr = map(float, _mean_stderr(powers))
+    return TransportEstimate(value=power_mean ** (1.0 / p), p=p,
+                             method=method, n_samples=len(powers),
+                             stderr=stderr, power_mean=power_mean)
+
+
 def wasserstein_exact_1d(p: float, A, B) -> TransportEstimate:
     """Exact W_p between equal-size 1-D clouds via sorted samples."""
     A, B = _as_cloud(A), _as_cloud(B)
@@ -46,13 +55,7 @@ def wasserstein_exact_1d(p: float, A, B) -> TransportEstimate:
     if A.shape[0] != B.shape[0]:
         raise ValueError("clouds must have equal size")
     diffs = np.abs(np.sort(A[:, 0]) - np.sort(B[:, 0]))
-    powers = diffs ** p
-    power_mean = float(np.mean(powers))
-    N = A.shape[0]
-    stderr = float(np.std(powers, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return TransportEstimate(value=power_mean ** (1.0 / p), p=p,
-                             method="exact_1d", n_samples=N,
-                             power_mean=power_mean, stderr=stderr)
+    return _estimate("exact_1d", p, diffs ** p)
 
 
 def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
@@ -96,14 +99,8 @@ def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
     rows, cols = linear_sum_assignment(cost)
     # the matched costs are recomputed pair by pair: cdist sums the
     # coordinates in another order, and the reduced costs hold the potential
-    matched = np.linalg.norm(A[rows] - B[cols], axis=1) ** p
-    power_mean = float(matched.sum() / N)
-    # plug-in standard error of the matched-cost mean, used as the
-    # statistical margin in dominance checks
-    stderr = float(np.std(matched, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    return TransportEstimate(value=power_mean ** (1.0 / p), p=p,
-                             method="assignment", n_samples=N,
-                             power_mean=power_mean, stderr=stderr)
+    return _estimate("assignment", p,
+                     np.linalg.norm(A[rows] - B[cols], axis=1) ** p)
 
 
 def coupled_upper_bound(p: float, A, B) -> TransportEstimate:
@@ -115,10 +112,4 @@ def coupled_upper_bound(p: float, A, B) -> TransportEstimate:
     A, B = _as_cloud(A), _as_cloud(B)
     if A.shape != B.shape:
         raise ValueError("clouds must have equal shapes")
-    powers = _norms(A - B) ** p
-    power_mean = float(np.mean(powers))
-    n = A.shape[0]
-    stderr = float(np.std(powers, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return TransportEstimate(value=power_mean ** (1.0 / p), p=p,
-                             method="coupled", n_samples=n,
-                             stderr=stderr, power_mean=power_mean)
+    return _estimate("coupled", p, _norms(A - B) ** p)

@@ -16,11 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import REGIMES, StabilityBound, eta_hat_gaussian_log, minibatches
-from .dynamics import (_STREAM_NOISE, STREAM_VERSION, NoiseModel, SGDConfig,
-                       _block_rows, _IndexStreams, _row_blocks, _stream,
-                       run_lanes, step)
-from .model import (Dataset, LossModel, NeighborPair, _norms,
+from .bounds import REGIMES, StabilityBound, eta_hat_gaussian_log
+from .dynamics import (STREAM_VERSION, MinibatchSource, NoiseModel, SGDConfig,
+                       _block_rows, minibatches, run_lanes, step)
+from .model import (Dataset, LossModel, NeighborPair, _mean_stderr, _norms,
                     derive_constants, empirical_minimizer, grad_batch,
                     max_grad_norm)
 from .transport import TransportEstimate
@@ -77,6 +76,14 @@ def _lyapunov(kind: str, loss: LossModel, dataset: Dataset):
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
 
+def _grid(theta_grid) -> list:
+    """``theta_grid`` as a nonempty list of float vectors."""
+    grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
+    if not grid:
+        raise ValueError("theta_grid must be nonempty")
+    return grid
+
+
 def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
                       claimed_rate: float, k_max: int, R: int, seed: int,
                       theta0_a=None, theta0_b=None,
@@ -95,11 +102,9 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
     theta0_b = np.asarray(theta0_b, dtype=float)
     config = SGDConfig(eta=eta, batch_b=b, k_max=k_max,
                        theta0=theta0_a, master_seed=seed)
-    dists = run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
-                      noise, range(R), distances=True).distances
-    mean = dists.mean(axis=0)
-    se = dists.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 \
-        else np.zeros(k_max + 1)
+    mean, se = _mean_stderr(run_lanes(
+        loss, (dataset, dataset), (theta0_a, theta0_b), config, noise,
+        range(R), distances=True).distances)
     delta0 = np.linalg.norm(theta0_a - theta0_b)
     ks = np.arange(k_max + 1)
     claim = claimed_rate ** ks * delta0
@@ -125,42 +130,20 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
 
     Exact mode enumerates minibatches (noiseless kernel only); Monte-Carlo
     mode samples n_mc >= 2 minibatches and noise and adds a 3 SE margin.
-    The samples are drawn in blocks, minibatches and noise from two streams
-    (stream layout v2, see ``dynamics``).
+    Both run over one ``dynamics.MinibatchSource`` (stream layout v2).
     """
     if not (0 < claimed_delta < 1):
         raise ValueError("claimed_delta must lie in (0, 1)")
     if mode == "monte_carlo" and n_mc < 2:
         raise ValueError(f"n_mc = {n_mc}: the standard error needs n_mc >= 2")
     V = _lyapunov(lyapunov, loss, dataset_hat)
-    theta_grid = [np.atleast_1d(np.asarray(t, dtype=float))
-                  for t in theta_grid]
-    if not theta_grid:
-        raise ValueError("theta_grid must be nonempty")
+    source = MinibatchSource(dataset_hat.n, b, mode, seed, noise)
     worst_margin = math.inf
     worst = {}
-    if mode == "exact":
-        if noise.kind != "none":
-            raise ValueError("exact drift mode supports the noiseless kernel")
-        omegas = minibatches(dataset_hat.n, b)
-    elif mode == "monte_carlo":
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed)))
-        index = _IndexStreams([rng], dataset_hat.n, b)
-        noise_rng = _stream(seed, 0, _STREAM_NOISE)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for theta in theta_grid:
-        if mode == "exact":
-            vals, se = V(step(loss, dataset_hat, theta, omegas, eta)), 0.0
-        else:
-            xis = noise.draw_block(noise_rng, n_mc)
-            vals = np.empty(n_mc)
-            for rows, picks in _row_blocks(index, n_mc):
-                vals[rows] = V(step(loss, dataset_hat, theta, picks, eta,
-                                    None if xis is None else xis[rows]))
-            se = float(np.std(vals, ddof=1) / np.sqrt(n_mc))
-        pv = float(np.mean(vals))
+    for theta in _grid(theta_grid):
+        pv, se = source.average(
+            lambda omegas, xis: V(step(loss, dataset_hat, theta, omegas, eta,
+                                       xis)), n_mc, b * len(theta))
         v = float(V(theta))
         margin = claimed_delta * v + claimed_L + 3.0 * se - pv
         if margin < worst_margin:
@@ -185,24 +168,17 @@ def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
     tightness.
     """
     V = _lyapunov(lyapunov, loss, pair.perturbed)
-    theta_grid = [np.atleast_1d(np.asarray(t, dtype=float))
-                  for t in theta_grid]
-    if not theta_grid:
-        raise ValueError("theta_grid must be nonempty")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # R choice(n, b, replace=False) draws per grid point, replayed in blocks
-    index = _IndexStreams([rng], pair.base.n, b)
+    source = MinibatchSource(pair.base.n, b, "monte_carlo", seed)
     worst_ratio = -math.inf
     worst = {}
-    for theta in theta_grid:
-        dists = np.empty(R)
-        for rows, picks in _row_blocks(index, R):
-            dists[rows] = _norms(step(loss, pair.base, theta, picks, eta)
-                                 - step(loss, pair.perturbed, theta, picks,
-                                        eta))
+    for theta in _grid(theta_grid):
+        gap, se = source.average(
+            lambda omegas, _: _norms(
+                step(loss, pair.base, theta, omegas, eta)
+                - step(loss, pair.perturbed, theta, omegas, eta)),
+            R, b * len(theta))
         v = float(V(theta))
-        ratio = float(np.mean(dists)) / v
-        se = float(np.std(dists, ddof=1) / np.sqrt(R)) / v if R > 1 else 0.0
+        ratio, se = gap / v, se / v
         if ratio - 3.0 * se > worst_ratio:
             worst_ratio = ratio - 3.0 * se
             worst = {"theta": theta.tolist(), "measured_gap": ratio,

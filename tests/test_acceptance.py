@@ -72,7 +72,7 @@ def test_01_exact_contraction():
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "unit_fixed"}, 0)
         cfg = SGDConfig(0.1, 4, 50, np.zeros(1), 0)
-        dist = run_lanes(model.quadratic(), (ds, ds),
+        dist = run_lanes(model.LossModel("Quadratic"), (ds, ds),
                          (np.array([1.0]), np.array([0.0])), cfg,
                          NoiseModel(), [0], distances=True).distances[0]
         expect = 0.9 ** np.arange(51)
@@ -97,7 +97,7 @@ def test_02_quadratic_worked_bound(tmp_path):
 
 def test_03_one_over_n_scaling():
     with _Budget("03 O(1/n) scaling", 60.0):
-        loss = model.ridge_quadratic(1.0)
+        loss = model.LossModel("RidgeQuadratic", mu0=1.0)
         base = model.make_synthetic_dataset(
             {"n": 256, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 0.5}, 7)
@@ -116,7 +116,7 @@ def test_03_one_over_n_scaling():
 
 def test_04_time_uniformity():
     with _Budget("04 time-uniformity", 120.0):
-        loss = model.ridge_quadratic(1.0)
+        loss = model.LossModel("RidgeQuadratic", mu0=1.0)
         ds = model.make_synthetic_dataset(
             {"n": 64, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 0.5}, 164)
@@ -161,7 +161,7 @@ def test_05_dominance_sweep():
                 "bound": {"k": k},
             }
             bound = evaluate_bound(validate_config(cfg))
-            loss = model.quadratic()
+            loss = model.LossModel("Quadratic")
             dataset = model.make_synthetic_dataset(cfg["dataset"],
                                                    trial)
             pair = model.make_neighbor(dataset, 0, 1000 + trial)
@@ -189,7 +189,7 @@ def test_06_noisy_nonconvex():
         assert eh["log_eta_hat"] == pytest.approx(LOG_ETA_HAT_FROZEN,
                                                   rel=1e-9)
 
-        loss = model.regularized_sine(2.0, 0.01)
+        loss = model.LossModel("RegularizedSine", m0=2.0, s=0.01)
         ds = model.make_synthetic_dataset(SINE_DATASET, 21)
         pair = model.make_neighbor(ds, 0, 22)
         noise = NoiseModel("gaussian_diag", (math.sqrt(0.5),))
@@ -225,7 +225,7 @@ def test_07_persistent_term():
         ref = bound_nonconvex_plain(worked, 0.01, 1, 100, 0.0, math.inf)
         assert ref.value == pytest.approx(4.942728, rel=1e-9)
 
-        loss = model.regularized_sine(2.0, 0.01)
+        loss = model.LossModel("RegularizedSine", m0=2.0, s=0.01)
         ds = model.make_synthetic_dataset(SINE_DATASET, 21)
         pair = model.make_neighbor(ds, 0, 22)
         cfg = SGDConfig(0.2, 4, 2000, np.zeros(1), 78)
@@ -266,8 +266,8 @@ def test_09_drift_equality_point():
     with _Budget("09 drift equality point", 1.0):
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "unit_fixed"}, 0)
-        cert = check_drift(model.quadratic(), ds, 0.1, 1, "one_plus_norm",
-                           claimed_delta=0.9, claimed_L=0.2,
+        cert = check_drift(model.LossModel("Quadratic"), ds, 0.1, 1,
+                           "one_plus_norm", claimed_delta=0.9, claimed_L=0.2,
                            theta_grid=[[0.0]])
         assert cert.passed
         assert abs(cert.margin) <= 1e-9
@@ -276,9 +276,10 @@ def test_09_drift_equality_point():
 
 def test_10_gradient_and_assumption_suites():
     with _Budget("10 gradient and assumption suites", 30.0):
-        losses = [model.quadratic(), model.ridge_quadratic(1.0),
-                  model.regularized_sine(2.0, 0.5),
-                  model.scalar_power(1.5, 1.0)]
+        losses = [model.LossModel("Quadratic"),
+                  model.LossModel("RidgeQuadratic", mu0=1.0),
+                  model.LossModel("RegularizedSine", m0=2.0, s=0.5),
+                  model.LossModel("ScalarPower", p=1.5, mu=1.0)]
         rng = np.random.default_rng(1010)
         h = 1e-5
         for loss in losses:

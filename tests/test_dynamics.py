@@ -37,30 +37,31 @@ def flip_pair(n=4, new_label=-1.0):
 class TestStep:
     def test_fixed_point(self):
         ds = unit_dataset()
-        out = step(model.quadratic(), ds, np.array([1.0]),
+        out = step(model.LossModel("Quadratic"), ds, np.array([1.0]),
                    np.array([0]), 0.1)
         assert out[0] == pytest.approx(1.0)
 
     def test_one_step_from_zero(self):
         ds = unit_dataset()
-        out = step(model.quadratic(), ds, np.array([0.0]),
+        out = step(model.LossModel("Quadratic"), ds, np.array([0.0]),
                    np.array([0]), 0.1)
         assert out[0] == pytest.approx(0.1)
 
     def test_zero_rate_is_identity(self):
         ds = unit_dataset()
         theta = np.array([0.3])
-        out = step(model.quadratic(), ds, theta, np.array([0, 1]), 0.0)
+        out = step(model.LossModel("Quadratic"), ds, theta, np.array([0, 1]),
+                   0.0)
         assert np.array_equal(out, theta)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            step(model.quadratic(), unit_dataset(), np.array([0.0]),
+            step(model.LossModel("Quadratic"), unit_dataset(), np.array([0.0]),
                  np.array([], dtype=int), 0.1)
 
     def test_noise_enters_scaled_by_rate(self):
         ds = unit_dataset()
-        out = step(model.quadratic(), ds, np.array([0.0]),
+        out = step(model.LossModel("Quadratic"), ds, np.array([0.0]),
                    np.array([0]), 0.1, xi=np.array([2.0]))
         assert out[0] == pytest.approx(0.1 + 0.1 * 2.0)
 
@@ -89,13 +90,13 @@ class TestCoupledPair:
         ds = unit_dataset()
         pair = model.NeighborPair(ds, ds, 0)
         cfg = SGDConfig(0.1, 2, 50, np.zeros(1), 5)
-        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE)
+        ens = coupled(model.LossModel("Quadratic"), pair, cfg, NO_NOISE)
         assert np.array_equal(ens.states[0, 0, 0], ens.states[0, 0, 1])
 
     def test_k_max_zero(self):
         pair = flip_pair()
         cfg = SGDConfig(0.1, 1, 0, np.array([0.7]), 5)
-        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE,
+        ens = coupled(model.LossModel("Quadratic"), pair, cfg, NO_NOISE,
                       checkpoints=[0])
         assert ens.states[0, 0, 0, 0] == 0.7
         assert ens.states[0, 0, 1, 0] == 0.7
@@ -106,7 +107,7 @@ class TestCoupledPair:
         n, eta, k = 4, 0.1, 20
         pair = flip_pair(n)
         cfg = SGDConfig(eta, n, k, np.zeros(1), 3)
-        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE)
+        ens = coupled(model.LossModel("Quadratic"), pair, cfg, NO_NOISE)
         ybar = pair.base.labels.mean()
         ybar_hat = pair.perturbed.labels.mean()
         expect = (ybar - ybar_hat) * (1.0 - (1.0 - eta) ** k)
@@ -117,14 +118,14 @@ class TestCoupledPair:
         # eta = 3 on the unit quadratic gives |1 - eta| = 2, which blows up
         pair = flip_pair()
         cfg = SGDConfig(3.0, 4, 200, np.array([1.0]), 3)
-        ens = coupled(model.quadratic(), pair, cfg, NO_NOISE)
+        ens = coupled(model.LossModel("Quadratic"), pair, cfg, NO_NOISE)
         assert ens.replicas[0].diverged
 
     def test_checkpoint_beyond_k_max_rejected(self):
         pair = flip_pair()
         cfg = SGDConfig(0.1, 1, 10, np.zeros(1), 3)
         with pytest.raises(ValueError):
-            coupled(model.quadratic(), pair, cfg, NO_NOISE,
+            coupled(model.LossModel("Quadratic"), pair, cfg, NO_NOISE,
                     checkpoints=[11])
 
 
@@ -133,7 +134,7 @@ class TestEnsemble:
         pair = flip_pair(8)
         cfg = SGDConfig(0.1, 2, 30, np.zeros(1), master_seed)
         noise = NoiseModel("gaussian_diag", (0.5,))
-        return run_ensemble(model.quadratic(), pair, cfg, noise, R,
+        return run_ensemble(model.LossModel("Quadratic"), pair, cfg, noise, R,
                             checkpoints=[30])
 
     def test_deterministic(self):
@@ -145,7 +146,8 @@ class TestEnsemble:
         ens = self.make(1)
         pair = flip_pair(8)
         cfg = SGDConfig(0.1, 2, 30, np.zeros(1), 9)
-        direct = run_lanes(model.quadratic(), (pair.base, pair.perturbed),
+        direct = run_lanes(model.LossModel("Quadratic"),
+                           (pair.base, pair.perturbed),
                            (cfg.theta0, cfg.theta0), cfg,
                            NoiseModel("gaussian_diag", (0.5,)), [0], [30])
         assert np.array_equal(ens.states, direct.states)
@@ -163,15 +165,15 @@ class TestContraction:
         # full batch on unit_fixed contracts by exactly (1 - eta) per step
         ds = unit_dataset()
         cfg = SGDConfig(0.1, 4, 10, np.zeros(1), 0)
-        dist = contraction(model.quadratic(), ds, cfg, np.array([1.0]),
-                           np.array([0.0]))
+        dist = contraction(model.LossModel("Quadratic"), ds, cfg,
+                           np.array([1.0]), np.array([0.0]))
         assert dist[10] == pytest.approx(0.9 ** 10, rel=1e-12)
 
     def test_identical_starts(self):
         ds = unit_dataset()
         cfg = SGDConfig(0.1, 2, 10, np.zeros(1), 0)
-        dist = contraction(model.quadratic(), ds, cfg, np.array([0.5]),
-                           np.array([0.5]))
+        dist = contraction(model.LossModel("Quadratic"), ds, cfg,
+                           np.array([0.5]), np.array([0.5]))
         assert np.all(dist == 0.0)
 
     def test_ridge_contraction_rate_holds_empirically(self):
@@ -180,7 +182,7 @@ class TestContraction:
         ds = model.make_synthetic_dataset(
             {"n": 16, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 13)
-        loss = model.ridge_quadratic(1.0)
+        loss = model.LossModel("RidgeQuadratic", mu0=1.0)
         eta, k = 0.05, 100
         rate = 1.0 - eta * 1.0 / 2.0
         t0a, t0b = np.array([1.0, 0.0]), np.array([0.0, 1.0])

@@ -198,10 +198,10 @@ class TestNoiseBlocks:
 
 
 LOSSES = {
-    "Quadratic": model.quadratic(),
-    "RidgeQuadratic": model.ridge_quadratic(0.5),
-    "RegularizedSine": model.regularized_sine(1.0, 0.7),
-    "ScalarPower": model.scalar_power(1.5, 1.0),
+    "Quadratic": model.LossModel("Quadratic"),
+    "RidgeQuadratic": model.LossModel("RidgeQuadratic", mu0=0.5),
+    "RegularizedSine": model.LossModel("RegularizedSine", m0=1.0, s=0.7),
+    "ScalarPower": model.LossModel("ScalarPower", p=1.5, mu=1.0),
 }
 
 
@@ -271,7 +271,7 @@ def sine_pair(d=3):
 class TestLaneIndependence:
     def test_replica_same_alone_and_in_ensemble(self):
         pair = sine_pair()
-        loss = model.regularized_sine(1.0, 0.5)
+        loss = model.LossModel("RegularizedSine", m0=1.0, s=0.5)
         config = SGDConfig(0.2, 4, 60, np.zeros(3), 123)
         noise = NoiseModel("gaussian_diag", (0.4,) * 3)
         ens = run_ensemble(loss, pair, config, noise, 64, [30, 60])
@@ -283,7 +283,7 @@ class TestLaneIndependence:
 
     def test_block_budget_does_not_change_results(self, monkeypatch):
         pair = sine_pair()
-        loss = model.regularized_sine(1.0, 0.5)
+        loss = model.LossModel("RegularizedSine", m0=1.0, s=0.5)
         config = SGDConfig(0.2, 4, 50, np.zeros(3), 7)
         noise = NoiseModel("laplace", (0.4,) * 3)
         wide = run_ensemble(loss, pair, config, noise, 8, [50])
@@ -295,7 +295,7 @@ class TestLaneIndependence:
 class TestDivergenceGuard:
     def test_nan_start_is_diverged_and_excluded(self):
         pair = sine_pair(1)
-        loss = model.regularized_sine(1.0, 0.5)
+        loss = model.LossModel("RegularizedSine", m0=1.0, s=0.5)
         noise = NoiseModel()
         good = SGDConfig(0.1, 2, 20, np.zeros(1), 3)
         bad = SGDConfig(0.1, 2, 20, np.array([np.nan]), 3)
@@ -322,7 +322,7 @@ class TestDivergenceGuard:
         config = SGDConfig(3.0, 4, 2000, np.array([2.0]), 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ens = run_ensemble(model.quadratic(), pair, config,
+            ens = run_ensemble(model.LossModel("Quadratic"), pair, config,
                                NoiseModel(), 1, [10, 2000])
         assert 10 < ens.replicas[0].diverged_at <= 2000
         assert ens.states[0, 0, 0, 0] == pytest.approx(1.0 + 2.0 ** 10)
@@ -332,7 +332,7 @@ class TestDivergenceGuard:
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "unit_fixed"}, 0)
         config = SGDConfig(3.0, 4, 60, np.zeros(1), 0)
-        dist = run_lanes(model.quadratic(), (ds, ds),
+        dist = run_lanes(model.LossModel("Quadratic"), (ds, ds),
                          (np.array([1.0]), np.array([0.0])), config,
                          NoiseModel(), [0], distances=True).distances[0]
         first = int(np.argmax(np.isnan(dist)))
@@ -447,7 +447,7 @@ class TestBlockGuardAgainstPerStepGuard:
     @pytest.mark.parametrize("pairing", ["two_datasets", "two_starts"])
     def test_matches_per_step_guard(self, monkeypatch, pairing, kind, budget):
         datasets, starts = explosive_datasets(pairing)
-        loss = model.quadratic()
+        loss = model.LossModel("Quadratic")
         config = SGDConfig(ETA_HOT, 1, GUARD_KMAX, starts[0], 5)
         # kicks of eta * 1e-15 ~ 0.01 per step leave |theta_0| near 1
         noise = NoiseModel() if kind == "none" else NoiseModel(kind,
@@ -480,7 +480,7 @@ class TestBlockGuardAgainstPerStepGuard:
         noise = NoiseModel("gaussian_diag", (1e-15,) * 2)
         if budget is not None:
             monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
-        args = (model.quadratic(), datasets, starts, config, noise,
+        args = (model.LossModel("Quadratic"), datasets, starts, config, noise,
                 [0, 3], GUARD_CHECKPOINTS)
         got = run_lanes(*args, distances=True)
         ref = run_lanes_per_step(*args, distances=True)
@@ -500,7 +500,7 @@ class TestStopOnceAllDiverged:
         pair = model.make_neighbor(base, 0, 1)
         # eta = 3 doubles the distance to the fixed point at every step
         config = SGDConfig(3.0, 1, k_max, np.zeros(1), 42)
-        return (model.quadratic(), (pair.base, pair.perturbed),
+        return (model.LossModel("Quadratic"), (pair.base, pair.perturbed),
                 (config.theta0, config.theta0), config, NoiseModel(),
                 range(16), [0, 10, k_max // 2, k_max])
 

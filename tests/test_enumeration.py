@@ -1,7 +1,7 @@
 """Differential tests of the enumeration and density kernels against the
 scalar references they replaced.
 
-* ``bounds.minibatches`` against ``itertools.combinations``;
+* ``dynamics.minibatches`` against ``itertools.combinations``;
 * ``rho_quadratic`` and ``expected_q_norm`` (exact) against one spectral or
   Euclidean norm per minibatch;
 * the minorization log-density-ratio grid against the per-point mixture
@@ -10,8 +10,9 @@ scalar references they replaced.
   certificates against per-sample ``dynamics.step`` loops on the same
   random streams (stream layout v2: one ``choice`` per sample on the
   minibatch stream, one ``NoiseModel.draw`` per sample on the noise stream);
-* the blocked minibatch replay ``dynamics._draw_rows`` against one
-  ``Generator.choice`` call per row;
+* ``dynamics.MinibatchSource``: its Monte-Carlo blocks against one
+  ``Generator.choice`` call per row, its exact blocks against
+  ``dynamics.minibatches``;
 * the assumption audit ``model.check_assumptions`` against the per-sample
   loop with three one-row gradients per sample (report dicts equal), and
   ``model.max_grad_norm`` against one gradient per point.
@@ -21,7 +22,10 @@ reference, in the same order, so the results are asserted bit-equal; the
 1e-12 relative comparison runs first so that a failure shows its size.
 """
 
+import ast
+import inspect
 import math
+import re
 import time
 from dataclasses import asdict
 from itertools import combinations
@@ -30,10 +34,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from stabilab import dynamics, model, verify
-from stabilab.bounds import (EXACT_ENUMERATION_CAP, expected_q_norm,
-                             minibatches, rho_quadratic)
-from stabilab.dynamics import NoiseModel, step
+from stabilab import bounds, dynamics, model, verify
+from stabilab.bounds import expected_q_norm, rho_quadratic
+from stabilab.dynamics import (EXACT_ENUMERATION_CAP, MinibatchSource,
+                               NoiseModel, minibatches, step)
 from stabilab.model import grad_batch
 from stabilab.verify import (check_drift, check_kernel_gap,
                              check_minorization_gaussian)
@@ -219,11 +223,11 @@ class TestMinibatches:
     @pytest.mark.parametrize("call", [
         lambda ds: rho_quadratic(ds, 0.1, 2),
         lambda ds: expected_q_norm(ds, 2),
-        lambda ds: check_drift(model.quadratic(), ds, 0.1, 2,
+        lambda ds: check_drift(model.LossModel("Quadratic"), ds, 0.1, 2,
                                "one_plus_norm", 0.9, 1.0, [[0.0]]),
         lambda ds: check_minorization_gaussian(
-            model.ridge_quadratic(1.0), ds, 0.1, 2, [0.5], 1.0, 2.44, 0.5,
-            1.0, n_grid=3)])
+            model.LossModel("RidgeQuadratic", mu0=1.0), ds, 0.1, 2, [0.5],
+            1.0, 2.44, 0.5, 1.0, n_grid=3)])
     def test_every_exact_caller_enforces_the_cap(self, call):
         with pytest.raises(ValueError, match="exceed the exact-enumeration"):
             call(dataset(201, 1))
@@ -273,8 +277,8 @@ class TestBoundsEnumeration:
 def minorization_case(d):
     ds = dataset(6 if d == 2 else 5, d, seed=6, radius_D=0.5,
                  label_range=0.5)
-    loss = model.regularized_sine(2.0, 0.3) if d == 2 \
-        else model.ridge_quadratic(1.0)
+    loss = model.LossModel("RegularizedSine", m0=2.0, s=0.3) if d == 2 \
+        else model.LossModel("RidgeQuadratic", mu0=1.0)
     return loss, ds
 
 
@@ -375,7 +379,8 @@ class TestStepKernels:
                                       "one_plus_sq_dist_to_min"])
     @pytest.mark.parametrize("b", [1, 3, 6])
     def test_drift_exact(self, kind, b):
-        loss, ds = model.regularized_sine(1.0, 0.5), dataset(6, 2)
+        loss = model.LossModel("RegularizedSine", m0=1.0, s=0.5)
+        ds = dataset(6, 2)
         cert = check_drift(loss, ds, 0.3, b, kind, 0.9, 1.0, self.GRID)
         margin, worst = drift_loop(loss, ds, 0.3, b, kind, 0.9, 1.0,
                                    self.GRID, "exact", 0, 0, NoiseModel())
@@ -388,7 +393,7 @@ class TestStepKernels:
     @pytest.mark.parametrize("kind", ["one_plus_norm",
                                       "one_plus_sq_dist_to_min"])
     def test_drift_monte_carlo(self, noise, kind):
-        loss, ds = model.ridge_quadratic(0.5), dataset(9, 2)
+        loss, ds = model.LossModel("RidgeQuadratic", mu0=0.5), dataset(9, 2)
         cert = check_drift(loss, ds, 0.2, 3, kind, 0.9, 1.0, self.GRID,
                            mode="monte_carlo", n_mc=300, seed=11,
                            noise=noise)
@@ -403,7 +408,7 @@ class TestStepKernels:
     @pytest.mark.parametrize("noise", [NoiseModel(),
                                        NoiseModel("gaussian_diag", (0.3, 0.7))])
     def test_drift_monte_carlo_block_budget(self, budget, noise, monkeypatch):
-        loss, ds = model.ridge_quadratic(0.5), dataset(9, 2)
+        loss, ds = model.LossModel("RidgeQuadratic", mu0=0.5), dataset(9, 2)
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         cert = check_drift(loss, ds, 0.2, 2, "one_plus_norm", 0.9, 1.0,
                            self.GRID, mode="monte_carlo", n_mc=301, seed=4,
@@ -417,7 +422,7 @@ class TestStepKernels:
     def test_noiseless_monte_carlo_drift_unchanged_from_v1(self):
         # v1 drew the noise after each minibatch on the one stream; without
         # noise it drew only minibatch words, so the certificate is the same
-        loss, ds = model.ridge_quadratic(0.5), dataset(9, 2)
+        loss, ds = model.LossModel("RidgeQuadratic", mu0=0.5), dataset(9, 2)
         args = (loss, ds, 0.2, 3, "one_plus_norm", 0.9, 1.0, self.GRID)
         cert = check_drift(*args, mode="monte_carlo", n_mc=300, seed=11)
         margin, worst = drift_loop(*args, "monte_carlo", 300, 11,
@@ -434,8 +439,8 @@ class TestStepKernels:
     @pytest.mark.parametrize("family", ["Quadratic", "RegularizedSine"])
     @pytest.mark.parametrize("b", [1, 4, 6])
     def test_kernel_gap(self, family, b):
-        loss = model.quadratic() if family == "Quadratic" \
-            else model.regularized_sine(1.0, 0.5)
+        loss = model.LossModel("Quadratic") if family == "Quadratic" \
+            else model.LossModel("RegularizedSine", m0=1.0, s=0.5)
         pair = sine_pair()
         cert = check_kernel_gap(loss, pair, 0.3, b, "one_plus_norm", 0.5,
                                 self.GRID, R=500, seed=5)
@@ -447,7 +452,8 @@ class TestStepKernels:
     # b = 4 on n = 6 takes 7 words a row: blocks of 1 and 9 rows
     @pytest.mark.parametrize("budget", [7, 64])
     def test_kernel_gap_block_budget(self, budget, monkeypatch):
-        loss, pair = model.regularized_sine(1.0, 0.5), sine_pair()
+        loss = model.LossModel("RegularizedSine", m0=1.0, s=0.5)
+        pair = sine_pair()
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         cert = check_kernel_gap(loss, pair, 0.3, 4, "one_plus_norm", 0.5,
                                 self.GRID, R=301, seed=5)
@@ -461,7 +467,7 @@ class TestStepKernels:
             {"n": 5, "d": 1, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 4)
         pair = model.make_neighbor(base, 2, 9)
-        loss = model.scalar_power(1.5, 1.0)
+        loss = model.LossModel("ScalarPower", p=1.5, mu=1.0)
         grid = [[0.0], [0.7]]
         cert = check_kernel_gap(loss, pair, 0.2, 2, "one_plus_sq_dist_to_min",
                                 0.5, grid, R=200, seed=1)
@@ -471,27 +477,74 @@ class TestStepKernels:
         assert {k: cert.details[k] for k in worst} == worst
 
 
-class TestDrawRows:
+class TestMinibatchSource:
     # (20000, 1000) is numpy's tail-shuffle case, drawn by choice itself
     @pytest.mark.parametrize("n,b", [(16, 8), (8, 4), (100, 3), (50, 50),
                                      (20000, 1000)])
     @pytest.mark.parametrize("budget", [7, dynamics._BLOCK_ELEMENTS])
-    def test_equals_one_choice_per_row(self, n, b, budget, monkeypatch):
-        def rng():
-            return np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(8)))
-        ref = rng()
+    def test_monte_carlo_equals_one_choice_per_row(self, n, b, budget,
+                                                   monkeypatch):
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(8)))
         expected = np.array([ref.choice(n, size=b, replace=False)
-                             for _ in range(37)])
+                             for _ in range(42)])
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
-        assert np.array_equal(dynamics._draw_rows(rng(), n, b, 37), expected)
-        assert dynamics._draw_rows(rng(), n, b, 0).shape == (0, b)
+        source = MinibatchSource(n, b, "monte_carlo", seed=8)
+
+        def rows(count):
+            blocks = list(source.blocks(count, b))
+            assert all(noise is None for _, noise in blocks)
+            return [omegas for omegas, _ in blocks]
+
+        # each call carries on where the last one stopped
+        first, none, rest = rows(37), rows(0), rows(5)
+        assert none == []
+        assert np.array_equal(np.concatenate(first + rest), expected)
+        assert dynamics.minibatch_sequence(n, b, 0, 8, 0).shape == (0, b)
+
+    @pytest.mark.parametrize("n,b", [(6, 3), (9, 4), (16, 8)])
+    def test_exact_blocks_concatenate_to_every_minibatch(self, n, b,
+                                                         monkeypatch):
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 7 * b)
+        source = MinibatchSource(n, b, "exact")
+        for count in (0, 5):    # every call, whatever the count
+            blocks = list(source.blocks(count, b))
+            assert len(blocks) == -(-math.comb(n, b) // 7)
+            assert all(noise is None for _, noise in blocks)
+            assert np.array_equal(
+                np.concatenate([omegas for omegas, _ in blocks]),
+                minibatches(n, b))
+
+    def test_rejected_arguments(self):
+        with pytest.raises(ValueError, match="noiseless"):
+            MinibatchSource(6, 3, "exact",
+                            noise=NoiseModel("gaussian_diag", (0.5,)))
+        with pytest.raises(ValueError, match="unknown mode"):
+            MinibatchSource(6, 3, "sampled")
+        for mode in ("exact", "monte_carlo"):
+            with pytest.raises(ValueError, match="exceeds dataset size"):
+                MinibatchSource(3, 4, mode)
 
 
-AUDIT_LOSSES = {"Quadratic": model.quadratic(),
-                "RidgeQuadratic": model.ridge_quadratic(1.0),
-                "RegularizedSine": model.regularized_sine(2.0, 0.5),
-                "ScalarPower": model.scalar_power(1.5, 1.0)}
+@pytest.mark.parametrize("module", [verify, bounds])
+def test_stream_layout_stays_in_dynamics(module):
+    """Which stream, tag and replay draws a minibatch is known to
+    ``dynamics`` alone: ``verify`` and ``bounds`` import none of its stream
+    privates and build no generator."""
+    source = inspect.getsource(module)
+    assert not re.search(r"_stream|_STREAM_|_IndexStreams|Philox|SeedSequence",
+                         source)
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "dynamics" for alias in node.names}
+    assert {name for name in imported if name.startswith("_")} \
+        <= {"_block_rows"}
+
+
+AUDIT_LOSSES = {"Quadratic": model.LossModel("Quadratic"),
+                "RidgeQuadratic": model.LossModel("RidgeQuadratic", mu0=1.0),
+                "RegularizedSine": model.LossModel("RegularizedSine", m0=2.0,
+                                                   s=0.5),
+                "ScalarPower": model.LossModel("ScalarPower", p=1.5, mu=1.0)}
 
 
 class TestAssumptionAudit:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,11 @@ def _bound(**fields):
     return lambda c: c["bound"].update(fields)
 
 
+def _over_cap(cfg):
+    cfg["dataset"].update(n=40, generator="gaussian_clipped")
+    cfg["sgd"]["batch_b"] = 20
+
+
 # (mutation of the worked config, the field its error must name)
 CONFIG_ERRORS = {
     "family": (lambda c: c.update(loss=dict(SINE)), "config.loss.family"),
@@ -473,6 +479,21 @@ CONFIG_ERRORS = {
               "unknown field certificate.n_grd"),
     "eta-hat-M": (_bound(eta_hat={"M": 1.0}),
                   "unknown field config.bound.eta_hat.M"),
+    # C(40, 20) = 137846528820 minibatches, above the enumeration cap
+    "rho-mode-cap": (_over_cap, "config.bound.rho_mode"),
+    "drift-cap": (lambda c: (_over_cap(c), _bound(rho_mode="monte_carlo")(c),
+                             _certificate(kind="drift", claimed_delta=0.9,
+                                          claimed_L=1.0)(c)),
+                  "certificate.mode"),
+    "minorization-cap": (lambda c: (_minorization_grid(c, 9), _over_cap(c)),
+                         "certificate.kind minorization"),
+    # ScalarPower p = 1.5 fixes a SubConvexStationary dominance's order
+    "dominance-p-subconvex": (lambda c: c.update(
+        regime="SubConvexStationary",
+        loss={"family": "ScalarPower", "p": 1.5, "mu": 1.0},
+        dataset={"n": 10, "d": 1, "generator": "gaussian_clipped",
+                 "seed": 0},
+        certificates=[{"kind": "dominance", "R": 4}]), "config.p"),
 }
 
 
@@ -492,6 +513,17 @@ def test_config_error_is_one_line_naming_the_field(tmp_path, capsys, case,
     assert field in out.err
     assert out.err.count("\n") == 1
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_enumeration_cap_check_is_cheap():
+    # math.comb(10 ** 6, 5 * 10 ** 5) alone takes about 12 s
+    cfg = quadratic_config()
+    cfg["dataset"].update(n=10 ** 6, generator="gaussian_clipped")
+    cfg["sgd"]["batch_b"] = 5 * 10 ** 5
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="config.bound.rho_mode exact"):
+        validate_config(cfg)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_certificate_specs_checked_before_any_runs(tmp_path, capsys):
@@ -685,12 +717,11 @@ def test_minorization_on_a_loss_with_m_zero_is_inadmissible(tmp_path,
     assert "Traceback" not in out.out + out.err
 
 
-@pytest.mark.parametrize("command, eta_hat, stream", [
-    ("bounds", {"mode": "corollary"}, "out"),
-    ("bounds", {"mode": "fixed", "log_eta_hat": -10.0}, "out"),
-    ("verify", {"mode": "corollary"}, "err")])
-def test_noisy_eta_zero_is_inadmissible(tmp_path, capsys, command, eta_hat,
-                                        stream):
+@pytest.mark.parametrize("command, eta_hat", [
+    ("bounds", {"mode": "corollary"}),
+    ("bounds", {"mode": "fixed", "log_eta_hat": -10.0}),
+    ("verify", {"mode": "corollary"})])
+def test_noisy_eta_zero_is_inadmissible(tmp_path, capsys, command, eta_hat):
     cfg = _regime("NonconvexNoisy", SINE, 0.0, 4, 500,
                   noise={"kind": "gaussian_diag", "scale": [0.5 ** 0.5]})
     cfg["bound"]["eta_hat"] = eta_hat
@@ -698,11 +729,13 @@ def test_noisy_eta_zero_is_inadmissible(tmp_path, capsys, command, eta_hat,
     assert cli.main([command, "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "out")]) == EXIT_INADMISSIBLE
     out = capsys.readouterr()
-    text = getattr(out, stream)
-    assert text.startswith("inadmissible configuration: eta = 0.0 violates "
-                           "eta > 0")
-    assert text.count("\n") == 1
+    assert out.err.startswith("inadmissible configuration: eta = 0.0 violates "
+                              "eta > 0")
+    assert out.err.count("\n") == 1
     assert "Traceback" not in out.out + out.err
+    if command == "bounds":
+        rep = json.loads((tmp_path / "out" / "bounds.json").read_text())
+        assert rep["admissible"] is False
 
 
 class TestReportCommand:

@@ -10,10 +10,10 @@ from stabilab.model import (AssumptionConstants, NeighborPair,
                             make_synthetic_dataset)
 
 ALL_LOSSES = [
-    model.quadratic(),
-    model.ridge_quadratic(1.0),
-    model.regularized_sine(2.0, 0.5),
-    model.scalar_power(1.5, 1.0),
+    model.LossModel("Quadratic"),
+    model.LossModel("RidgeQuadratic", mu0=1.0),
+    model.LossModel("RegularizedSine", m0=2.0, s=0.5),
+    model.LossModel("ScalarPower", p=1.5, mu=1.0),
 ]
 
 
@@ -29,28 +29,28 @@ def random_point(rng, d, loss):
 
 class TestGrad:
     def test_quadratic_direct(self):
-        g = grad_batch(model.quadratic(), np.array([2.0, 0.0]),
+        g = grad_batch(model.LossModel("Quadratic"), np.array([2.0, 0.0]),
                        np.array([[1.0, 0.0]]), [1.0])
         assert np.allclose(g, [1.0, 0.0])
 
     def test_ridge_stationary_at_origin(self):
-        g = grad_batch(model.ridge_quadratic(1.0), np.zeros(2),
+        g = grad_batch(model.LossModel("RidgeQuadratic", mu0=1.0), np.zeros(2),
                        np.array([[1.0, 0.0]]), [0.0])
         assert np.allclose(g, [0.0, 0.0])
 
     def test_sine_at_origin(self):
-        g = grad_batch(model.regularized_sine(2.0, 0.5), np.zeros(1),
-                       np.array([[1.0]]), [0.0])
+        g = grad_batch(model.LossModel("RegularizedSine", m0=2.0, s=0.5),
+                       np.zeros(1), np.array([[1.0]]), [0.0])
         assert np.allclose(g, [0.5])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            grad_batch(model.quadratic(), np.zeros(3),
+            grad_batch(model.LossModel("Quadratic"), np.zeros(3),
                        np.array([[1.0, 0.0]]), [1.0])
 
     def test_scalar_power_kink_is_zero(self):
-        g = grad_batch(model.scalar_power(1.5, 1.0), np.array([2.0]),
-                       np.array([[0.0]]), [2.0])
+        g = grad_batch(model.LossModel("ScalarPower", p=1.5, mu=1.0),
+                       np.array([2.0]), np.array([[0.0]]), [2.0])
         assert g[0] == 0.0
 
     @pytest.mark.parametrize("loss", ALL_LOSSES,
@@ -107,7 +107,7 @@ def grad_reference(loss, theta, A, Y):
     return np.mean(g, axis=-1, keepdims=True)
 
 
-KERNEL_LOSSES = ALL_LOSSES + [model.scalar_power(1.3, 2.0)]
+KERNEL_LOSSES = ALL_LOSSES + [model.LossModel("ScalarPower", p=1.3, mu=2.0)]
 # ScalarPower is one-dimensional
 KERNEL_CASES = [pytest.param(loss, d, id=f"{loss.family}-{loss.p}-d{d}")
                 for loss in KERNEL_LOSSES
@@ -214,7 +214,8 @@ class TestConstants:
         ds = make_synthetic_dataset(
             {"n": 16, "d": 1, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 5)
-        c = derive_constants(model.regularized_sine(2.0, 0.5), ds)
+        c = derive_constants(model.LossModel("RegularizedSine", m0=2.0, s=0.5),
+                             ds)
         assert c.m == pytest.approx(1.0)
         assert c.K == pytest.approx(0.25)
 
@@ -222,7 +223,7 @@ class TestConstants:
         ds = make_synthetic_dataset(
             {"n": 16, "d": 1, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 5)
-        c = derive_constants(model.ridge_quadratic(1.0), ds)
+        c = derive_constants(model.LossModel("RidgeQuadratic", mu0=1.0), ds)
         assert c.mu == 1.0
         assert c.K1 == pytest.approx(2.0)
 
@@ -230,7 +231,7 @@ class TestConstants:
         ds = make_synthetic_dataset(
             {"n": 16, "d": 1, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 5)
-        c = derive_constants(model.quadratic(), ds)
+        c = derive_constants(model.LossModel("Quadratic"), ds)
         assert c.mu == 0.0
 
     @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.family)
@@ -247,7 +248,7 @@ class TestConstants:
         ds = make_synthetic_dataset(
             {"n": 16, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 11)
-        loss = model.ridge_quadratic(1.0)
+        loss = model.LossModel("RidgeQuadratic", mu0=1.0)
         c = derive_constants(loss, ds)
         inflated = AssumptionConstants(**(asdict(c) | {"mu": 10 * c.mu}))
         report = check_assumptions(loss, ds, inflated, 10_000, seed=123)

@@ -30,22 +30,22 @@ class TestContraction:
         # full batch on unit data contracts at exactly 0.9 per step, so
         # the claimed rate is met with machine-precision slack
         ds = unit_dataset()
-        cert = check_contraction(model.quadratic(), ds, eta=0.1, b=4,
-                                 claimed_rate=0.9, k_max=10, R=4, seed=0)
+        cert = check_contraction(model.LossModel("Quadratic"), ds, eta=0.1,
+                                 b=4, claimed_rate=0.9, k_max=10, R=4, seed=0)
         assert cert.passed
         assert abs(cert.margin) <= 1e-12
 
     def test_too_small_rate_fails(self):
         ds = unit_dataset()
-        cert = check_contraction(model.quadratic(), ds, eta=0.1, b=4,
-                                 claimed_rate=0.5, k_max=10, R=4, seed=0)
+        cert = check_contraction(model.LossModel("Quadratic"), ds, eta=0.1,
+                                 b=4, claimed_rate=0.5, k_max=10, R=4, seed=0)
         assert not cert.passed
         assert cert.margin < 0
 
     def test_identical_starts_trivially_pass(self):
         ds = unit_dataset()
-        cert = check_contraction(model.quadratic(), ds, eta=0.1, b=2,
-                                 claimed_rate=0.9, k_max=5, R=4, seed=0,
+        cert = check_contraction(model.LossModel("Quadratic"), ds, eta=0.1,
+                                 b=2, claimed_rate=0.9, k_max=5, R=4, seed=0,
                                  theta0_a=[0.5], theta0_b=[0.5])
         assert cert.passed
 
@@ -53,7 +53,7 @@ class TestContraction:
         ds = model.make_synthetic_dataset(
             {"n": 8, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 3)
-        loss = model.ridge_quadratic(1.0)
+        loss = model.LossModel("RidgeQuadratic", mu0=1.0)
         a = check_contraction(loss, ds, 0.05, 2, 0.999, 50, 16, seed=5)
         b = check_contraction(loss, ds, 0.05, 2, 0.999, 50, 16, seed=5)
         assert a.margin == b.margin
@@ -64,8 +64,8 @@ class TestContraction:
         ds = model.make_synthetic_dataset(
             {"n": 8, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 3)
-        cert = check_contraction(model.quadratic(), ds, 0.5, 4, 0.95,
-                                 k_max=0, R=256, seed=1,
+        cert = check_contraction(model.LossModel("Quadratic"), ds, 0.5, 4,
+                                 0.95, k_max=0, R=256, seed=1,
                                  theta0_a=[1.0, 0.0], theta0_b=[0.0, 1.0])
         d = cert.details
         assert d["mean_at_worst_k"] > d["claim_at_worst_k"]
@@ -75,21 +75,21 @@ class TestContraction:
     def test_claim_violated_by_1e9_relative_fails(self):
         # full batch contracts at exactly 0.9 per step
         rate = 0.9 * (1.0 - 1e-9)
-        cert = check_contraction(model.quadratic(), unit_dataset(), eta=0.1,
-                                 b=4, claimed_rate=rate, k_max=10, R=4,
-                                 seed=0)
+        cert = check_contraction(model.LossModel("Quadratic"), unit_dataset(),
+                                 eta=0.1, b=4, claimed_rate=rate, k_max=10,
+                                 R=4, seed=0)
         assert not cert.passed
         assert cert.margin < 0
 
     def test_no_replicas_rejected(self):
         with pytest.raises(ValueError, match="R >= 1"):
-            check_contraction(model.quadratic(), unit_dataset(), 0.1, 2, 0.9,
-                              5, R=0, seed=0)
+            check_contraction(model.LossModel("Quadratic"), unit_dataset(),
+                              0.1, 2, 0.9, 5, R=0, seed=0)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            check_contraction(model.quadratic(), unit_dataset(), 0.1, 1,
-                              1.0, 5, 2, 0)
+            check_contraction(model.LossModel("Quadratic"), unit_dataset(),
+                              0.1, 1, 1.0, 5, 2, 0)
 
 
 class TestDrift:
@@ -101,23 +101,23 @@ class TestDrift:
         ds = unit_dataset(4)
         eta = 0.1
         # step from 0: theta' = eta, V' = 1 + eta; claim 0.9 * 1 + 0.2
-        cert = check_drift(model.quadratic(), ds, eta, 1, "one_plus_norm",
-                           claimed_delta=0.9, claimed_L=0.2,
+        cert = check_drift(model.LossModel("Quadratic"), ds, eta, 1,
+                           "one_plus_norm", claimed_delta=0.9, claimed_L=0.2,
                            theta_grid=[[0.0]])
         assert cert.passed
         assert cert.margin == pytest.approx(0.9 + 0.2 - 1.1, abs=1e-12)
 
     def test_undersized_L_fails(self):
         ds = unit_dataset(4)
-        cert = check_drift(model.quadratic(), ds, 0.1, 1, "one_plus_norm",
-                           claimed_delta=0.9, claimed_L=0.05,
+        cert = check_drift(model.LossModel("Quadratic"), ds, 0.1, 1,
+                           "one_plus_norm", claimed_delta=0.9, claimed_L=0.05,
                            theta_grid=[[0.0]])
         assert not cert.passed
 
     def test_eta_zero_identity_kernel(self):
         ds = unit_dataset(4)
-        cert = check_drift(model.quadratic(), ds, 0.0, 1, "one_plus_norm",
-                           claimed_delta=0.99, claimed_L=0.02,
+        cert = check_drift(model.LossModel("Quadratic"), ds, 0.0, 1,
+                           "one_plus_norm", claimed_delta=0.99, claimed_L=0.02,
                            theta_grid=[[1.0]])
         # PV = V = 2 <= 0.99*2 + 0.02
         assert cert.passed
@@ -126,7 +126,7 @@ class TestDrift:
         ds = model.make_synthetic_dataset(
             {"n": 8, "d": 1, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 2)
-        loss = model.ridge_quadratic(1.0)
+        loss = model.LossModel("RidgeQuadratic", mu0=1.0)
         grid = [[-1.0], [0.0], [2.0]]
         exact = check_drift(loss, ds, 0.05, 2, "one_plus_sq_dist_to_min",
                             0.95, 1.0, grid)
@@ -139,14 +139,14 @@ class TestDrift:
         # one sample has no standard error; the 3 SE margin would be NaN
         # and the check would pass vacuously
         with pytest.raises(ValueError, match="n_mc"):
-            check_drift(model.quadratic(), unit_dataset(), 0.1, 1,
+            check_drift(model.LossModel("Quadratic"), unit_dataset(), 0.1, 1,
                         "one_plus_norm", 0.9, 0.2, [[0.0]],
                         mode="monte_carlo", n_mc=1)
 
     def test_noise_rejected_in_exact_mode(self):
         from stabilab.dynamics import NoiseModel
         with pytest.raises(ValueError):
-            check_drift(model.quadratic(), unit_dataset(), 0.1, 1,
+            check_drift(model.LossModel("Quadratic"), unit_dataset(), 0.1, 1,
                         "one_plus_norm", 0.9, 0.2, [[0.0]],
                         noise=NoiseModel("gaussian_diag", (0.5,)))
 
@@ -155,30 +155,30 @@ class TestKernelGap:
     def test_identical_pair_zero_gap(self):
         ds = unit_dataset()
         pair = model.NeighborPair(ds, ds, 0)
-        cert = check_kernel_gap(model.quadratic(), pair, 0.1, 2,
+        cert = check_kernel_gap(model.LossModel("Quadratic"), pair, 0.1, 2,
                                 "one_plus_norm", claimed_gamma=1e-12,
                                 theta_grid=[[0.0], [1.0]], R=32, seed=0)
         assert cert.passed
 
     def test_zero_claim_fails_for_real_pair(self):
-        cert = check_kernel_gap(model.quadratic(), flip_pair(), 0.1, 2,
-                                "one_plus_norm", claimed_gamma=0.0,
+        cert = check_kernel_gap(model.LossModel("Quadratic"), flip_pair(), 0.1,
+                                2, "one_plus_norm", claimed_gamma=0.0,
                                 theta_grid=[[0.0]], R=32, seed=0)
         assert not cert.passed
 
     def test_full_batch_closed_form_gap(self):
         # full batch: the one-step difference is exactly (eta/n) * a_1 *
         # (y_1 - y_1_hat) = 0.1/4 * 2 = 0.05, V(0) = 1
-        cert = check_kernel_gap(model.quadratic(), flip_pair(4), 0.1, 4,
-                                "one_plus_norm", claimed_gamma=0.05,
+        cert = check_kernel_gap(model.LossModel("Quadratic"), flip_pair(4),
+                                0.1, 4, "one_plus_norm", claimed_gamma=0.05,
                                 theta_grid=[[0.0]], R=8, seed=0)
         assert cert.passed
         assert cert.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_reproducible(self):
-        a = check_kernel_gap(model.quadratic(), flip_pair(), 0.1, 2,
+        a = check_kernel_gap(model.LossModel("Quadratic"), flip_pair(), 0.1, 2,
                              "one_plus_norm", 0.5, [[0.0], [1.0]], 16, 7)
-        b = check_kernel_gap(model.quadratic(), flip_pair(), 0.1, 2,
+        b = check_kernel_gap(model.LossModel("Quadratic"), flip_pair(), 0.1, 2,
                              "one_plus_norm", 0.5, [[0.0], [1.0]], 16, 7)
         assert a.margin == b.margin
 
@@ -190,7 +190,7 @@ class TestMinorization:
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "gaussian_clipped",
              "radius_D": 1.0, "label_range": 0.5}, 6)
-        loss = model.ridge_quadratic(1.0)
+        loss = model.LossModel("RidgeQuadratic", mu0=1.0)
         cert = check_minorization_gaussian(
             loss, ds, eta=0.1, b=1, Sigma=[0.5], m=1.0, K0=2.44,
             epsilon=0.5, M=1.0, n_grid=9)
@@ -206,17 +206,17 @@ class TestMinorization:
              "radius_D": 1.0}, 6)
         with pytest.raises(ValueError, match="n_grid"):
             check_minorization_gaussian(
-                model.ridge_quadratic(1.0), ds, 0.1, 1, [0.5, 0.5], 1.0,
-                2.44, 0.5, 1.0, n_grid=n_grid)
+                model.LossModel("RidgeQuadratic", mu0=1.0), ds, 0.1, 1,
+                [0.5, 0.5], 1.0, 2.44, 0.5, 1.0, n_grid=n_grid)
 
     def test_dimension_guard(self):
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 3, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 6)
         with pytest.raises(ValueError):
-            check_minorization_gaussian(model.quadratic(), ds, 0.1, 1,
-                                        [0.5, 0.5, 0.5], 1.0, 2.44, 0.5, 1.0,
-                                        n_grid=9)
+            check_minorization_gaussian(model.LossModel("Quadratic"), ds, 0.1,
+                                        1, [0.5, 0.5, 0.5], 1.0, 2.44, 0.5,
+                                        1.0, n_grid=9)
 
 
 class TestDominance:
@@ -272,13 +272,14 @@ class TestSerialization:
             {"n": 4, "d": 1, "generator": "gaussian_clipped",
              "radius_D": 1.0, "label_range": 0.5}, 6)
         certs = [
-            check_contraction(model.quadratic(), ds, 0.1, 4, 0.9, 5, 4, 0),
-            check_drift(model.quadratic(), ds, 0.1, 1, "one_plus_norm",
-                        0.9, 0.2, [[0.0]]),
-            check_kernel_gap(model.quadratic(), flip_pair(), 0.1, 2,
+            check_contraction(model.LossModel("Quadratic"), ds, 0.1, 4, 0.9, 5,
+                              4, 0),
+            check_drift(model.LossModel("Quadratic"), ds, 0.1, 1,
+                        "one_plus_norm", 0.9, 0.2, [[0.0]]),
+            check_kernel_gap(model.LossModel("Quadratic"), flip_pair(), 0.1, 2,
                              "one_plus_norm", 0.5, [[0.0]], 8, 0),
             check_minorization_gaussian(
-                model.ridge_quadratic(1.0), sine, eta=0.1, b=1,
+                model.LossModel("RidgeQuadratic", mu0=1.0), sine, eta=0.1, b=1,
                 Sigma=[0.5], m=1.0, K0=2.44, epsilon=0.5, M=1.0, n_grid=3),
             check_bound_dominates(
                 TransportEstimate(value=0.1, p=1.0, method="coupled",

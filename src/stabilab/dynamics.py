@@ -134,12 +134,9 @@ class NoiseModel:
     @property
     def sigma2(self) -> float:
         """E||xi||^2, the trace of the noise covariance."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "gaussian_diag":
-            return float(sum(s ** 2 for s in self.scale))
         # Laplace(scale b) has variance 2 b^2 per coordinate
-        return float(sum(2.0 * s ** 2 for s in self.scale))
+        per = {"none": 0.0, "gaussian_diag": 1.0, "laplace": 2.0}[self.kind]
+        return float(sum(per * s ** 2 for s in self.scale))
 
     def draw(self, rng: np.random.Generator) -> np.ndarray | None:
         block = self.draw_block(rng, 1)
@@ -340,14 +337,23 @@ def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
                          n, b).next_rows(k_max)[0]
 
 
+def enumerable(n: int, b: int) -> bool:
+    """Whether C(n, b) <= EXACT_ENUMERATION_CAP; C(n, b) >= 2^min(b, n - b)
+    decides huge n and b before math.comb, which takes seconds there."""
+    return (min(b, n - b) < EXACT_ENUMERATION_CAP.bit_length()
+            and math.comb(n, b) <= EXACT_ENUMERATION_CAP)
+
+
 def minibatches(n: int, b: int) -> np.ndarray:
     """All minibatches of range(n), shape (C(n, b), b), in the order of
     ``itertools.combinations``; ValueError above EXACT_ENUMERATION_CAP."""
+    if b > n:
+        raise ValueError("batch size exceeds dataset size")
+    if not enumerable(n, b):
+        raise ValueError(f"C({n},{b}) minibatches exceed the exact-"
+                         f"enumeration cap {EXACT_ENUMERATION_CAP}; use "
+                         "monte_carlo mode")
     total = math.comb(n, b)
-    if total > EXACT_ENUMERATION_CAP:
-        raise ValueError(
-            f"C({n},{b}) = {total} minibatches exceed the exact-enumeration "
-            f"cap {EXACT_ENUMERATION_CAP}; use monte_carlo mode")
     return np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(n), b)), dtype=np.int64,
         count=total * b).reshape(total, b)
@@ -370,11 +376,11 @@ class MinibatchSource:
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "exact" and noise.kind != "none":
             raise ValueError("exact mode enumerates the noiseless kernel")
-        # built in both modes: it also rejects b > n
-        self.index = _IndexStreams([np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed)))], n, b)
-        self.noise, self.noise_rng = noise, _stream(seed, 0, _STREAM_NOISE)
         self.exact = minibatches(n, b) if mode == "exact" else None
+        if self.exact is None:
+            self.index = _IndexStreams([np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(seed)))], n, b)
+            self.noise, self.noise_rng = noise, _stream(seed, 0, _STREAM_NOISE)
 
     def blocks(self, count: int, width: int):
         """One average's (minibatches, noise or None), in blocks of about

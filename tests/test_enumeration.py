@@ -217,8 +217,25 @@ class TestMinibatches:
         assert len(minibatches(EXACT_ENUMERATION_CAP, 1)) \
             == EXACT_ENUMERATION_CAP
         with pytest.raises(ValueError,
-                           match=r"C\(201,2\) = 20100 .* cap 20000"):
+                           match=r"C\(201,2\) minibatches .* cap 20000"):
             minibatches(201, 2)
+
+    def test_enumerable_matches_the_cap(self):
+        for n in range(45):
+            for b in range(n + 1):
+                assert dynamics.enumerable(n, b) \
+                    == (math.comb(n, b) <= EXACT_ENUMERATION_CAP), (n, b)
+        assert dynamics.enumerable(EXACT_ENUMERATION_CAP, 1)
+        assert not dynamics.enumerable(EXACT_ENUMERATION_CAP + 1, 1)
+
+    def test_cap_check_is_cheap(self):
+        # math.comb(10 ** 6, 5 * 10 ** 5) alone takes about 12 s
+        start = time.perf_counter()
+        for call in (lambda: minibatches(10 ** 6, 5 * 10 ** 5),
+                     lambda: MinibatchSource(10 ** 6, 5 * 10 ** 5, "exact")):
+            with pytest.raises(ValueError, match="exceed the exact-enum"):
+                call()
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("call", [
         lambda ds: rho_quadratic(ds, 0.1, 2),
@@ -402,9 +419,10 @@ class TestStepKernels:
         assert_same(cert.margin, margin)
         assert {k: cert.details[k] for k in worst} == worst
 
-    # b = 2 on n = 9 takes 3 words a row: blocks of 1, 2, 21 and 21845
-    # rows, so n_mc = 301 ends every budget on a partial block
-    @pytest.mark.parametrize("budget", [1, 7, 64, dynamics._BLOCK_ELEMENTS])
+    # b = 2 at d = 2 takes 4 numbers a minibatch: blocks of 1, 3, 16 and
+    # 16384 rows, so n_mc = 301 ends on a partial block of 1, 13 and 301
+    # rows at every budget but the first
+    @pytest.mark.parametrize("budget", [1, 12, 64, dynamics._BLOCK_ELEMENTS])
     @pytest.mark.parametrize("noise", [NoiseModel(),
                                        NoiseModel("gaussian_diag", (0.3, 0.7))])
     def test_drift_monte_carlo_block_budget(self, budget, noise, monkeypatch):
@@ -449,7 +467,8 @@ class TestStepKernels:
         assert_same(cert.margin, 0.5 - ratio)
         assert {k: cert.details[k] for k in worst} == worst
 
-    # b = 4 on n = 6 takes 7 words a row: blocks of 1 and 9 rows
+    # b = 4 at d = 2 takes 8 numbers a minibatch: blocks of 1 and 8 rows,
+    # so R = 301 ends on a partial block of 5 rows at budget 64
     @pytest.mark.parametrize("budget", [7, 64])
     def test_kernel_gap_block_budget(self, budget, monkeypatch):
         loss = model.LossModel("RegularizedSine", m0=1.0, s=0.5)

@@ -479,11 +479,12 @@ CONFIG_ERRORS = {
               "unknown field certificate.n_grd"),
     "eta-hat-M": (_bound(eta_hat={"M": 1.0}),
                   "unknown field config.bound.eta_hat.M"),
-    # C(40, 20) = 137846528820 minibatches, above the enumeration cap
-    "rho-mode-cap": (_over_cap, "config.bound.rho_mode"),
-    "drift-cap": (lambda c: (_over_cap(c), _bound(rho_mode="monte_carlo")(c),
-                             _certificate(kind="drift", claimed_delta=0.9,
-                                          claimed_L=1.0)(c)),
+    # C(40, 20) = 137846528820 minibatches, above the enumeration cap; a
+    # dominance certificate evaluates the bound in every command's config
+    "rho-mode-cap": (lambda c: (_over_cap(c), c["certificates"].append(
+        {"kind": "dominance", "R": 4})), "config.bound.rho_mode exact"),
+    "drift-cap": (lambda c: (_over_cap(c), _certificate(
+        kind="drift", claimed_delta=0.9, claimed_L=1.0)(c)),
                   "certificate.mode"),
     "minorization-cap": (lambda c: (_minorization_grid(c, 9), _over_cap(c)),
                          "certificate.kind minorization"),
@@ -515,9 +516,26 @@ def test_config_error_is_one_line_naming_the_field(tmp_path, capsys, case,
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("command,code", [("bounds", 1), ("simulate", 0),
+                                          ("verify", 0)])
+def test_rho_mode_cap_only_where_the_bound_is_evaluated(tmp_path, capsys,
+                                                        command, code):
+    # simulate never evaluates the bound, nor does verify without a
+    # dominance certificate
+    cfg = quadratic_config(replicas=4, certificates=[
+        {"kind": "contraction", "claimed_rate": 0.99, "k_max": 10, "R": 4}])
+    _over_cap(cfg)
+    assert cli.main([command, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "config error: config.bound.rho_mode"
+                   " exact: C(40,20) minibatches exceed the exact-enumeration"
+                   " cap 20000\n")
+
+
 def test_enumeration_cap_check_is_cheap():
     # math.comb(10 ** 6, 5 * 10 ** 5) alone takes about 12 s
-    cfg = quadratic_config()
+    cfg = quadratic_config(certificates=[{"kind": "dominance"}])
     cfg["dataset"].update(n=10 ** 6, generator="gaussian_clipped")
     cfg["sgd"]["batch_b"] = 5 * 10 ** 5
     start = time.perf_counter()

@@ -34,9 +34,12 @@ blocks of steps and reproduces, bit for bit, one
 ``Generator.choice(n, b, replace=False)`` and one :meth:`NoiseModel.draw`
 per step:
 
-* Minibatches come from one ``bit_generator.random_raw`` call per replica
-  and block.  Each 64-bit word splits into two 32-bit words, low half
-  first; a half left over at the end of a block opens the next block.
+* Minibatches come from each replica's ``bit_generator.random_raw``
+  words.  Each 64-bit word splits into two 32-bit words, low half first,
+  and the words are consumed in order, each once, whatever the blocks.
+  They wait in a buffer per replica, which a few ``random_raw`` calls per
+  run refill (see :class:`_IndexStreams`); the buffer changes no word and
+  no order, so the layout is the same as with one call per block.
   Every row replays numpy's algorithm on those words: Floyd's selection
   (for j = n-b .. n-1 a Lemire-bounded draw on [0, j], taking j itself on a
   duplicate; j = 0 draws nothing), then a Lemire Fisher-Yates shuffle of
@@ -48,7 +51,8 @@ per step:
 * Noise for a block of c steps is ``standard_normal((c, d)) * scale`` or
   ``laplace(0, scale, (c, d))``, equal to c per-step draws.
 
-A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes, so the
+A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes, and the
+minibatch buffers at most ``_REFILL_WORDS`` words plus a block's, so the
 transient memory stays near a few MB whatever R and k_max are.
 
 Every average over the minibatch law outside the engine (the contraction
@@ -92,6 +96,9 @@ EXACT_ENUMERATION_CAP = 20000
 
 # draws held per block across all lanes
 _BLOCK_ELEMENTS = 1 << 16
+# 32-bit minibatch words one refill draws at most across all lanes: 2^18
+# 64-bit draws, 2 MB
+_REFILL_WORDS = 8 * _BLOCK_ELEMENTS
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 
@@ -247,7 +254,17 @@ def _floyd_shuffle(vals: np.ndarray, n: int, b: int) -> np.ndarray:
 
 
 class _IndexStreams:
-    """The minibatch streams of several replicas, replayed block by block."""
+    """The minibatch streams of several replicas, replayed block by block.
+
+    Each lane's drawn 32-bit words wait in one buffer, row ``lane`` of
+    ``buf``, from column ``pos[lane]`` up to ``end[lane]``.  A lane that runs
+    short is refilled by one ``random_raw`` call, sized to the words the
+    caller said it will still read (:meth:`expect`) and capped by
+    ``_REFILL_WORDS`` across all lanes.  A refill moves every lane's words
+    to column 0, so the lanes read one slice per block until a rejection
+    replay moves one of them ahead; until the next refill each lane is then
+    gathered from its own column.
+    """
 
     def __init__(self, rngs: list, n: int, b: int):
         if b > n:
@@ -258,42 +275,68 @@ class _IndexStreams:
         self.excl = np.array(bounds, dtype=np.uint64) + np.uint64(1)
         self.threshold = (np.uint64(2 ** 32) - self.excl) % self.excl
         self.replay = n < 2 ** 32 and (n <= 10000 or b <= n // 50)
-        self.carry = np.zeros(len(rngs), dtype=np.uint64)
-        self.has_carry = np.zeros(len(rngs), dtype=bool)
+        self.buf = np.empty((len(rngs), 0), dtype="<u4")
+        self.pos = np.zeros(len(rngs), dtype=np.int64)
+        self.end = np.zeros(len(rngs), dtype=np.int64)
+        self.ahead = 0      # words per lane the caller will still read
 
     @property
     def width(self) -> int:
         """Words one row consumes when no draw is rejected."""
         return len(self.excl)
 
-    def _words(self, lanes: np.ndarray, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit words of each lane, shape (lanes, count)."""
-        out = np.empty((len(lanes), count), dtype=np.uint64)
-        if not count:
-            return out
-        has_carry = self.has_carry[lanes]
-        for carried in (False, True):
-            pick = has_carry == carried
-            group = lanes[pick]
-            if not group.size:
-                continue
-            fresh = count - carried
-            raws = (fresh + 1) // 2
-            raw = np.empty((len(group), raws), dtype="<u8")
-            np.concatenate([self.rngs[r].bit_generator.random_raw(raws)
-                            for r in group], out=raw.reshape(-1))
+    def expect(self, rows: int):
+        """Size refills for ``rows`` more rows of every lane."""
+        self.ahead = rows * self.width
+
+    def _peek(self, lanes: np.ndarray, count: int) -> np.ndarray:
+        """Columns pos .. pos + count - 1 of each lane's buffer row (past a
+        lane's end the words are meaningless)."""
+        pos = self.pos[lanes]
+        if (pos == pos[0]).all():
+            p = int(pos[0])
+            rows = slice(None) if len(lanes) == len(self.rngs) else lanes
+            return self.buf[rows, p:p + count]
+        cols = np.minimum(pos[:, None] + np.arange(count),
+                          self.buf.shape[1] - 1)
+        return self.buf[lanes[:, None], cols]
+
+    def _refill(self, short: np.ndarray, count: int):
+        """Top up every lane in ``short`` to at least ``count`` words."""
+        lanes = np.arange(len(self.rngs))
+        left = self.end - self.pos
+        cap = max(1, _REFILL_WORDS // len(lanes))
+        fresh = np.maximum(count - left[short],
+                           np.minimum(self.ahead - left[short], cap))
+        raws = (fresh + 1) // 2
+        end = left.copy()
+        end[short] += 2 * raws
+        keep = self._peek(lanes, int(left.max()))
+        width = int(end.max())
+        if self.buf.shape[1] < width:
+            if self.ahead > width:
+                # room for the later refills: a block's leftover plus cap
+                width = max(width, cap + count + 1)
+            self.buf = np.empty((len(lanes), width), dtype="<u4")
+        self.buf[:, :keep.shape[1]] = keep
+        for lane, raw in zip(short.tolist(), raws.tolist()):
             # each 64-bit word splits low half first
-            halves = raw.view("<u4")
-            words = np.empty((len(group), count), dtype=np.uint64)
-            if carried:
-                words[:, 0] = self.carry[group]
-            words[:, carried:] = halves[:, :fresh]
-            out[pick] = words
-            spare = halves.shape[1] > fresh
-            self.has_carry[group] = spare
-            if spare:
-                self.carry[group] = halves[:, -1]
-        return out
+            self.buf[lane, left[lane]:end[lane]] = \
+                self.rngs[lane].bit_generator.random_raw(raw).view("<u4")
+        self.pos[:], self.end[:] = 0, end
+
+    def _words(self, lanes: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit words of each lane, shape (lanes, count),
+        for ``lanes`` ascending: a view of the buffer, valid until the next
+        call."""
+        if not count or not len(lanes):
+            return np.empty((len(lanes), count), dtype="<u4")
+        short = lanes[self.end[lanes] - self.pos[lanes] < count]
+        if short.size:
+            self._refill(short, count)
+        words = self._peek(lanes, count)
+        self.pos[lanes] += count
+        return words
 
     def _replay_exact(self, lane: int, words: np.ndarray, rows: int
                       ) -> np.ndarray:
@@ -322,11 +365,14 @@ class _IndexStreams:
         lanes = np.arange(len(self.rngs))
         words = self._words(lanes, rows * self.width).reshape(
             len(lanes), rows, self.width)
+        self.ahead -= rows * self.width
         m = words * self.excl
         picks = _floyd_shuffle(m >> np.uint64(32), self.n, self.b)
-        rejected = ((m & _MASK32) < self.threshold).any(axis=(1, 2))
-        for lane in np.flatnonzero(rejected):
-            picks[lane] = self._replay_exact(lane, words[lane].ravel(), rows)
+        rejected = np.flatnonzero(
+            ((m & _MASK32) < self.threshold).any(axis=(1, 2)))
+        # copied out first: a replay's refill overwrites the buffer
+        for lane, block in zip(rejected, words[rejected]):
+            picks[lane] = self._replay_exact(lane, block.ravel(), rows)
         return picks
 
 
@@ -391,6 +437,7 @@ class MinibatchSource:
             for start in range(0, len(self.exact), rows):
                 yield self.exact[start:start + rows], None
             return
+        self.index.expect(count)
         for size in _blocks(count, rows):
             yield (self.index.next_rows(size)[0],
                    self.noise.draw_block(self.noise_rng, size))
@@ -455,6 +502,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     start = np.array(starts, dtype=float)[None].repeat(lanes, axis=0)
     index = _IndexStreams([_stream(config.master_seed, r, _STREAM_MINIBATCH)
                            for r in replica_ids], n, config.batch_b)
+    index.expect(k_max)
     noise_rngs = [] if noise.kind == "none" else [
         _stream(config.master_seed, r, _STREAM_NOISE) for r in replica_ids]
     checkpoints = np.array(list(checkpoints), dtype=np.int64)

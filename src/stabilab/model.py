@@ -163,7 +163,9 @@ def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
     if loss.family == "ScalarPower" and d != 1:
         raise ValueError("ScalarPower requires d = 1")
-    lead = np.broadcast_shapes(theta.shape[:-1], A.shape[:-2], Y.shape[:-1])
+    lead = theta.shape[:-1]
+    if not lead == A.shape[:-2] == Y.shape[:-1]:
+        lead = np.broadcast_shapes(lead, A.shape[:-2], Y.shape[:-1])
     return grad_kernel(loss, lead, b, d)(theta, A, Y)
 
 

@@ -4,6 +4,9 @@
   against per-step draws, over several blocks;
 * the column-major Floyd replay against the row-major one, and the
   half-word split against mask and shift;
+* the per-lane word buffer against both references, with refills inside
+  blocks, lanes out of step and a rejection between refills, and its
+  ``random_raw`` calls and held words counted;
 * the engine against a loop of scalar ``step`` calls, for every loss family,
   noise kind and chain pairing;
 * a replica's result against the size of the ensemble it runs in;
@@ -32,6 +35,12 @@ def choice_rows(n, b, rows, seed, replica_id):
                      for _ in range(rows)]).reshape(rows, b)
 
 
+def index_streams(n, b, seed, replica_ids):
+    return dynamics._IndexStreams(
+        [dynamics._stream(seed, r, dynamics._STREAM_MINIBATCH)
+         for r in replica_ids], n, b)
+
+
 def rejects(n, b, rows, seed, replica_id) -> bool:
     """Whether a Lemire draw is rejected within the first ``rows`` rows.
 
@@ -53,7 +62,8 @@ def rejects(n, b, rows, seed, replica_id) -> bool:
 GRID = [(1, 1), (2, 1), (10, 1), (256, 1), (8, 8), (16, 16), (8, 7),
         (16, 15), (16, 8), (32, 4), (1000, 1), (1000, 37), (1000, 999),
         (1000, 1000), (50000, 10), (12000, 300)]
-# irregular block sizes, so the carried half word alternates
+# irregular block sizes, so a block opens on a half word left in the
+# buffer as often as not
 BLOCKS = (1, 3, 2, 5, 4)
 
 
@@ -62,9 +72,7 @@ class TestMinibatchReplay:
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_blocks_match_choice(self, n, b, seed):
         replica_ids = [0, 3, 7]
-        streams = dynamics._IndexStreams(
-            [dynamics._stream(seed, r, dynamics._STREAM_MINIBATCH)
-             for r in replica_ids], n, b)
+        streams = index_streams(n, b, seed, replica_ids)
         got = np.concatenate([streams.next_rows(c) for c in BLOCKS], axis=1)
         for lane, r in enumerate(replica_ids):
             assert np.array_equal(got[lane],
@@ -82,9 +90,7 @@ class TestMinibatchReplay:
         # Lemire rejection at n = 10000 falls in row 26
         n, b, rows = 10000, 200, 100
         assert rejects(n, b, rows, 30, 1)
-        streams = dynamics._IndexStreams(
-            [dynamics._stream(30, r, dynamics._STREAM_MINIBATCH)
-             for r in (0, 1)], n, b)
+        streams = index_streams(n, b, 30, [0, 1])
         got = np.concatenate([streams.next_rows(c) for c in (20, 33, 47)],
                              axis=1)
         assert np.array_equal(got[1], choice_rows(n, b, rows, 30, 1))
@@ -171,8 +177,8 @@ class TestColumnMajorReplay:
         lanes = np.arange(len(replica_ids))
         drawn = [[] for _ in replica_ids]
         for i, count in enumerate(counts):
-            # alternate all lanes with lane 1 alone, so that carried and
-            # fresh lanes share one call
+            # alternate all lanes with lane 1 alone, so that lane 1 runs
+            # ahead and one call gathers lanes at different read positions
             pick = lanes if i % 2 == 0 else lanes[1:2]
             words = index._words(pick, count)
             assert words.shape == (len(pick), count)
@@ -181,6 +187,112 @@ class TestColumnMajorReplay:
         for lane, rng in enumerate(streams()):
             want = split_words(rng, len(drawn[lane]))
             assert drawn[lane] == want.tolist()
+
+
+class CountingStream:
+    """A generator whose bit generator counts its ``random_raw`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        self.calls += 1
+        return self.rng.bit_generator.random_raw(size)
+
+
+class TestWordBuffer:
+    """The per-lane word buffer against ``choice_rows`` and ``split_words``,
+    with refills that fall inside blocks (``_REFILL_WORDS`` shrunk to a few
+    words), lanes out of step, and a Lemire rejection between refills."""
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    @pytest.mark.parametrize("n,b", [(16, 1), (16, 8), (1000, 37)])
+    def test_refills_inside_blocks(self, monkeypatch, budget, n, b):
+        monkeypatch.setattr(dynamics, "_REFILL_WORDS", budget)
+        replica_ids = [0, 3]
+        streams = index_streams(n, b, 9, replica_ids)
+        streams.expect(sum(BLOCKS))
+        got = np.concatenate([streams.next_rows(c) for c in BLOCKS], axis=1)
+        for lane, r in enumerate(replica_ids):
+            assert np.array_equal(got[lane],
+                                  choice_rows(n, b, sum(BLOCKS), 9, r))
+
+    @pytest.mark.parametrize("budget", [1, 3, 7, 40])
+    def test_lane_subsets_across_refills(self, monkeypatch, budget):
+        monkeypatch.setattr(dynamics, "_REFILL_WORDS", budget)
+        replica_ids = [0, 4, 9, 11]
+        index = index_streams(16, 8, 5, replica_ids)
+        index.expect(2)
+        drawn = [[] for _ in replica_ids]
+        lanes = np.arange(len(replica_ids))
+        picks = [lanes, lanes[1:2], lanes[[0, 2]], lanes, lanes[3:],
+                 lanes[:3], lanes]
+        for pick, count in zip(picks, (4, 3, 7, 2, 9, 5, 6)):
+            words = index._words(pick, count)
+            assert words.shape == (len(pick), count)
+            for row, lane in zip(words, pick):
+                drawn[lane].extend(row.tolist())
+        for lane, r in enumerate(replica_ids):
+            want = split_words(
+                dynamics._stream(5, r, dynamics._STREAM_MINIBATCH),
+                len(drawn[lane]))
+            assert drawn[lane] == want.tolist()
+
+    # 399 words a row at n = 10,000, b = 200: budgets of 10 rows a lane and
+    # of 3 words (each refill draws just what a call needs)
+    @pytest.mark.parametrize("budget", [2 * 399 * 10, 3])
+    def test_rejection_between_refills(self, monkeypatch, budget):
+        # replica 1's first rejection falls in row 26 (see
+        # TestMinibatchReplay.test_searched_seed_reaches_rejection)
+        monkeypatch.setattr(dynamics, "_REFILL_WORDS", budget)
+        n, b, rows = 10000, 200, 100
+        streams = index_streams(n, b, 30, [0, 1])
+        streams.expect(rows)
+        blocks, out_of_step = [], []
+        for c in (7,) * 14 + (2,):
+            blocks.append(streams.next_rows(c))
+            out_of_step.append(streams.pos[0] != streams.pos[1])
+        got = np.concatenate(blocks, axis=1)
+        assert np.array_equal(got[1], choice_rows(n, b, rows, 30, 1))
+        assert np.array_equal(got[0], choice_rows(n, b, rows, 30, 0))
+        # the rejection (block 3, rows 21-27) moved lane 1 ahead
+        assert not any(out_of_step[:3]) and out_of_step[3]
+
+    def test_few_raw_calls_per_lane(self, monkeypatch):
+        counters, stream = [], dynamics._stream
+
+        def counting_stream(master_seed, replica_id, tag):
+            rng = stream(master_seed, replica_id, tag)
+            if tag != dynamics._STREAM_MINIBATCH:
+                return rng
+            counters.append(CountingStream(rng))
+            return counters[-1]
+
+        monkeypatch.setattr(dynamics, "_stream", counting_stream)
+        base = model.make_synthetic_dataset(
+            {"n": 16, "d": 2, "generator": "gaussian_clipped",
+             "radius_D": 1.0}, 0)
+        config = SGDConfig(0.5, 8, 100, np.zeros(2), 3)
+        run_ensemble(model.LossModel("Quadratic"),
+                     model.make_neighbor(base, 0, 1), config, NoiseModel(),
+                     1024)
+        assert len(counters) == 1024
+        # 1,500 words a lane, against a budget of 512 words a lane
+        assert max(c.calls for c in counters) <= 3
+
+    @pytest.mark.parametrize("count", [1, 5, 300, 2000, 40000])
+    def test_one_lane_source_holds_count_plus_one_block(self, count):
+        source = dynamics.MinibatchSource(16, 8, "monte_carlo", seed=4)
+        width = 8 * 2     # b * d, as the verify averages pass it
+        rows = dynamics._block_rows(1, width)
+        held = 0
+        for _ in source.blocks(count, width):
+            held = max(held, source.index.buf.size)
+        assert held <= (count + rows) * source.index.width
 
 
 class TestNoiseBlocks:

@@ -19,9 +19,11 @@ everything that can be done once is.  The loss's gradient kernel
 replayed at once (column-major, see :func:`_floyd_shuffle`), and its noise
 is drawn into a step-major ``(rows, L, 1, d)`` buffer scaled by eta in
 place.  Per sub-block, the minibatches' features and labels are gathered
-with ``np.take`` into fixed step-major buffers.  A step is then the kernel
-and two in-place updates, ``theta - eta * g`` and ``+ eta * xi``, with no
-validation and no temporaries.
+with ``np.take`` into fixed step-major buffers.  Every view a step touches
+is built once per run (theta_s, theta_{s+1}, theta_s's column, eta * xi_s,
+and each sub-block row's A_j, A_j^T and Y_j), so a step is one kernel call
+and three in-place ufunc calls, ``g *= eta``, ``theta_{s+1} = theta_s - g``
+and ``theta_{s+1} += eta * xi_s``, with no indexing, checks or temporaries.
 
 Stream layout v2 (``STREAM_VERSION``)
 -------------------------------------
@@ -51,7 +53,8 @@ per step:
 * Noise for a block of c steps is ``standard_normal((c, d)) * scale`` or
   ``laplace(0, scale, (c, d))``, equal to c per-step draws.
 
-A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes, and the
+A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes (in
+:func:`run_lanes` at most k_max and ``_BLOCK_STEPS`` steps), and the
 minibatch buffers at most ``_REFILL_WORDS`` words plus a block's, so the
 transient memory stays near a few MB whatever R and k_max are.
 
@@ -96,6 +99,8 @@ EXACT_ENUMERATION_CAP = 20000
 
 # draws held per block across all lanes
 _BLOCK_ELEMENTS = 1 << 16
+# steps per run_lanes block at most: its views take about 0.5 KB a step
+_BLOCK_STEPS = 1 << 12
 # 32-bit minibatch words one refill draws at most across all lanes: 2^18
 # 64-bit draws, 2 MB
 _REFILL_WORDS = 8 * _BLOCK_ELEMENTS
@@ -137,6 +142,7 @@ class NoiseModel:
         object.__setattr__(self, "scale", tuple(float(s) for s in self.scale))
         if self.kind != "none" and any(s <= 0 for s in self.scale):
             raise ValueError("noise scales must be positive")
+        object.__setattr__(self, "_scales", np.array(self.scale))
 
     @property
     def sigma2(self) -> float:
@@ -155,7 +161,7 @@ class NoiseModel:
         values as ``rows`` calls of :meth:`draw`."""
         if self.kind == "none":
             return None
-        scale = np.array(self.scale)
+        scale = self._scales
         if self.kind == "gaussian_diag":
             return rng.standard_normal((rows, len(scale))) * scale
         return rng.laplace(0.0, scale, (rows, len(scale)))
@@ -519,7 +525,8 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
                 block[:, :, 0] - block[:, :, 1]).T
 
     b, d = config.batch_b, start.shape[-1]
-    rows = _block_rows(lanes, max(index.width, d))
+    rows = min(_block_rows(lanes, max(index.width, d)), max(k_max, 1),
+               _BLOCK_STEPS)
     # steps per sub-block, whose gathered minibatches (both chains' b rows
     # of d features per lane and step) hold about _BLOCK_ELEMENTS numbers
     sub = min(rows, _block_rows(lanes, 2 * b * d))
@@ -532,6 +539,11 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     # step s
     steps = np.empty((rows + 1,) + start.shape)
     steps[0] = start
+    # every view a step touches, built once: theta_s and its column, eta *
+    # xi_s (None without noise), and a sub-block row's A_j, A_j^T and Y_j
+    thetas = list(zip(steps, steps[..., None]))
+    kick_at = [None] * rows if kicks is None else list(kicks)
+    in_sub = list(zip(A, A.swapaxes(-1, -2), Y))
     with np.errstate(over="ignore", invalid="ignore"):
         live = (_norms(start) <= DIVERGENCE_GUARD).all(axis=-1)
         diverged_at[~live] = 0
@@ -556,12 +568,14 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
                 np.take(features, part, axis=0, out=A[:len(part)],
                         mode="clip")
                 np.take(labels, part, out=Y[:len(part)], mode="clip")
-                for s, (a, y) in enumerate(zip(A[:len(part)], Y), lo):
-                    g = grad(steps[s], a, y)
+                for (theta, column), (after, _), kick, (a, at, y) in zip(
+                        thetas[lo:], thetas[lo + 1:], kick_at[lo:],
+                        in_sub[:len(part)]):
+                    g = grad(theta, column, a, at, y)
                     g *= eta
-                    np.subtract(steps[s], g, out=steps[s + 1])
-                    if kicks is not None:
-                        steps[s + 1] += kicks[s]
+                    np.subtract(theta, g, out=after)
+                    if kick is not None:
+                        np.add(after, kick, out=after)
             block = steps[1:size + 1]
             ok = (_norms(block) <= DIVERGENCE_GUARD).all(axis=-1)
             failed = live & ~ok.all(axis=0)

@@ -99,7 +99,7 @@ FIELDS = (
                                      "minorization", "dominance"), REQUIRED),
     ("certificates[contraction].claimed_rate", "number", "(0, 1)", REQUIRED),
     ("certificates[contraction].k_max", "int", "[0, inf)", _K_MAX),
-    ("certificates[contraction].R", "int", "[1, inf)", 64),
+    ("certificates[contraction].R", "int", "[2, inf)", 64),
     ("certificates[contraction].theta0_a", "vector", FINITE, None),
     ("certificates[contraction].theta0_b", "vector", FINITE, None),
     ("certificates[drift].claimed_delta", "number", "(0, 1)", REQUIRED),
@@ -111,7 +111,7 @@ FIELDS = (
     ("certificates[drift].mode", "enum", DRIFT_MODES, "exact"),
     ("certificates[drift].n_mc", "int", "[2, inf)", 2000),
     ("certificates[kernel_gap].claimed_gamma", "number", "[0, inf)", REQUIRED),
-    ("certificates[kernel_gap].R", "int", "[1, inf)", 256),
+    ("certificates[kernel_gap].R", "int", "[2, inf)", 256),
     ("certificates[contraction,drift,kernel_gap].seed", "int", "[0, inf)",
      lambda c: c["sgd"]["master_seed"]),
     ("certificates[minorization].M", "number", "[0, inf)", REQUIRED),

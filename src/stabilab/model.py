@@ -166,20 +166,23 @@ def grad_batch(loss: LossModel, theta: np.ndarray, A: np.ndarray,
     lead = theta.shape[:-1]
     if not lead == A.shape[:-2] == Y.shape[:-1]:
         lead = np.broadcast_shapes(lead, A.shape[:-2], Y.shape[:-1])
-    return grad_kernel(loss, lead, b, d)(theta, A, Y)
+    return grad_kernel(loss, lead, b, d)(theta, theta[..., None], A,
+                                         A.swapaxes(-1, -2), Y)
 
 
 def grad_kernel(loss: LossModel, lead: tuple, b: int, d: int):
     """``loss``'s mean gradient bound to buffers for lanes of shape ``lead``.
 
-    Returns ``kernel(theta, A, Y)`` for theta (*lead, d), A (*lead, b, d)
-    and Y (*lead, b), all float.  It checks nothing, allocates nothing, and
-    returns the gradient (*lead, d) as a view of its own buffer, which the
-    next call overwrites; the caller may scale that view in place.  Each
-    family's formula is written here once.  Its operations run in the order
-    of the formula's plain numpy expression, on buffers laid out as numpy
-    would allocate them there, so the result is bit-equal to that
-    expression (``tests/test_model.py`` keeps it as the oracle).
+    Returns ``kernel(theta, column, A, At, Y)`` for theta (*lead, d), A
+    (*lead, b, d) and Y (*lead, b), all float, and the views ``column =
+    theta[..., None]`` and ``At = A.swapaxes(-1, -2)``, which a caller
+    stepping over fixed buffers builds once.  It checks nothing, allocates
+    nothing, and returns the gradient (*lead, d) as a view of its own
+    buffer, which the next call overwrites; the caller may scale that view
+    in place.  Each family's formula is written here once.  Its operations
+    run in the order of the formula's plain numpy expression, on buffers
+    laid out as numpy would allocate them there, so the result is bit-equal
+    to that expression (``tests/test_model.py`` keeps it as the oracle).
     """
     lead = tuple(lead)
     out = np.empty(lead + (d, 1))       # At @ column, as matmul allocates
@@ -190,9 +193,9 @@ def grad_kernel(loss: LossModel, lead: tuple, b: int, d: int):
         # d = 1: mu*sign(theta - y)|theta - y|^{p-1}, 0 at the kink
         signs, mu, power = np.empty(lead + (b,)), loss.mu, loss.p - 1.0
 
-        def kernel(theta, A, Y):
+        def kernel(theta, column, A, At, Y):
             u, t = r, signs
-            np.subtract(theta[..., :1], Y, out=u)
+            np.subtract(theta, Y, out=u)
             np.sign(u, out=t)
             t *= mu
             np.abs(u, out=u)
@@ -206,13 +209,14 @@ def grad_kernel(loss: LossModel, lead: tuple, b: int, d: int):
     sine = loss.family == "RegularizedSine"
     base = loss.m0 if sine else loss.mu0
     weighted = np.empty(lead + (d,)) if base else None
+    residual = r[..., None]     # a stride-0 column, as the expression has
 
-    def kernel(theta, A, Y):
-        np.matmul(A, theta[..., None], out=rows)
+    def kernel(theta, column, A, At, Y):
+        np.matmul(A, column, out=rows)
         np.subtract(r, Y, out=r)
         if sine:
             np.cos(r, out=r)
-        np.matmul(A.swapaxes(-1, -2), r[..., None], out=out)
+        np.matmul(At, residual, out=out)
         if sine:
             np.multiply(g, loss.s, out=g)
         np.divide(g, b, out=g)

@@ -91,8 +91,8 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
     """Mean coupled distance from two starts vs claimed_rate^k * ||delta0||."""
     if not (0 < claimed_rate < 1):
         raise ValueError("claimed_rate must lie in (0, 1)")
-    if R < 1:
-        raise ValueError("R >= 1 required")
+    if R < 2:
+        raise ValueError(f"R = {R}: the standard error needs R >= 2")
     d = dataset.dim_d
     if theta0_a is None:
         theta0_a = np.ones(d)
@@ -167,6 +167,8 @@ def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
     kernels, so a pass certifies consistency of the claimed gap, not
     tightness.
     """
+    if R < 2:
+        raise ValueError(f"R = {R}: the standard error needs R >= 2")
     V = _lyapunov(lyapunov, loss, pair.perturbed)
     source = MinibatchSource(pair.base.n, b, "monte_carlo", seed)
     worst_ratio = -math.inf

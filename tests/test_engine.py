@@ -17,6 +17,7 @@
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,11 +339,34 @@ def scalar_reference(loss, datasets, starts, config, noise, replica_id):
     return np.array(out)
 
 
+def assert_matches_scalar_loop(loss, datasets, starts, config, noise,
+                               replica_ids):
+    checkpoints = list(range(config.k_max + 1))
+    run = run_lanes(loss, datasets, starts, config, noise, replica_ids,
+                    checkpoints, distances=True)
+    assert np.all(run.diverged_at == config.k_max + 1)
+    for lane, r in enumerate(replica_ids):
+        ref = scalar_reference(loss, datasets, starts, config, noise, r)
+        # bit-identical with numpy 2.4, where both paths reach the same
+        # BLAS calls; 1e-12 relative is the contract
+        np.testing.assert_allclose(run.states[lane], ref, rtol=1e-12, atol=0)
+        ref_dist = [np.linalg.norm(a - b) for a, b in ref]
+        np.testing.assert_allclose(run.distances[lane], ref_dist,
+                                   rtol=1e-12, atol=0)
+
+
 class TestEngineAgainstScalarSteps:
+    """At the default block budget 40 steps fit in one block and one
+    sub-block.  Budget 64 makes blocks of 4 steps in sub-blocks of 1 step
+    (of 3 and 1 at d = 1); budget 150 blocks of 10 steps in sub-blocks of
+    4, 4 and 2 (8 and 2 at d = 1), so steps cross both boundaries."""
+
+    @pytest.mark.parametrize("budget", [None, 64, 150])
     @pytest.mark.parametrize("family", list(LOSSES))
     @pytest.mark.parametrize("kind", ["none", "gaussian_diag", "laplace"])
     @pytest.mark.parametrize("pairing", ["two_datasets", "two_starts"])
-    def test_matches_scalar_loop(self, family, kind, pairing):
+    def test_matches_scalar_loop(self, monkeypatch, family, kind, pairing,
+                                 budget):
         d = 1 if family == "ScalarPower" else 2
         base = model.make_synthetic_dataset(
             {"n": 8, "d": d, "generator": "gaussian_clipped",
@@ -354,23 +378,30 @@ class TestEngineAgainstScalarSteps:
         else:
             datasets = (base, base)
             starts = (np.full(d, 1.0), np.full(d, -0.5))
-        config = SGDConfig(0.1, 3, 40, starts[0], 17)
-        noise = noise_model(kind, d)
-        checkpoints = list(range(config.k_max + 1))
-        replica_ids = [0, 5, 2]
-        run = run_lanes(LOSSES[family], datasets, starts, config, noise,
-                        replica_ids, checkpoints, distances=True)
-        assert np.all(run.diverged_at == config.k_max + 1)
-        for lane, r in enumerate(replica_ids):
-            ref = scalar_reference(LOSSES[family], datasets, starts, config,
-                                   noise, r)
-            # bit-identical with numpy 2.4, where both paths reach the same
-            # BLAS calls; 1e-12 relative is the contract
-            np.testing.assert_allclose(run.states[lane], ref, rtol=1e-12,
-                                       atol=0)
-            ref_dist = [np.linalg.norm(a - b) for a, b in ref]
-            np.testing.assert_allclose(run.distances[lane], ref_dist,
-                                       rtol=1e-12, atol=0)
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        assert_matches_scalar_loop(
+            LOSSES[family], datasets, starts, SGDConfig(0.1, 3, 40, starts[0],
+                                                        17),
+            noise_model(kind, d), [0, 5, 2])
+
+    @pytest.mark.parametrize("budget", [None, 64, 1024])
+    def test_deep_noisy_shape(self, monkeypatch, budget):
+        """d = 16, b = 4, n = 32, Gaussian noise, two datasets, as in the
+        deep-noisy workload.  Budget 64 makes blocks of 2 steps in
+        sub-blocks of 1; budget 1024 blocks of 32 steps in sub-blocks of 4,
+        as deep-noisy's blocks of 256 steps hold sub-blocks of 32."""
+        base = model.make_synthetic_dataset(
+            {"n": 32, "d": 16, "generator": "gaussian_clipped",
+             "radius_D": 0.1, "label_range": 0.05}, 0)
+        pair = model.make_neighbor(base, 0, 1)
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        assert_matches_scalar_loop(
+            model.LossModel("RegularizedSine", m0=2.0, s=0.01),
+            (pair.base, pair.perturbed), (np.zeros(16), np.zeros(16)),
+            SGDConfig(0.2, 4, 40, np.zeros(16), 3),
+            NoiseModel("gaussian_diag", (math.sqrt(0.5),) * 16), [0, 9])
 
 
 def sine_pair(d=3):
@@ -657,3 +688,25 @@ class TestStopOnceAllDiverged:
         calls = self.count_grad_calls(monkeypatch)
         assert np.all(run_lanes(*args).diverged_at == 301)
         assert len(calls) == 300
+
+
+class TestBlockSteps:
+    def test_one_lane_views_stay_small(self):
+        # one lane at d = 1 and b = 1 would make blocks of 2^16 steps, whose
+        # per-step views take about 37 MB; at most _BLOCK_STEPS steps keep
+        # them near 2 MB
+        base = model.make_synthetic_dataset(
+            {"n": 10, "d": 1, "generator": "unit_fixed"}, 0)
+        config = SGDConfig(0.1, 1, 3 * dynamics._BLOCK_STEPS, np.zeros(1), 3)
+        assert dynamics._block_rows(1, 1) > 8 * dynamics._BLOCK_STEPS
+        tracemalloc.start()
+        try:
+            run = run_lanes(model.LossModel("Quadratic"), (base, base),
+                            (np.zeros(1), np.ones(1)), config,
+                            NoiseModel("laplace", (0.1,)), [0],
+                            [config.k_max])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.diverged_at[0] == config.k_max + 1
+        assert peak < 8 * 2 ** 20

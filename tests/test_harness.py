@@ -394,6 +394,10 @@ CONFIG_ERRORS = {
                                "certificate.claimed_gamma"),
     "R-string": (_contraction(R="x"), "certificate.R"),
     "R-zero": (_contraction(R=0), "certificate.R"),
+    # one replica has no standard error for the three-sigma margin
+    "R-one": (_contraction(R=1), "certificate.R"),
+    "kernel-gap-R-one": (_certificate(kind="kernel_gap", claimed_gamma=1.0,
+                                      R=1), "certificate.R"),
     "k-max-negative": (_contraction(k_max=-1), "certificate.k_max"),
     "seed-negative": (_contraction(seed=-1), "certificate.seed"),
     "theta0-a-length": (_contraction(theta0_a=[1.0, 1.0]),

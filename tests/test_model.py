@@ -116,7 +116,8 @@ KERNEL_CASES = [pytest.param(loss, d, id=f"{loss.family}-{loss.p}-d{d}")
 
 class TestGradKernel:
     """``grad_kernel`` against ``grad_batch`` and the expression oracle,
-    under ==, with its buffers reused across calls as ``run_lanes`` does."""
+    under ==, with its buffers and its argument views reused across calls
+    as ``run_lanes`` reuses them."""
 
     @pytest.mark.parametrize("loss, d", KERNEL_CASES)
     @pytest.mark.parametrize("lead", [(), (5,), (16, 2)])
@@ -124,18 +125,26 @@ class TestGradKernel:
         rng = np.random.default_rng(d)
         b = 4
         kernel = model.grad_kernel(loss, lead, b, d)
-        # step-major stacks, sliced per step like the engine's buffers
+        # step-major stacks, and their per-step views built once, like the
+        # engine's buffers
         A = rng.standard_normal((3,) + lead + (b, d))
         Y = rng.standard_normal((3,) + lead + (b,))
         theta = 3.0 * rng.standard_normal((3,) + lead + (d,))
-        theta[0].flat[0] = Y[0].flat[0]     # a ScalarPower kink
-        for s in range(3):
-            got = kernel(theta[s], A[s], Y[s]).copy()
-            want = grad_batch(loss, theta[s], A[s], Y[s])
-            assert got.shape == want.shape == lead + (d,)
-            assert np.array_equal(got, want)
-            assert np.array_equal(got, grad_reference(loss, theta[s], A[s],
-                                                      Y[s]))
+        views = list(zip(theta, theta[..., None], A, A.swapaxes(-1, -2), Y))
+        for _ in range(2):
+            theta[0].flat[0] = Y[0].flat[0]     # a ScalarPower kink
+            for step_views in views:
+                th, _, a, _, y = step_views
+                got = kernel(*step_views).copy()
+                want = grad_batch(loss, th, a, y)
+                assert got.shape == want.shape == lead + (d,)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, grad_reference(loss, th, a, y))
+            # new values under the same views, as the engine overwrites its
+            # buffers in place
+            A += 0.5
+            Y *= -1.0
+            theta += rng.standard_normal(theta.shape)
 
     @pytest.mark.parametrize("loss", KERNEL_LOSSES,
                              ids=lambda l: f"{l.family}-{l.p}")

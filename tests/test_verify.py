@@ -82,9 +82,15 @@ class TestContraction:
         assert cert.margin < 0
 
     def test_no_replicas_rejected(self):
-        with pytest.raises(ValueError, match="R >= 1"):
+        with pytest.raises(ValueError, match="R >= 2"):
             check_contraction(model.LossModel("Quadratic"), unit_dataset(),
                               0.1, 2, 0.9, 5, R=0, seed=0)
+
+    def test_one_replica_rejected(self):
+        # one replica would pass with a standard error of 0
+        with pytest.raises(ValueError, match="R = 1: .* R >= 2"):
+            check_contraction(model.LossModel("Quadratic"), unit_dataset(),
+                              0.1, 2, 0.9, 5, R=1, seed=0)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +180,11 @@ class TestKernelGap:
                                 theta_grid=[[0.0]], R=8, seed=0)
         assert cert.passed
         assert cert.margin == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_replica_rejected(self):
+        with pytest.raises(ValueError, match="R = 1: .* R >= 2"):
+            check_kernel_gap(model.LossModel("Quadratic"), flip_pair(), 0.1, 2,
+                             "one_plus_norm", 0.5, [[0.0]], R=1, seed=0)
 
     def test_reproducible(self):
         a = check_kernel_gap(model.LossModel("Quadratic"), flip_pair(), 0.1, 2,

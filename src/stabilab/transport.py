@@ -8,13 +8,20 @@ pathwise mean of the coupled chains dominates the true distance).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 
 from .model import _mean_stderr, _norms
 
 ASSIGNMENT_CAP = 1024
+
+_LSAP = "scipy.optimize._lsap"
+_lsap = None   # scipy's linear_sum_assignment, loaded on the first matching
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,54 @@ def wasserstein_exact_1d(p: float, A, B) -> TransportEstimate:
     return _estimate("exact_1d", p, diffs ** p)
 
 
+def _load_lsap():
+    """scipy's compiled ``linear_sum_assignment`` without running
+    ``scipy.optimize/__init__``, which imports much of scipy (about 49 MB
+    and half a second).  The extension is registered under its own name, so
+    a later ``import scipy.optimize`` reuses it.  Where the module is
+    already loaded it is reused; where the file is missing (older scipy
+    ships ``_lsap`` as Python) or does not load, the public import is
+    used."""
+    module = sys.modules.get(_LSAP)
+    if module is None:
+        import scipy
+        directory = Path(scipy.__file__).parent / "optimize"
+        for suffix in EXTENSION_SUFFIXES:
+            path = directory / f"_lsap{suffix}"
+            if path.is_file():
+                try:
+                    loader = ExtensionFileLoader(_LSAP, str(path))
+                    module = module_from_spec(
+                        spec_from_file_location(_LSAP, path, loader=loader))
+                    loader.exec_module(module)
+                except ImportError:  # a broken or foreign build
+                    module = None
+                else:
+                    module = sys.modules.setdefault(_LSAP, module)
+                break
+    if module is None:
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    return module.linear_sum_assignment
+
+
+def _distance_cost(p: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^p for every pair, bit for bit ``cdist(A, B) ** p``: the
+    squared coordinate differences summed left to right, then the root.
+    Holds two (N, N) arrays at once."""
+    cost = np.subtract.outer(A[:, 0], B[:, 0])
+    cost *= cost
+    diff = np.empty_like(cost)
+    for j in range(1, A.shape[1]):
+        np.subtract.outer(A[:, j], B[:, j], out=diff)
+        diff *= diff
+        cost += diff
+    np.sqrt(cost, out=cost)
+    if p != 1:
+        cost **= p
+    return cost
+
+
 def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
     """Exact W_p between equal-size clouds via minimum-cost perfect matching.
 
@@ -75,9 +130,7 @@ def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
     independent clouds |t| is a few per cent of that distance, and at
     p = 1 the potential's slope |g| = 1, whatever |t|, slows the solver.
     """
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
+    global _lsap
     A, B = _as_cloud(A), _as_cloud(B)
     if A.shape[0] != B.shape[0]:
         raise ValueError("clouds must have equal size")
@@ -88,7 +141,7 @@ def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
         raise ValueError(
             f"cloud size {N} exceeds the assignment cap {ASSIGNMENT_CAP}; "
             "subsample before calling")
-    cost = cdist(A, B) ** p
+    cost = _distance_cost(p, A, B)
     moves = B - A
     shift = moves.mean(axis=0)
     size = float(np.linalg.norm(shift))
@@ -96,9 +149,12 @@ def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
         g = p * size ** (p - 1) * shift / size
         cost += (A @ g)[:, None]
         cost -= B @ g
-    rows, cols = linear_sum_assignment(cost)
-    # the matched costs are recomputed pair by pair: cdist sums the
-    # coordinates in another order, and the reduced costs hold the potential
+    if _lsap is None:
+        _lsap = _load_lsap()
+    rows, cols = _lsap(cost)
+    # the matched costs are recomputed pair by pair: the cost matrix sums
+    # the coordinates left to right, np.linalg.norm pairwise from d = 8 on,
+    # and the reduced costs hold the potential
     return _estimate("assignment", p,
                      np.linalg.norm(A[rows] - B[cols], axis=1) ** p)
 

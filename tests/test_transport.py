@@ -1,9 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from stabilab import transport
 from stabilab.transport import (coupled_upper_bound, wasserstein_assignment,
                                 wasserstein_exact_1d)
 
@@ -106,7 +115,7 @@ def solver_calls(monkeypatch):
         calls.append((cost.copy(), cols))
         return rows, cols
 
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    monkeypatch.setattr(transport, "_lsap", spy)
     return calls
 
 
@@ -162,6 +171,186 @@ class TestAssignmentPotential:
         _, value, _ = reference_assignment(1.0, A, B)
         assert wasserstein_assignment(1.0, A, B).value == pytest.approx(
             value, rel=1e-12, abs=0)
+
+
+class TestDistanceCost:
+    """The numpy cost matrix against scipy's cdist, the former path."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16, 17, 40])
+    def test_equals_cdist(self, d, p):
+        rng = np.random.default_rng(d)
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            A = scale * rng.standard_normal((97, d))
+            B = A[::-1] + scale * rng.standard_normal((97, d))
+            assert np.array_equal(transport._distance_cost(p, A, B),
+                                  cdist(A, B) ** p), scale
+
+
+LSAP_FILE = next((Path(scipy.__file__).parent / "optimize" / f"_lsap{s}"
+                  for s in transport.EXTENSION_SUFFIXES
+                  if (Path(scipy.__file__).parent / "optimize"
+                      / f"_lsap{s}").is_file()), None)
+needs_extension = pytest.mark.skipif(
+    LSAP_FILE is None, reason="this scipy ships _lsap as Python")
+
+
+class FailingLoader:
+    def __init__(self, name, path):
+        raise ImportError(f"cannot load {path}")
+
+
+@pytest.fixture
+def unloaded(monkeypatch):
+    """No solver cached and no _lsap module imported, as in a fresh process
+    (restored afterwards)."""
+    monkeypatch.setattr(transport, "_lsap", None)
+    monkeypatch.delitem(sys.modules, transport._LSAP, raising=False)
+    return monkeypatch
+
+
+def assignment_with(monkeypatch, solver, p, A, B):
+    """(cols, value, stderr) of wasserstein_assignment run on ``solver``."""
+    calls = []
+
+    def spy(cost):
+        rows, cols = solver(cost)
+        calls.append(cols)
+        return rows, cols
+
+    monkeypatch.setattr(transport, "_lsap", spy)
+    est = wasserstein_assignment(p, A, B)
+    (cols,) = calls
+    return cols, est.value, est.stderr
+
+
+class TestSolverLoad:
+    """The directly loaded extension against the public import."""
+
+    @needs_extension
+    def test_direct_load_reads_the_extension_file(self, unloaded):
+        loads = []
+
+        class RecordingLoader(transport.ExtensionFileLoader):
+            def __init__(self, name, path):
+                loads.append((name, path))
+                super().__init__(name, path)
+
+        unloaded.setattr(transport, "ExtensionFileLoader", RecordingLoader)
+        solver = transport._load_lsap()
+        assert loads == [(transport._LSAP, str(LSAP_FILE))]
+        assert solver is sys.modules[transport._LSAP].linear_sum_assignment
+
+    def test_reuses_an_imported_module(self, unloaded):
+        # once scipy.optimize is imported (minimize, on a noisy workload),
+        # its _lsap module is used as it is, and no file is loaded
+        def solver(cost):
+            return linear_sum_assignment(cost)
+
+        module = types.ModuleType(transport._LSAP)
+        module.linear_sum_assignment = solver
+        unloaded.setitem(sys.modules, transport._LSAP, module)
+        unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
+        assert transport._load_lsap() is solver
+
+    def test_loaded_once_on_first_matching(self, unloaded):
+        A = np.random.default_rng(9).standard_normal((8, 2))
+        wasserstein_assignment(2.0, A, A[::-1])
+        solver = transport._lsap
+        assert solver is not None
+        wasserstein_assignment(2.0, A, A)
+        assert transport._lsap is solver
+
+    @pytest.mark.parametrize("failure", ["missing", "raises"])
+    def test_falls_back_to_public_import(self, unloaded, failure):
+        if failure == "missing":
+            unloaded.setattr(transport, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
+        assert transport._load_lsap() is scipy.optimize.linear_sum_assignment
+
+    @needs_extension
+    @pytest.mark.parametrize("failure", ["missing", "raises"])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("clouds", ["coupled", "independent"])
+    def test_both_paths_agree(self, unloaded, failure, p, clouds):
+        if clouds == "coupled":
+            A, B = coupled_clouds(512, 2, seed=11)
+        else:
+            rng = np.random.default_rng(12)
+            A, B = rng.standard_normal((512, 2)), rng.standard_normal((512, 2))
+        direct = transport._load_lsap()
+        if failure == "missing":
+            unloaded.setattr(transport, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
+        unloaded.delitem(sys.modules, transport._LSAP)
+        public = transport._load_lsap()
+        assert public is scipy.optimize.linear_sum_assignment
+        cols, value, stderr = assignment_with(unloaded, direct, p, A, B)
+        public_cols, public_value, public_stderr = assignment_with(
+            unloaded, public, p, A, B)
+        assert np.array_equal(cols, public_cols)
+        assert (value, stderr) == (public_value, public_stderr)
+
+
+FRESH_RUN = """
+import json, pathlib, sys, tempfile
+import numpy as np
+from stabilab import cli, transport
+cfg = json.loads(sys.argv[1])
+with tempfile.TemporaryDirectory() as out:
+    path = pathlib.Path(out) / "config.json"
+    path.write_text(json.dumps(cfg))
+    codes = [cli.main([command, "--config", str(path), "--out", out])
+             for command in ("simulate", "verify")]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+lsap = sys.modules.get("scipy.optimize._lsap")
+cost = np.random.default_rng(0).random((64, 64))
+ours = transport._lsap(cost)[1]
+import scipy.optimize
+print(json.dumps({
+    "codes": codes, "loaded": loaded,
+    "reused": lsap is not None and sys.modules["scipy.optimize._lsap"] is lsap
+    and scipy.optimize.linear_sum_assignment is lsap.linear_sum_assignment,
+    "same": bool(np.array_equal(
+        ours, scipy.optimize.linear_sum_assignment(cost)[1]))}))
+"""
+
+
+@needs_extension
+def test_fresh_process_matching_loads_no_scipy_optimize():
+    # a small wide-quadratic: the assignment estimator and a dominance
+    # certificate that estimates with the assignment
+    cfg = {
+        "schema_version": 1,
+        "regime": "Quadratic",
+        "loss": {"family": "Quadratic"},
+        "dataset": {"n": 8, "d": 2, "generator": "gaussian_clipped",
+                    "radius_D": 1.0, "seed": 0},
+        "sgd": {"eta": 0.5, "batch_b": 4, "k_max": 20, "theta0": [0.0, 0.0],
+                "master_seed": 3},
+        "bound": {"k": 20},
+        "replicas": 64,
+        "checkpoints": [10, 20],
+        "estimators": ["coupled", "assignment"],
+        "certificates": [{"kind": "dominance", "R": 64, "k": 20,
+                          "estimator": "assignment"}],
+    }
+    src = str(Path(transport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(cfg)],
+                         env=env, capture_output=True, text=True, check=True)
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert "scipy.optimize._lsap" in result["loaded"]
+    for package in ("scipy.optimize", "scipy.linalg", "scipy.spatial"):
+        assert package not in result["loaded"]
+        assert not [m for m in result["loaded"]
+                    if m.startswith(package + ".") and
+                    m != "scipy.optimize._lsap"], package
+    assert result["reused"]
+    assert result["same"]
 
 
 def coupled_loop(p, A, B):

@@ -15,62 +15,55 @@ dataset from two starts (``verify.check_contraction``).  The scalar
 The engine's cost is a fixed handful of small numpy calls per step, so
 everything that can be done once is.  The loss's gradient kernel
 (``model.grad_kernel``) is bound once per run to buffers for the
-``(L, 2)`` lanes.  Per block of steps, every lane's minibatches are
-replayed at once (column-major, see :func:`_floyd_shuffle`), and its noise
-is drawn into a step-major ``(rows, L, 1, d)`` buffer scaled by eta in
-place.  Per sub-block, the minibatches' features and labels are gathered
-with ``np.take`` into fixed step-major buffers.  Every view a step touches
-is built once per run (theta_s, theta_{s+1}, theta_s's column, eta * xi_s,
+``(L, 2)`` lanes.  Every lane's minibatches are drawn a few times per run
+(see :class:`_IndexStreams`), and per block of steps its noise is drawn
+into a step-major ``(rows, L, 1, d)`` buffer scaled by eta in place.  Per
+sub-block, the minibatches' features and labels are gathered with
+``np.take`` into fixed step-major buffers.  Every view a step touches is
+built once per run (theta_s, theta_{s+1}, theta_s's column, eta * xi_s,
 and each sub-block row's A_j, A_j^T and Y_j), so a step is one kernel call
 and three in-place ufunc calls, ``g *= eta``, ``theta_{s+1} = theta_s - g``
 and ``theta_{s+1} += eta * xi_s``, with no indexing, checks or temporaries.
 
-Stream layout v2 (``STREAM_VERSION``)
+Stream layout v3 (``STREAM_VERSION``)
 -------------------------------------
 Randomness is counter-based: every stream is a Philox generator keyed by
 (master_seed, replica_id, stream_tag), tag 0 for minibatch indices and tag 1
 for noise, so replicas are independent and order-independent by
 construction, and both chains of a pair consume the same streams
-structurally rather than incidentally.  The engine draws each stream in
-blocks of steps and reproduces, bit for bit, one
-``Generator.choice(n, b, replace=False)`` and one :meth:`NoiseModel.draw`
-per step:
+structurally rather than incidentally.  Each stream yields the same values
+however its steps are split into draws:
 
-* Minibatches come from each replica's ``bit_generator.random_raw``
-  words.  Each 64-bit word splits into two 32-bit words, low half first,
-  and the words are consumed in order, each once, whatever the blocks.
-  They wait in a buffer per replica, which a few ``random_raw`` calls per
-  run refill (see :class:`_IndexStreams`); the buffer changes no word and
-  no order, so the layout is the same as with one call per block.
-  Every row replays numpy's algorithm on those words: Floyd's selection
-  (for j = n-b .. n-1 a Lemire-bounded draw on [0, j], taking j itself on a
-  duplicate; j = 0 draws nothing), then a Lemire Fisher-Yates shuffle of
-  the b picks (draws on [0, i] for i = b-1 .. 1).  A block in which a Lemire
-  draw is rejected is replayed word by word for that replica.  For (n, b)
-  where numpy shuffles the tail of ``arange(n)`` instead (n > 10000 and
-  b > n // 50) or needs draws wider than 32 bits, the rows are drawn with
-  ``Generator.choice`` itself.
+* Minibatch s of a stream is one ``integers(0, highs)`` with ``highs =
+  [n-b+1, ..., n]``, so its draw t is uniform on [0, n-b+t], followed by
+  Floyd's selection (Bentley & Floyd, *Programming pearls: a sample of
+  brilliance*, CACM 1987): a draw already picked in its row becomes n-b+t.
+  Each row is a uniform b-subset of range(n), in the order picked.  The
+  engine draws many rows with one ``integers(0, highs, size=(rows, b))``
+  call; with the default int64 dtype numpy keeps no part of a word between
+  calls outside the bit generator, so that call and ``rows`` calls of one
+  row return the same values.
 * Noise for a block of c steps is ``standard_normal((c, d)) * scale`` or
   ``laplace(0, scale, (c, d))``, equal to c per-step draws.
 
 A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes (in
 :func:`run_lanes` at most k_max and ``_BLOCK_STEPS`` steps), and the
-minibatch buffers at most ``_REFILL_WORDS`` words plus a block's, so the
+minibatch buffer at most ``_DRAW_INDICES`` indices plus a block's, so the
 transient memory stays near a few MB whatever R and k_max are.
 
 Every average over the minibatch law outside the engine (the contraction
 factor and E||q|| of ``bounds``, the drift and kernel-gap certificates of
 ``verify``) runs over one :class:`MinibatchSource`.  In Monte-Carlo mode it
-replays consecutive ``choice(n, b, replace=False)`` rows of one
-``Philox(SeedSequence(seed))`` stream in the same blocks, and draws noise
-from a second stream, ``_stream(seed, 0, _STREAM_NOISE)``, one
-:meth:`NoiseModel.draw_block` per block.
+reads consecutive minibatches of one ``Philox(SeedSequence(seed))`` stream
+in the same blocks, and draws noise from a second stream, ``_stream(seed,
+0, _STREAM_NOISE)``, one :meth:`NoiseModel.draw_block` per block.
 
-v2 differs from v1 only in where that noise comes from: v1 drew each drift
-sample's minibatch and then its noise from the one minibatch stream.  So
-noisy Monte-Carlo drift certificates changed value from v1 to v2, while
-noiseless ones (which drew no noise words), the ensemble and every other
-certificate are unchanged.
+Earlier layouts: v2 replayed numpy's ``choice(n, b, replace=False)`` word
+for word (Floyd's selection then a Fisher-Yates shuffle, or a shuffle of
+``arange(n)`` for n > 10000 and b > n // 50), so every ensemble and every
+Monte-Carlo average changed value from v2 to v3, while the noise did not.
+v1 drew each Monte-Carlo drift sample's noise from the minibatch stream,
+right after its minibatch.
 """
 
 from __future__ import annotations
@@ -86,7 +79,7 @@ from .model import (Dataset, LossModel, NeighborPair, _mean_stderr, _norms,
                     grad_batch, grad_kernel)
 
 # version of the random-stream layout described in the module docstring
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # stream tags for the counter-based generators
 _STREAM_MINIBATCH = 0
@@ -101,11 +94,9 @@ EXACT_ENUMERATION_CAP = 20000
 _BLOCK_ELEMENTS = 1 << 16
 # steps per run_lanes block at most: its views take about 0.5 KB a step
 _BLOCK_STEPS = 1 << 12
-# 32-bit minibatch words one refill draws at most across all lanes: 2^18
-# 64-bit draws, 2 MB
-_REFILL_WORDS = 8 * _BLOCK_ELEMENTS
-
-_MASK32 = np.uint64(0xFFFFFFFF)
+# minibatch indices one refill draws at most across all lanes, 4 MB at
+# int32: one refill a run for an R = 1024, k = 100 ensemble at b = 8
+_DRAW_INDICES = 1 << 20
 
 NOISE_KINDS = ("none", "gaussian_diag", "laplace")
 
@@ -210,176 +201,74 @@ def _blocks(k_max: int, rows: int):
         yield min(rows, k_max - start)
 
 
-def _lemire(next_word, bound: int) -> int:
-    """numpy's Lemire draw on [0, bound] from 32-bit words (bound < 2**32-1)."""
-    if bound == 0:
-        return 0
-    excl = bound + 1
-    m = next_word() * excl
-    if (m & 0xFFFFFFFF) < excl:
-        threshold = (2 ** 32 - excl) % excl
-        while (m & 0xFFFFFFFF) < threshold:
-            m = next_word() * excl
-    return m >> 32
+def _floyd(draws: np.ndarray, n: int):
+    """Floyd's selection on every row of ``draws`` (rows, b), in place.
 
-
-def _floyd_shuffle(vals: np.ndarray, n: int, b: int) -> np.ndarray:
-    """Rows of choice(n, b, replace=False) from their accepted Lemire draws.
-
-    ``vals`` (..., T) holds each row's draws in the order numpy consumes
-    them: Floyd's draws for j = n-b .. n-1 (none for j = 0), then the
-    shuffle's draws for i = b-1 .. 1.  Returns shape (..., b).
-
-    The work is column-major: draw t of every row is one contiguous row of
-    a (T, count) array, and so is pick t of a (b, count) array, so each
-    duplicate test and each Fisher-Yates swap is one pass over contiguous
-    memory (the swaps through flat take/put).
+    Draw t of a row is uniform on [0, n - b + t]; one already picked in its
+    row becomes n - b + t, so every row ends a uniform b-subset of range(n).
+    The duplicate test reads a mask of taken indices per row (flat
+    take/put), chunked so the mask holds at most ``_DRAW_INDICES`` cells:
+    the cost is linear in b.
     """
-    lead, T = vals.shape[:-1], vals.shape[-1]
-    count = math.prod(lead)
-    draws = np.ascontiguousarray(vals.reshape(count, T).T, dtype=np.int64)
-    picks = np.empty((b, count), dtype=np.int64)
-    col = 0
-    for t, j in enumerate(range(n - b, n)):
-        if j == 0:
-            picks[t] = 0
-            continue
-        v = draws[col]
-        col += 1
-        duplicate = (picks[:t] == v).any(axis=0)
-        picks[t] = np.where(duplicate, j, v)
-    flat = picks.reshape(-1)
-    lanes = np.arange(count)
-    for i in range(b - 1, 0, -1):
-        at = draws[col] * count + lanes
-        col += 1
-        swapped = flat.take(at)
-        flat.put(at, picks[i])
-        picks[i] = swapped
-    return picks.T.reshape(*lead, b)
+    count, b = draws.shape
+    chunk = max(1, _DRAW_INDICES // n)
+    taken = np.zeros(min(chunk, count) * n, dtype=bool)
+    for lo in range(0, count, chunk):
+        part = draws[lo:lo + chunk]
+        offsets = n * np.arange(len(part))
+        for t in range(b):
+            picks = np.where(taken.take(offsets + part[:, t]), n - b + t,
+                             part[:, t])
+            part[:, t] = picks
+            taken.put(offsets + picks, True)
+        taken[:] = False
 
 
 class _IndexStreams:
-    """The minibatch streams of several replicas, replayed block by block.
+    """The minibatch streams of several replicas, read block by block.
 
-    Each lane's drawn 32-bit words wait in one buffer, row ``lane`` of
-    ``buf``, from column ``pos[lane]`` up to ``end[lane]``.  A lane that runs
-    short is refilled by one ``random_raw`` call, sized to the words the
-    caller said it will still read (:meth:`expect`) and capped by
-    ``_REFILL_WORDS`` across all lanes.  A refill moves every lane's words
-    to column 0, so the lanes read one slice per block until a rejection
-    replay moves one of them ahead; until the next refill each lane is then
-    gathered from its own column.
+    The lanes stay in step: one ``(L, rows, b)`` buffer holds every lane's
+    drawn minibatches, read from one position.  A block that runs past its
+    end refills it with one ``integers`` call per lane, sized to the rows the
+    caller said it will still read (:meth:`expect`) and capped at
+    ``_DRAW_INDICES`` indices across all lanes.
     """
 
     def __init__(self, rngs: list, n: int, b: int):
         if b > n:
             raise ValueError("batch size exceeds dataset size")
         self.rngs, self.n, self.b = rngs, n, b
-        # inclusive bounds of one row's draws, in consumption order
-        bounds = [j for j in range(n - b, n) if j] + list(range(b - 1, 0, -1))
-        self.excl = np.array(bounds, dtype=np.uint64) + np.uint64(1)
-        self.threshold = (np.uint64(2 ** 32) - self.excl) % self.excl
-        self.replay = n < 2 ** 32 and (n <= 10000 or b <= n // 50)
-        self.buf = np.empty((len(rngs), 0), dtype="<u4")
-        self.pos = np.zeros(len(rngs), dtype=np.int64)
-        self.end = np.zeros(len(rngs), dtype=np.int64)
-        self.ahead = 0      # words per lane the caller will still read
-
-    @property
-    def width(self) -> int:
-        """Words one row consumes when no draw is rejected."""
-        return len(self.excl)
+        self.highs = np.arange(n - b + 1, n + 1)
+        self.buf = np.empty((len(rngs), 0, b),
+                            dtype=np.int32 if n < 2 ** 31 else np.int64)
+        self.pos = 0
+        self.ahead = 0      # rows the caller will still read
 
     def expect(self, rows: int):
         """Size refills for ``rows`` more rows of every lane."""
-        self.ahead = rows * self.width
+        self.ahead = rows
 
-    def _peek(self, lanes: np.ndarray, count: int) -> np.ndarray:
-        """Columns pos .. pos + count - 1 of each lane's buffer row (past a
-        lane's end the words are meaningless)."""
-        pos = self.pos[lanes]
-        if (pos == pos[0]).all():
-            p = int(pos[0])
-            rows = slice(None) if len(lanes) == len(self.rngs) else lanes
-            return self.buf[rows, p:p + count]
-        cols = np.minimum(pos[:, None] + np.arange(count),
-                          self.buf.shape[1] - 1)
-        return self.buf[lanes[:, None], cols]
-
-    def _refill(self, short: np.ndarray, count: int):
-        """Top up every lane in ``short`` to at least ``count`` words."""
-        lanes = np.arange(len(self.rngs))
-        left = self.end - self.pos
-        cap = max(1, _REFILL_WORDS // len(lanes))
-        fresh = np.maximum(count - left[short],
-                           np.minimum(self.ahead - left[short], cap))
-        raws = (fresh + 1) // 2
-        end = left.copy()
-        end[short] += 2 * raws
-        keep = self._peek(lanes, int(left.max()))
-        width = int(end.max())
-        if self.buf.shape[1] < width:
-            if self.ahead > width:
-                # room for the later refills: a block's leftover plus cap
-                width = max(width, cap + count + 1)
-            self.buf = np.empty((len(lanes), width), dtype="<u4")
-        self.buf[:, :keep.shape[1]] = keep
-        for lane, raw in zip(short.tolist(), raws.tolist()):
-            # each 64-bit word splits low half first
-            self.buf[lane, left[lane]:end[lane]] = \
-                self.rngs[lane].bit_generator.random_raw(raw).view("<u4")
-        self.pos[:], self.end[:] = 0, end
-
-    def _words(self, lanes: np.ndarray, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit words of each lane, shape (lanes, count),
-        for ``lanes`` ascending: a view of the buffer, valid until the next
-        call."""
-        if not count or not len(lanes):
-            return np.empty((len(lanes), count), dtype="<u4")
-        short = lanes[self.end[lanes] - self.pos[lanes] < count]
-        if short.size:
-            self._refill(short, count)
-        words = self._peek(lanes, count)
-        self.pos[lanes] += count
-        return words
-
-    def _replay_exact(self, lane: int, words: np.ndarray, rows: int
-                      ) -> np.ndarray:
-        """One lane's block word by word, honouring Lemire rejections."""
-        more = iter(lambda: int(self._words(np.array([lane]), 1)[0, 0]), None)
-        next_word = itertools.chain(words.tolist(), more).__next__
-        out = np.empty((rows, self.b), dtype=np.int64)
-        for row in out:
-            picks = []
-            for j in range(self.n - self.b, self.n):
-                v = _lemire(next_word, j)
-                picks.append(j if v in picks else v)
-            for i in range(self.b - 1, 0, -1):
-                k = _lemire(next_word, i)
-                picks[i], picks[k] = picks[k], picks[i]
-            row[:] = picks
-        return out
+    def _refill(self, rows: int):
+        self.buf = np.empty((len(self.rngs), rows, self.b),
+                            dtype=self.buf.dtype)
+        for lane, rng in zip(self.buf, self.rngs):
+            lane[:] = rng.integers(0, self.highs, size=(rows, self.b))
+        _floyd(self.buf.reshape(-1, self.b), self.n)
 
     def next_rows(self, rows: int) -> np.ndarray:
         """The next ``rows`` minibatches of every lane, shape (L, rows, b)."""
-        if not self.replay:
-            return np.array([[rng.choice(self.n, size=self.b, replace=False)
-                              for _ in range(rows)] for rng in self.rngs],
-                            dtype=np.int64).reshape(len(self.rngs), rows,
-                                                    self.b)
-        lanes = np.arange(len(self.rngs))
-        words = self._words(lanes, rows * self.width).reshape(
-            len(lanes), rows, self.width)
-        self.ahead -= rows * self.width
-        m = words * self.excl
-        picks = _floyd_shuffle(m >> np.uint64(32), self.n, self.b)
-        rejected = np.flatnonzero(
-            ((m & _MASK32) < self.threshold).any(axis=(1, 2)))
-        # copied out first: a replay's refill overwrites the buffer
-        for lane, block in zip(rejected, words[rejected]):
-            picks[lane] = self._replay_exact(lane, block.ravel(), rows)
-        return picks
+        held = self.buf[:, self.pos:self.pos + rows]
+        self.pos += rows
+        self.ahead -= rows
+        short = rows - held.shape[1]
+        if short:
+            cap = max(1, _DRAW_INDICES // max(len(self.rngs) * self.b, 1))
+            self._refill(max(short, min(short + self.ahead, cap)))
+            self.pos = short
+            fresh = self.buf[:, :short]
+            held = np.concatenate([held, fresh], axis=1) \
+                if held.shape[1] else fresh
+        return held
 
 
 def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
@@ -415,9 +304,10 @@ class MinibatchSource:
     """The minibatches that averages over the minibatch law run over.
 
     ``exact`` mode: every minibatch (:func:`minibatches`) for every average,
-    without noise.  ``monte_carlo`` mode: consecutive ``choice(n, b,
-    replace=False)`` rows of the seed's stream and noise from the second
-    stream (stream layout v2), carrying on from one average to the next.
+    without noise.  ``monte_carlo`` mode: consecutive minibatches of the
+    seed's stream, each one ``integers`` draw per index and Floyd's
+    selection, and noise from the second stream (stream layout v3),
+    carrying on from one average to the next.
     Blocking changes no value: the streams are block-invariant, and a
     lane's gradient does not depend on the other lanes in its call.
     """
@@ -525,7 +415,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
                 block[:, :, 0] - block[:, :, 1]).T
 
     b, d = config.batch_b, start.shape[-1]
-    rows = min(_block_rows(lanes, max(index.width, d)), max(k_max, 1),
+    rows = min(_block_rows(lanes, max(b, d)), max(k_max, 1),
                _BLOCK_STEPS)
     # steps per sub-block, whose gathered minibatches (both chains' b rows
     # of d features per lane and step) hold about _BLOCK_ELEMENTS numbers

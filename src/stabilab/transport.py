@@ -68,11 +68,13 @@ def wasserstein_exact_1d(p: float, A, B) -> TransportEstimate:
 def _load_lsap():
     """scipy's compiled ``linear_sum_assignment`` without running
     ``scipy.optimize/__init__``, which imports much of scipy (about 49 MB
-    and half a second).  The extension is registered under its own name, so
-    a later ``import scipy.optimize`` reuses it.  Where the module is
-    already loaded it is reused; where the file is missing (older scipy
-    ships ``_lsap`` as Python) or does not load, the public import is
-    used."""
+    and half a second).  The extension registers itself in ``sys.modules``
+    while it loads, and that entry is removed: a later ``import
+    scipy.optimize`` that found it would never bind ``scipy.optimize._lsap``,
+    while unregistered it loads the submodule itself, with the same
+    function.  Where the module is already loaded it is reused; where the
+    file is missing (older scipy ships ``_lsap`` as Python) or does not
+    load, the public import is used."""
     module = sys.modules.get(_LSAP)
     if module is None:
         import scipy
@@ -87,8 +89,8 @@ def _load_lsap():
                     loader.exec_module(module)
                 except ImportError:  # a broken or foreign build
                     module = None
-                else:
-                    module = sys.modules.setdefault(_LSAP, module)
+                finally:
+                    sys.modules.pop(_LSAP, None)
                 break
     if module is None:
         from scipy.optimize import linear_sum_assignment

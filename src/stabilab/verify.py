@@ -130,7 +130,7 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
 
     Exact mode enumerates minibatches (noiseless kernel only); Monte-Carlo
     mode samples n_mc >= 2 minibatches and noise and adds a 3 SE margin.
-    Both run over one ``dynamics.MinibatchSource`` (stream layout v2).
+    Both run over one ``dynamics.MinibatchSource`` (stream layout v3).
     """
     if not (0 < claimed_delta < 1):
         raise ValueError("claimed_delta must lie in (0, 1)")

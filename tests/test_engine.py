@@ -1,12 +1,9 @@
 """Differential tests of the replica-batched engine against slow references.
 
-* the minibatch replay against ``Generator.choice`` and the block noise
-  against per-step draws, over several blocks;
-* the column-major Floyd replay against the row-major one, and the
-  half-word split against mask and shift;
-* the per-lane word buffer against both references, with refills inside
-  blocks, lanes out of step and a rejection between refills, and its
-  ``random_raw`` calls and held words counted;
+* the minibatch streams against ``stream_oracle.floyd_row``, one
+  ``integers`` call and one pick at a time, over several blocks and with
+  refills inside blocks; their uniformity, their rows' ranges, and their
+  ``integers`` calls counted; the block noise against per-step draws;
 * the engine against a loop of scalar ``step`` calls, for every loss family,
   noise kind and chain pairing;
 * a replica's result against the size of the ensemble it runs in;
@@ -22,6 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
+from stream_oracle import floyd_row
 
 from stabilab import dynamics, model
 from stabilab.dynamics import (CoupledEnsemble, NoiseModel, SGDConfig,
@@ -29,10 +27,10 @@ from stabilab.dynamics import (CoupledEnsemble, NoiseModel, SGDConfig,
                                step)
 
 
-def choice_rows(n, b, rows, seed, replica_id):
-    """Reference: one Generator.choice call per row on the replica's stream."""
+def reference_rows(n, b, rows, seed, replica_id):
+    """Reference: one ``floyd_row`` per row on the replica's stream."""
     rng = dynamics._stream(seed, replica_id, dynamics._STREAM_MINIBATCH)
-    return np.array([rng.choice(n, size=b, replace=False)
+    return np.array([floyd_row(rng, n, b)
                      for _ in range(rows)]).reshape(rows, b)
 
 
@@ -42,228 +40,104 @@ def index_streams(n, b, seed, replica_ids):
          for r in replica_ids], n, b)
 
 
-def rejects(n, b, rows, seed, replica_id) -> bool:
-    """Whether a Lemire draw is rejected within the first ``rows`` rows.
-
-    Words map to draws one to one up to the first rejection, so a rejection
-    in that mapping is the stream's first real one.
-    """
-    streams = dynamics._IndexStreams([], n, b)
-    excl, threshold = streams.excl, streams.threshold
-    count = rows * len(excl)
-    raw = dynamics._stream(seed, replica_id, dynamics._STREAM_MINIBATCH) \
-        .bit_generator.random_raw((count + 1) // 2)
-    words = np.stack([raw & dynamics._MASK32, raw >> np.uint64(32)], axis=1)
-    words = words.ravel()[:count].reshape(rows, len(excl))
-    return bool((((words * excl) & dynamics._MASK32) < threshold).any())
-
-
-# (n, b): b = 1, b = n, b = n - 1, n >= 1000, Floyd above n = 10000, numpy's
-# tail-shuffle branch (n > 10000 and b > n // 50)
+# (n, b): b = 1, b = n, b = n - 1, n >= 1000, n > 10000 with small and
+# large b
 GRID = [(1, 1), (2, 1), (10, 1), (256, 1), (8, 8), (16, 16), (8, 7),
         (16, 15), (16, 8), (32, 4), (1000, 1), (1000, 37), (1000, 999),
         (1000, 1000), (50000, 10), (12000, 300)]
-# irregular block sizes, so a block opens on a half word left in the
-# buffer as often as not
+# irregular block sizes, so refills fall inside blocks at small budgets
 BLOCKS = (1, 3, 2, 5, 4)
 
 
-class TestMinibatchReplay:
+class TestMinibatchStreams:
     @pytest.mark.parametrize("n,b", GRID)
     @pytest.mark.parametrize("seed", [0, 1, 2024])
-    def test_blocks_match_choice(self, n, b, seed):
+    def test_blocks_match_reference(self, n, b, seed):
         replica_ids = [0, 3, 7]
         streams = index_streams(n, b, seed, replica_ids)
         got = np.concatenate([streams.next_rows(c) for c in BLOCKS], axis=1)
         for lane, r in enumerate(replica_ids):
             assert np.array_equal(got[lane],
-                                  choice_rows(n, b, sum(BLOCKS), seed, r))
+                                  reference_rows(n, b, sum(BLOCKS), seed, r))
 
     @pytest.mark.parametrize("n,b", [(16, 8), (1000, 37)])
     def test_sequence_spans_budget_blocks(self, n, b):
-        width = dynamics._IndexStreams([], n, b).width
-        rows = 3 * dynamics._block_rows(1, width) + 5
+        rows = 3 * dynamics._block_rows(1, b) + 5
         assert np.array_equal(minibatch_sequence(n, b, rows, 11, 2),
-                              choice_rows(n, b, rows, 11, 2))
+                              reference_rows(n, b, rows, 11, 2))
 
-    def test_searched_seed_reaches_rejection(self):
-        # seed 30, replica 1 was found by searching seeds 0..199: its first
-        # Lemire rejection at n = 10000 falls in row 26
-        n, b, rows = 10000, 200, 100
-        assert rejects(n, b, rows, 30, 1)
-        streams = index_streams(n, b, 30, [0, 1])
-        got = np.concatenate([streams.next_rows(c) for c in (20, 33, 47)],
-                             axis=1)
-        assert np.array_equal(got[1], choice_rows(n, b, rows, 30, 1))
-        assert np.array_equal(got[0], choice_rows(n, b, rows, 30, 0))
+    def test_uniform_over_subsets(self):
+        # all C(5, 2) = 10 subsets, chi-square below its 0.999 quantile on
+        # 9 degrees of freedom
+        rows = np.sort(minibatch_sequence(5, 2, 100_000, 0, 0), axis=1)
+        _, counts = np.unique(rows[:, 0] * 5 + rows[:, 1],
+                              return_counts=True)
+        assert len(counts) == 10
+        assert np.sum((counts - 10_000) ** 2 / 10_000) < 27.88
 
-    def test_frequent_rejections(self):
-        # bounds near 3 * 2**30 reject about a quarter of all words
-        n, b = 3 * 2 ** 30, 3
-        assert rejects(n, b, 4, 5, 0)
-        assert np.array_equal(minibatch_sequence(n, b, 40, 5, 0),
-                              choice_rows(n, b, 40, 5, 0))
+    # the largest n, b = n and n = b = 1
+    @pytest.mark.parametrize("n,b", [(20000, 1000), (50, 50), (1, 1)])
+    def test_rows_distinct_and_in_range(self, n, b):
+        rows = np.sort(minibatch_sequence(n, b, 300, 6, 1), axis=1)
+        assert rows.min() >= 0 and rows.max() < n
+        assert np.all(np.diff(rows, axis=1) > 0)
+        if b == n:
+            assert np.array_equal(rows, np.broadcast_to(np.arange(n),
+                                                        rows.shape))
 
     def test_batch_larger_than_dataset_rejected(self):
         with pytest.raises(ValueError):
             minibatch_sequence(4, 5, 3, 0, 0)
 
 
-def floyd_shuffle_rows(vals, n, b):
-    """Oracle: the row-major ``_floyd_shuffle``, one (count, b) pick array
-    with a fancy-indexed swap per shuffle draw."""
-    lead = vals.shape[:-1]
-    vals = vals.reshape(math.prod(lead), vals.shape[-1]).astype(np.int64)
-    picks = np.empty((len(vals), b), dtype=np.int64)
-    col = 0
-    for t, j in enumerate(range(n - b, n)):
-        if j == 0:
-            picks[:, t] = 0
-            continue
-        v = vals[:, col]
-        col += 1
-        duplicate = (picks[:, :t] == v[:, None]).any(axis=1)
-        picks[:, t] = np.where(duplicate, j, v)
-    rows = np.arange(len(vals))
-    for i in range(b - 1, 0, -1):
-        k = vals[:, col]
-        col += 1
-        swapped = picks[rows, k]
-        picks[rows, k] = picks[:, i]
-        picks[:, i] = swapped
-    return picks.reshape(*lead, b)
-
-
-def split_words(rng, count):
-    """Oracle: ``count`` 32-bit words of a fresh stream, each 64-bit draw
-    split by mask and shift, low half first."""
-    raw = rng.bit_generator.random_raw((count + 1) // 2)
-    words = np.stack([raw & dynamics._MASK32, raw >> np.uint64(32)], axis=1)
-    return words.ravel()[:count]
-
-
-class TestColumnMajorReplay:
-    """The column-major Floyd replay and the half-word split against the
-    row-major and mask/shift forms they replaced."""
-
-    # b = n (its first Floyd draw is j = 0), b = 1, b = n - 1, and
-    # n = 10,000 with b <= n // 50
-    @pytest.mark.parametrize("n,b", [(1, 1), (8, 8), (16, 16), (16, 1),
-                                     (256, 1), (16, 15), (16, 8), (32, 4),
-                                     (10000, 1), (10000, 37), (10000, 200)])
-    @pytest.mark.parametrize("lead", [(1,), (257,), (3, 50)])
-    def test_floyd_equals_row_major(self, n, b, lead):
-        excl = dynamics._IndexStreams([], n, b).excl.astype(np.int64)
-        rng = np.random.default_rng(n * 31 + b)
-        vals = rng.integers(0, excl, size=lead + excl.shape).astype(
-            np.uint64)
-        got = dynamics._floyd_shuffle(vals, n, b)
-        assert got.shape == lead + (b,)
-        assert np.array_equal(got, floyd_shuffle_rows(vals, n, b))
-        # every row is a set of b distinct indices below n
-        rows = np.sort(got.reshape(-1, b), axis=1)
-        assert rows.min() >= 0 and rows.max() < n
-        assert np.all(np.diff(rows, axis=1) > 0)
-
-    @pytest.mark.parametrize("counts", [(1, 1, 1), (3, 4, 5, 2),
-                                        (7, 1, 0, 6), (2, 9, 3)])
-    def test_words_equal_mask_and_shift(self, counts):
-        replica_ids = [0, 4, 9]
-
-        def streams():
-            return [dynamics._stream(5, r, dynamics._STREAM_MINIBATCH)
-                    for r in replica_ids]
-
-        index = dynamics._IndexStreams(streams(), 16, 8)
-        lanes = np.arange(len(replica_ids))
-        drawn = [[] for _ in replica_ids]
-        for i, count in enumerate(counts):
-            # alternate all lanes with lane 1 alone, so that lane 1 runs
-            # ahead and one call gathers lanes at different read positions
-            pick = lanes if i % 2 == 0 else lanes[1:2]
-            words = index._words(pick, count)
-            assert words.shape == (len(pick), count)
-            for row, lane in zip(words, pick):
-                drawn[lane].extend(row.tolist())
-        for lane, rng in enumerate(streams()):
-            want = split_words(rng, len(drawn[lane]))
-            assert drawn[lane] == want.tolist()
-
-
 class CountingStream:
-    """A generator whose bit generator counts its ``random_raw`` calls."""
+    """A generator that counts its ``integers`` calls."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, 0
 
-    @property
-    def bit_generator(self):
-        return self
-
-    def random_raw(self, size):
+    def integers(self, *args, **kwargs):
         self.calls += 1
-        return self.rng.bit_generator.random_raw(size)
+        return self.rng.integers(*args, **kwargs)
 
 
-class TestWordBuffer:
-    """The per-lane word buffer against ``choice_rows`` and ``split_words``,
-    with refills that fall inside blocks (``_REFILL_WORDS`` shrunk to a few
-    words), lanes out of step, and a Lemire rejection between refills."""
+class TestRefills:
+    """Refills of the per-run minibatch buffer: inside blocks and runs
+    (``_DRAW_INDICES`` shrunk to a few rows a lane), counted, and sized."""
 
-    @pytest.mark.parametrize("budget", [1, 3, 7])
+    # caps of 1, 3 and 7 rows a lane against blocks of 1 to 5 rows: a
+    # refill per block, and blocks that open on held rows and refill
+    @pytest.mark.parametrize("cap", [1, 3, 7])
     @pytest.mark.parametrize("n,b", [(16, 1), (16, 8), (1000, 37)])
-    def test_refills_inside_blocks(self, monkeypatch, budget, n, b):
-        monkeypatch.setattr(dynamics, "_REFILL_WORDS", budget)
+    def test_refills_inside_blocks(self, monkeypatch, cap, n, b):
         replica_ids = [0, 3]
+        monkeypatch.setattr(dynamics, "_DRAW_INDICES",
+                            cap * len(replica_ids) * b)
         streams = index_streams(n, b, 9, replica_ids)
         streams.expect(sum(BLOCKS))
         got = np.concatenate([streams.next_rows(c) for c in BLOCKS], axis=1)
         for lane, r in enumerate(replica_ids):
             assert np.array_equal(got[lane],
-                                  choice_rows(n, b, sum(BLOCKS), 9, r))
+                                  reference_rows(n, b, sum(BLOCKS), 9, r))
 
-    @pytest.mark.parametrize("budget", [1, 3, 7, 40])
-    def test_lane_subsets_across_refills(self, monkeypatch, budget):
-        monkeypatch.setattr(dynamics, "_REFILL_WORDS", budget)
-        replica_ids = [0, 4, 9, 11]
-        index = index_streams(16, 8, 5, replica_ids)
-        index.expect(2)
-        drawn = [[] for _ in replica_ids]
-        lanes = np.arange(len(replica_ids))
-        picks = [lanes, lanes[1:2], lanes[[0, 2]], lanes, lanes[3:],
-                 lanes[:3], lanes]
-        for pick, count in zip(picks, (4, 3, 7, 2, 9, 5, 6)):
-            words = index._words(pick, count)
-            assert words.shape == (len(pick), count)
-            for row, lane in zip(words, pick):
-                drawn[lane].extend(row.tolist())
-        for lane, r in enumerate(replica_ids):
-            want = split_words(
-                dynamics._stream(5, r, dynamics._STREAM_MINIBATCH),
-                len(drawn[lane]))
-            assert drawn[lane] == want.tolist()
+    # three lanes at b = 3 and d = 2 in blocks of 7 steps: caps of 1 row a
+    # lane (a refill per block) and of 11 rows (blocks that open on held
+    # rows)
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_engine_refills_inside_run(self, monkeypatch, budget):
+        monkeypatch.setattr(dynamics, "_DRAW_INDICES", budget)
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 64)
+        base = model.make_synthetic_dataset(
+            {"n": 8, "d": 2, "generator": "gaussian_clipped",
+             "radius_D": 1.0}, 4)
+        pair = model.make_neighbor(base, 2, 5)
+        starts = (np.full(2, 0.3), np.full(2, 0.3))
+        assert_matches_scalar_loop(
+            LOSSES["RegularizedSine"], (pair.base, pair.perturbed), starts,
+            SGDConfig(0.1, 3, 40, starts[0], 17),
+            NoiseModel("gaussian_diag", (0.3, 0.3)), [0, 5, 2])
 
-    # 399 words a row at n = 10,000, b = 200: budgets of 10 rows a lane and
-    # of 3 words (each refill draws just what a call needs)
-    @pytest.mark.parametrize("budget", [2 * 399 * 10, 3])
-    def test_rejection_between_refills(self, monkeypatch, budget):
-        # replica 1's first rejection falls in row 26 (see
-        # TestMinibatchReplay.test_searched_seed_reaches_rejection)
-        monkeypatch.setattr(dynamics, "_REFILL_WORDS", budget)
-        n, b, rows = 10000, 200, 100
-        streams = index_streams(n, b, 30, [0, 1])
-        streams.expect(rows)
-        blocks, out_of_step = [], []
-        for c in (7,) * 14 + (2,):
-            blocks.append(streams.next_rows(c))
-            out_of_step.append(streams.pos[0] != streams.pos[1])
-        got = np.concatenate(blocks, axis=1)
-        assert np.array_equal(got[1], choice_rows(n, b, rows, 30, 1))
-        assert np.array_equal(got[0], choice_rows(n, b, rows, 30, 0))
-        # the rejection (block 3, rows 21-27) moved lane 1 ahead
-        assert not any(out_of_step[:3]) and out_of_step[3]
-
-    def test_few_raw_calls_per_lane(self, monkeypatch):
+    def test_one_integers_call_per_lane(self, monkeypatch):
         counters, stream = [], dynamics._stream
 
         def counting_stream(master_seed, replica_id, tag):
@@ -281,9 +155,8 @@ class TestWordBuffer:
         run_ensemble(model.LossModel("Quadratic"),
                      model.make_neighbor(base, 0, 1), config, NoiseModel(),
                      1024)
-        assert len(counters) == 1024
-        # 1,500 words a lane, against a budget of 512 words a lane
-        assert max(c.calls for c in counters) <= 3
+        # 800 indices a lane, against a budget of 1,024 a lane
+        assert [c.calls for c in counters] == [1] * 1024
 
     @pytest.mark.parametrize("count", [1, 5, 300, 2000, 40000])
     def test_one_lane_source_holds_count_plus_one_block(self, count):
@@ -293,7 +166,7 @@ class TestWordBuffer:
         held = 0
         for _ in source.blocks(count, width):
             held = max(held, source.index.buf.size)
-        assert held <= (count + rows) * source.index.width
+        assert held <= (count + rows) * 8
 
 
 class TestNoiseBlocks:
@@ -331,7 +204,7 @@ def scalar_reference(loss, datasets, starts, config, noise, replica_id):
     chains = [np.asarray(s, dtype=float).copy() for s in starts]
     out = [np.array(chains)]
     for _ in range(config.k_max):
-        omega = mb.choice(datasets[0].n, size=config.batch_b, replace=False)
+        omega = floyd_row(mb, datasets[0].n, config.batch_b)
         xi = noise.draw(nz)
         chains = [step(loss, ds, theta, omega, config.eta, xi)
                   for ds, theta in zip(datasets, chains)]
@@ -513,7 +386,7 @@ def run_lanes_per_step(loss, datasets, starts, config, noise, replica_ids,
         if dist is not None:
             dist[:, k] = _norms(state[:, 0] - state[:, 1])
 
-    rows = dynamics._block_rows(lanes, max(index.width, state.shape[-1]))
+    rows = dynamics._block_rows(lanes, max(config.batch_b, state.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         live = (_norms(state) <= guard).all(axis=-1)
         diverged_at[~live] = 0

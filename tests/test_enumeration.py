@@ -8,11 +8,11 @@ scalar references they replaced.
   density, element by element, in d = 1 and d = 2 and at any block budget;
 * the drift (exact and Monte-Carlo, with and without noise) and kernel-gap
   certificates against per-sample ``dynamics.step`` loops on the same
-  random streams (stream layout v2: one ``choice`` per sample on the
-  minibatch stream, one ``NoiseModel.draw`` per sample on the noise stream);
+  random streams (stream layout v3: one ``stream_oracle.floyd_row`` per
+  sample on the minibatch stream, one ``NoiseModel.draw`` per sample on the
+  noise stream);
 * ``dynamics.MinibatchSource``: its Monte-Carlo blocks against one
-  ``Generator.choice`` call per row, its exact blocks against
-  ``dynamics.minibatches``;
+  ``floyd_row`` per row, its exact blocks against ``dynamics.minibatches``;
 * the assumption audit ``model.check_assumptions`` against the per-sample
   loop with three one-row gradients per sample (report dicts equal), and
   ``model.max_grad_norm`` against one gradient per point.
@@ -33,6 +33,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from stream_oracle import floyd_row
 
 from stabilab import bounds, dynamics, model, verify
 from stabilab.bounds import expected_q_norm, rho_quadratic
@@ -96,16 +97,11 @@ def lyapunov(kind, loss, ds):
 
 
 def drift_loop(loss, ds, eta, b, kind, delta, L, grid, mode, n_mc, seed,
-               noise, v1=False):
-    """(margin, worst point) of the drift check, one step per sample.
-
-    Monte-Carlo samples draw their noise from the noise stream of layout
-    v2, or with ``v1`` from the minibatch stream right after the minibatch.
-    """
+               noise):
+    """(margin, worst point) of the drift check, one step per sample."""
     V = lyapunov(kind, loss, ds)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    noise_rng = rng if v1 else dynamics._stream(seed, 0,
-                                                dynamics._STREAM_NOISE)
+    noise_rng = dynamics._stream(seed, 0, dynamics._STREAM_NOISE)
     worst_margin, worst = math.inf, {}
     for theta in np.asarray(grid, dtype=float):
         if mode == "exact":
@@ -115,7 +111,7 @@ def drift_loop(loss, ds, eta, b, kind, delta, L, grid, mode, n_mc, seed,
         else:
             vals = []
             for _ in range(n_mc):
-                om = rng.choice(ds.n, size=b, replace=False)
+                om = floyd_row(rng, ds.n, b)
                 vals.append(V(step(loss, ds, theta, om, eta,
                                    noise.draw(noise_rng))))
             se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
@@ -136,7 +132,7 @@ def kernel_gap_loop(loss, pair, eta, b, kind, grid, R, seed):
     for theta in np.asarray(grid, dtype=float):
         dists = np.empty(R)
         for r in range(R):
-            omega = rng.choice(pair.base.n, size=b, replace=False)
+            omega = floyd_row(rng, pair.base.n, b)
             dists[r] = np.linalg.norm(
                 step(loss, pair.base, theta, omega, eta)
                 - step(loss, pair.perturbed, theta, omega, eta))
@@ -276,10 +272,11 @@ class TestBoundsEnumeration:
     def test_monte_carlo_streams_unchanged(self):
         ds = dataset(12, 2)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
-        oms = [rng.choice(12, size=3, replace=False) for _ in range(50)]
+        oms = [floyd_row(rng, 12, 3) for _ in range(50)]
         eye = np.eye(2)
-        vals = [np.linalg.norm(eye - 0.2 * ds.features[om].T
-                               @ ds.features[om] / 3, 2) for om in oms]
+        vals = [np.linalg.norm(eye - 0.2 * (ds.features[om].T
+                                            @ ds.features[om] / 3), 2)
+                for om in oms]
         res = rho_quadratic(ds, 0.2, 3, mode="monte_carlo", n_mc=50, seed=4)
         assert_same(res["rho"], float(np.mean(vals)))
         assert_same(res["stderr"],
@@ -418,6 +415,7 @@ class TestStepKernels:
                                    self.GRID, "monte_carlo", 300, 11, noise)
         assert_same(cert.margin, margin)
         assert {k: cert.details[k] for k in worst} == worst
+        assert cert.details["stream_version"] == 3
 
     # b = 2 at d = 2 takes 4 numbers a minibatch: blocks of 1, 3, 16 and
     # 16384 rows, so n_mc = 301 ends on a partial block of 1, 13 and 301
@@ -436,23 +434,6 @@ class TestStepKernels:
                                    noise)
         assert_same(cert.margin, margin)
         assert {k: cert.details[k] for k in worst} == worst
-
-    def test_noiseless_monte_carlo_drift_unchanged_from_v1(self):
-        # v1 drew the noise after each minibatch on the one stream; without
-        # noise it drew only minibatch words, so the certificate is the same
-        loss, ds = model.LossModel("RidgeQuadratic", mu0=0.5), dataset(9, 2)
-        args = (loss, ds, 0.2, 3, "one_plus_norm", 0.9, 1.0, self.GRID)
-        cert = check_drift(*args, mode="monte_carlo", n_mc=300, seed=11)
-        margin, worst = drift_loop(*args, "monte_carlo", 300, 11,
-                                   NoiseModel(), v1=True)
-        assert_same(cert.margin, margin)
-        assert {k: cert.details[k] for k in worst} == worst
-        assert cert.details["stream_version"] == 2
-        noise = NoiseModel("gaussian_diag", (0.3, 0.7))
-        noisy = check_drift(*args, mode="monte_carlo", n_mc=300, seed=11,
-                            noise=noise)
-        assert noisy.margin != drift_loop(*args, "monte_carlo", 300, 11,
-                                          noise, v1=True)[0]
 
     @pytest.mark.parametrize("family", ["Quadratic", "RegularizedSine"])
     @pytest.mark.parametrize("b", [1, 4, 6])
@@ -497,15 +478,13 @@ class TestStepKernels:
 
 
 class TestMinibatchSource:
-    # (20000, 1000) is numpy's tail-shuffle case, drawn by choice itself
     @pytest.mark.parametrize("n,b", [(16, 8), (8, 4), (100, 3), (50, 50),
                                      (20000, 1000)])
     @pytest.mark.parametrize("budget", [7, dynamics._BLOCK_ELEMENTS])
-    def test_monte_carlo_equals_one_choice_per_row(self, n, b, budget,
-                                                   monkeypatch):
+    def test_monte_carlo_equals_one_reference_row_each(self, n, b, budget,
+                                                       monkeypatch):
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(8)))
-        expected = np.array([ref.choice(n, size=b, replace=False)
-                             for _ in range(42)])
+        expected = np.array([floyd_row(ref, n, b) for _ in range(42)])
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         source = MinibatchSource(n, b, "monte_carlo", seed=8)
 

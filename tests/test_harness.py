@@ -116,7 +116,7 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 2 * 2   # two checkpoints x two estimators
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["schema_version"] == 1
-        assert summary["stream_version"] == 2
+        assert summary["stream_version"] == 3
         assert summary["replicas"] == 8
         assert summary["diverged_replicas"] == 0
 

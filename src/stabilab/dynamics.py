@@ -208,10 +208,16 @@ def _floyd(draws: np.ndarray, n: int):
     row becomes n - b + t, so every row ends a uniform b-subset of range(n).
     The duplicate test reads a mask of taken indices per row (flat
     take/put), chunked so the mask holds at most ``_DRAW_INDICES`` cells:
-    the cost is linear in b.
+    the cost is linear in b.  Above that many indices one row's mask would
+    pass the budget, so each draw is compared with its row's earlier picks.
     """
     count, b = draws.shape
-    chunk = max(1, _DRAW_INDICES // n)
+    if n > _DRAW_INDICES:
+        for t in range(1, b):
+            v = draws[:, t]
+            v[(draws[:, :t] == v[:, None]).any(axis=1)] = n - b + t
+        return
+    chunk = _DRAW_INDICES // n
     taken = np.zeros(min(chunk, count) * n, dtype=bool)
     for lo in range(0, count, chunk):
         part = draws[lo:lo + chunk]

@@ -1,9 +1,15 @@
 """Differential tests of the replica-batched engine against slow references.
 
 * the minibatch streams against ``stream_oracle.floyd_row``, one
-  ``integers`` call and one pick at a time, over several blocks and with
-  refills inside blocks; their uniformity, their rows' ranges, and their
-  ``integers`` calls counted; the block noise against per-step draws;
+  ``integers`` call and one pick at a time, over several blocks, with and
+  without numpy's rejection of a word; their uniformity and their rows'
+  ranges; the block noise against per-step draws;
+* the column-major Floyd selection against ``floyd_pick`` row by row, and
+  the draws that the engine reads against Lemire's map of the mask and
+  shift split of ``random_raw``;
+* the per-run minibatch buffer against the references, with refills inside
+  blocks and runs, lane subsets and a word rejection between refills, and
+  its ``integers`` calls and held indices counted;
 * the engine against a loop of scalar ``step`` calls, for every loss family,
   noise kind and chain pairing;
 * a replica's result against the size of the ensemble it runs in;
@@ -19,12 +25,14 @@ import warnings
 
 import numpy as np
 import pytest
-from stream_oracle import floyd_row
+from stream_oracle import floyd_pick, floyd_row
 
 from stabilab import dynamics, model
 from stabilab.dynamics import (CoupledEnsemble, NoiseModel, SGDConfig,
                                minibatch_sequence, run_ensemble, run_lanes,
                                step)
+
+MASK32 = (1 << 32) - 1
 
 
 def reference_rows(n, b, rows, seed, replica_id):
@@ -40,6 +48,43 @@ def index_streams(n, b, seed, replica_ids):
          for r in replica_ids], n, b)
 
 
+def split_words(rng, count):
+    """Oracle: ``count`` 32-bit words of a fresh stream, each 64-bit draw
+    split by mask and shift, low half first."""
+    raw = rng.bit_generator.random_raw((count + 1) // 2)
+    words = np.stack([raw & np.uint64(MASK32), raw >> np.uint64(32)], axis=1)
+    return words.ravel()[:count]
+
+
+def lemire_rows(n, b, rows, seed, replica_id):
+    """Oracle: the replica's first ``rows`` rows of ``integers(0, highs)``,
+    highs = [n-b+1, ..., n] below 2**32, and whether a word was rejected.
+
+    Each draw maps the next word of ``split_words`` as numpy does: Lemire's
+    multiply-shift, which rejects a word whose product's low half falls
+    below (2**32 - high) % high; a bound of 1 reads no word.
+    """
+    rng = dynamics._stream(seed, replica_id, dynamics._STREAM_MINIBATCH)
+    words = iter(split_words(rng, 2 * rows * b + 64).tolist())
+    draws, rejected = [], False
+    for _ in range(rows):
+        for high in range(n - b + 1, n + 1):
+            if high == 1:
+                draws.append(0)
+                continue
+            m = next(words) * high
+            while (m & MASK32) < (MASK32 + 1 - high) % high:
+                rejected = True
+                m = next(words) * high
+            draws.append(m >> 32)
+    return np.array(draws).reshape(rows, b), rejected
+
+
+def rejects(n, b, rows, seed, replica_id) -> bool:
+    """Whether numpy rejects a word in the replica's first ``rows`` rows."""
+    return lemire_rows(n, b, rows, seed, replica_id)[1]
+
+
 # (n, b): b = 1, b = n, b = n - 1, n >= 1000, n > 10000 with small and
 # large b
 GRID = [(1, 1), (2, 1), (10, 1), (256, 1), (8, 8), (16, 16), (8, 7),
@@ -49,10 +94,12 @@ GRID = [(1, 1), (2, 1), (10, 1), (256, 1), (8, 8), (16, 16), (8, 7),
 BLOCKS = (1, 3, 2, 5, 4)
 
 
-class TestMinibatchStreams:
+class TestMinibatchReplay:
+    """The engine's minibatch streams replay ``reference_rows``."""
+
     @pytest.mark.parametrize("n,b", GRID)
     @pytest.mark.parametrize("seed", [0, 1, 2024])
-    def test_blocks_match_reference(self, n, b, seed):
+    def test_blocks_match_choice(self, n, b, seed):
         replica_ids = [0, 3, 7]
         streams = index_streams(n, b, seed, replica_ids)
         got = np.concatenate([streams.next_rows(c) for c in BLOCKS], axis=1)
@@ -65,6 +112,27 @@ class TestMinibatchStreams:
         rows = 3 * dynamics._block_rows(1, b) + 5
         assert np.array_equal(minibatch_sequence(n, b, rows, 11, 2),
                               reference_rows(n, b, rows, 11, 2))
+
+    def test_searched_seed_reaches_rejection(self):
+        # seed 112 was found by searching seeds 0..199: numpy's first word
+        # rejection at n = 10000 falls in replica 1's row 30, and replica 0
+        # has none in 100 rows
+        n, b, rows = 10000, 200, 100
+        assert rejects(n, b, rows, 112, 1)
+        assert not rejects(n, b, rows, 112, 0)
+        streams = index_streams(n, b, 112, [0, 1])
+        got = np.concatenate([streams.next_rows(c) for c in (20, 33, 47)],
+                             axis=1)
+        assert np.array_equal(got[1], reference_rows(n, b, rows, 112, 1))
+        assert np.array_equal(got[0], reference_rows(n, b, rows, 112, 0))
+
+    def test_frequent_rejections(self):
+        # bounds near 3 * 2**30 reject about a quarter of all words, and
+        # one row's mask of taken indices would hold 3 * 2**30 cells
+        n, b = 3 * 2 ** 30, 3
+        assert rejects(n, b, 4, 5, 0)
+        assert np.array_equal(minibatch_sequence(n, b, 40, 5, 0),
+                              reference_rows(n, b, 40, 5, 0))
 
     def test_uniform_over_subsets(self):
         # all C(5, 2) = 10 subsets, chi-square below its 0.999 quantile on
@@ -90,6 +158,54 @@ class TestMinibatchStreams:
             minibatch_sequence(4, 5, 3, 0, 0)
 
 
+class TestColumnMajorReplay:
+    """The column-major Floyd selection (every row at once, one column at a
+    time) against ``floyd_pick`` row by row, and the draws it selects from
+    against ``lemire_rows``."""
+
+    # b = n (its first draw has bound 1), b = 1, b = n - 1, and
+    # n = 10,000 with small and large b
+    @pytest.mark.parametrize("n,b", [(1, 1), (8, 8), (16, 16), (16, 1),
+                                     (256, 1), (16, 15), (16, 8), (32, 4),
+                                     (10000, 1), (10000, 37), (10000, 200)])
+    @pytest.mark.parametrize("lead", [(1,), (257,), (3, 50)])
+    def test_floyd_equals_row_major(self, monkeypatch, n, b, lead):
+        rng = np.random.default_rng(n * 31 + b)
+        draws = rng.integers(0, np.arange(n - b + 1, n + 1),
+                             size=lead + (b,)).reshape(-1, b)
+        want = np.array([floyd_pick(row, n) for row in draws])
+        # one mask for every row, masks of 7 rows at a time, and a budget
+        # below n, where each draw is compared with its row's earlier picks
+        for budget in (dynamics._DRAW_INDICES, 7 * n, n - 1):
+            monkeypatch.setattr(dynamics, "_DRAW_INDICES", budget)
+            got = draws.astype(np.int32)
+            dynamics._floyd(got, n)
+            assert np.array_equal(got, want)
+        # every row is a set of b distinct indices below n
+        rows = np.sort(got, axis=1)
+        assert rows.min() >= 0 and rows.max() < n
+        assert np.all(np.diff(rows, axis=1) > 0)
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (3, 4, 5, 2),
+                                        (7, 1, 0, 6), (2, 9, 3)])
+    def test_words_equal_mask_and_shift(self, monkeypatch, counts):
+        # without the selection the buffer holds the raw draws; refills of
+        # 2 rows a lane fall inside the blocks, and at n = 3 * 2**30 about
+        # a quarter of the words are rejected
+        monkeypatch.setattr(dynamics, "_floyd", lambda draws, n: None)
+        replica_ids = [0, 4, 9]
+        for n, b in ((16, 8), (3 * 2 ** 30, 3)):
+            monkeypatch.setattr(dynamics, "_DRAW_INDICES",
+                                2 * len(replica_ids) * b)
+            streams = index_streams(n, b, 5, replica_ids)
+            streams.expect(sum(counts))
+            got = np.concatenate([streams.next_rows(c) for c in counts],
+                                 axis=1)
+            for lane, r in enumerate(replica_ids):
+                want, _ = lemire_rows(n, b, sum(counts), 5, r)
+                assert np.array_equal(got[lane], want)
+
+
 class CountingStream:
     """A generator that counts its ``integers`` calls."""
 
@@ -101,9 +217,11 @@ class CountingStream:
         return self.rng.integers(*args, **kwargs)
 
 
-class TestRefills:
-    """Refills of the per-run minibatch buffer: inside blocks and runs
-    (``_DRAW_INDICES`` shrunk to a few rows a lane), counted, and sized."""
+class TestWordBuffer:
+    """The per-run buffer of drawn minibatches against ``reference_rows``,
+    with refills inside blocks and runs (``_DRAW_INDICES`` shrunk to a few
+    rows a lane), for lane subsets and across a word rejection, and its
+    ``integers`` calls and held indices counted."""
 
     # caps of 1, 3 and 7 rows a lane against blocks of 1 to 5 rows: a
     # refill per block, and blocks that open on held rows and refill
@@ -119,6 +237,47 @@ class TestRefills:
         for lane, r in enumerate(replica_ids):
             assert np.array_equal(got[lane],
                                   reference_rows(n, b, sum(BLOCKS), 9, r))
+
+    # budgets of 1, 3, 7 and 40 rows for all lanes together, so the
+    # refills of four lanes, of two and of one fall at different rows
+    @pytest.mark.parametrize("budget", [1, 3, 7, 40])
+    def test_lane_subsets_across_refills(self, monkeypatch, budget):
+        monkeypatch.setattr(dynamics, "_DRAW_INDICES", budget * 8)
+        blocks = (4, 3, 7, 2, 9, 5, 6)
+        want = {r: reference_rows(16, 8, sum(blocks), 5, r)
+                for r in (0, 4, 9, 11)}
+        for replica_ids in ([0, 4, 9, 11], [4], [0, 9], [11, 0, 4]):
+            streams = index_streams(16, 8, 5, replica_ids)
+            streams.expect(sum(blocks))
+            got = np.concatenate([streams.next_rows(c) for c in blocks],
+                                 axis=1)
+            for lane, r in enumerate(replica_ids):
+                assert np.array_equal(got[lane], want[r])
+
+    # refills of 19 rows a lane (7980 indices over 2 lanes of b = 200) and
+    # of just the rows each block needs (3 indices)
+    @pytest.mark.parametrize("budget", [7980, 3])
+    def test_rejection_between_refills(self, monkeypatch, budget):
+        # replica 1's rejection falls in row 30 (see
+        # TestMinibatchReplay.test_searched_seed_reaches_rejection): its
+        # refill reads an odd number of words, so the refills after it
+        # open on the half word that Philox holds
+        monkeypatch.setattr(dynamics, "_DRAW_INDICES", budget)
+        n, b, rows = 10000, 200, 100
+        streams = index_streams(n, b, 112, [0, 1])
+        streams.expect(rows)
+        blocks, half = [], []
+        for c in (7,) * 14 + (2,):
+            blocks.append(streams.next_rows(c))
+            half.append([rng.bit_generator.state["has_uint32"]
+                         for rng in streams.rngs])
+        got = np.concatenate(blocks, axis=1)
+        assert np.array_equal(got[1], reference_rows(n, b, rows, 112, 1))
+        assert np.array_equal(got[0], reference_rows(n, b, rows, 112, 0))
+        assert not any(lane0 for lane0, _ in half)
+        held = [lane1 for _, lane1 in half]
+        first = held.index(1)
+        assert 2 <= first < len(held) - 1 and all(held[first:])
 
     # three lanes at b = 3 and d = 2 in blocks of 7 steps: caps of 1 row a
     # lane (a refill per block) and of 11 rows (blocks that open on held
@@ -137,7 +296,7 @@ class TestRefills:
             SGDConfig(0.1, 3, 40, starts[0], 17),
             NoiseModel("gaussian_diag", (0.3, 0.3)), [0, 5, 2])
 
-    def test_one_integers_call_per_lane(self, monkeypatch):
+    def test_few_raw_calls_per_lane(self, monkeypatch):
         counters, stream = [], dynamics._stream
 
         def counting_stream(master_seed, replica_id, tag):
@@ -155,7 +314,8 @@ class TestRefills:
         run_ensemble(model.LossModel("Quadratic"),
                      model.make_neighbor(base, 0, 1), config, NoiseModel(),
                      1024)
-        # 800 indices a lane, against a budget of 1,024 a lane
+        # 800 indices a lane, against a budget of 1,024 a lane: one
+        # integers call each
         assert [c.calls for c in counters] == [1] * 1024
 
     @pytest.mark.parametrize("count", [1, 5, 300, 2000, 40000])

@@ -481,8 +481,8 @@ class TestMinibatchSource:
     @pytest.mark.parametrize("n,b", [(16, 8), (8, 4), (100, 3), (50, 50),
                                      (20000, 1000)])
     @pytest.mark.parametrize("budget", [7, dynamics._BLOCK_ELEMENTS])
-    def test_monte_carlo_equals_one_reference_row_each(self, n, b, budget,
-                                                       monkeypatch):
+    def test_monte_carlo_equals_one_choice_per_row(self, n, b, budget,
+                                                   monkeypatch):
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(8)))
         expected = np.array([floyd_row(ref, n, b) for _ in range(42)])
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)

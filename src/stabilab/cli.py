@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     except InadmissibleError as exc:
         print(f"inadmissible configuration: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -206,28 +206,15 @@ def _floyd(draws: np.ndarray, n: int):
 
     Draw t of a row is uniform on [0, n - b + t]; one already picked in its
     row becomes n - b + t, so every row ends a uniform b-subset of range(n).
-    The duplicate test reads a mask of taken indices per row (flat
-    take/put), chunked so the mask holds at most ``_DRAW_INDICES`` cells:
-    the cost is linear in b.  Above that many indices one row's mask would
-    pass the budget, so each draw is compared with its row's earlier picks.
+    The rows run side by side on a column-major copy: column t is compared
+    with the row's t earlier picks, so the cost is quadratic in b and does
+    not depend on n.
     """
-    count, b = draws.shape
-    if n > _DRAW_INDICES:
-        for t in range(1, b):
-            v = draws[:, t]
-            v[(draws[:, :t] == v[:, None]).any(axis=1)] = n - b + t
-        return
-    chunk = _DRAW_INDICES // n
-    taken = np.zeros(min(chunk, count) * n, dtype=bool)
-    for lo in range(0, count, chunk):
-        part = draws[lo:lo + chunk]
-        offsets = n * np.arange(len(part))
-        for t in range(b):
-            picks = np.where(taken.take(offsets + part[:, t]), n - b + t,
-                             part[:, t])
-            part[:, t] = picks
-            taken.put(offsets + picks, True)
-        taken[:] = False
+    b = draws.shape[1]
+    cols = draws.T.copy()
+    for t in range(1, b):
+        cols[t][(cols[:t] == cols[t]).any(axis=0)] = n - b + t
+    draws[:] = cols.T
 
 
 class _IndexStreams:

@@ -88,7 +88,8 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
                       claimed_rate: float, k_max: int, R: int, seed: int,
                       theta0_a=None, theta0_b=None,
                       noise: NoiseModel = NoiseModel()) -> Certificate:
-    """Mean coupled distance from two starts vs claimed_rate^k * ||delta0||."""
+    """Mean coupled distance from two starts vs claimed_rate^k * ||delta0||;
+    a diverged replica fails it with margin 0, as in check_bound_dominates."""
     if not (0 < claimed_rate < 1):
         raise ValueError("claimed_rate must lie in (0, 1)")
     if R < 2:
@@ -102,9 +103,17 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
     theta0_b = np.asarray(theta0_b, dtype=float)
     config = SGDConfig(eta=eta, batch_b=b, k_max=k_max,
                        theta0=theta0_a, master_seed=seed)
-    mean, se = _mean_stderr(run_lanes(
-        loss, (dataset, dataset), (theta0_a, theta0_b), config, noise,
-        range(R), distances=True).distances)
+    run = run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
+                    noise, range(R), distances=True)
+    diverged = run.diverged_at <= k_max
+    if diverged.any():
+        return Certificate("contraction", False, 0.0, {
+            "claimed_rate": claimed_rate,
+            "diverged_replicas": int(diverged.sum()),
+            "first_diverged_k": int(run.diverged_at.min()),
+            "R": R, "k_max": k_max, "seed": seed},
+            "inconclusive: replicas diverged")
+    mean, se = _mean_stderr(run.distances)
     delta0 = np.linalg.norm(theta0_a - theta0_b)
     ks = np.arange(k_max + 1)
     claim = claimed_rate ** ks * delta0

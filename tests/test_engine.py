@@ -127,8 +127,8 @@ class TestMinibatchReplay:
         assert np.array_equal(got[0], reference_rows(n, b, rows, 112, 0))
 
     def test_frequent_rejections(self):
-        # bounds near 3 * 2**30 reject about a quarter of all words, and
-        # one row's mask of taken indices would hold 3 * 2**30 cells
+        # bounds near 3 * 2**30 reject about a quarter of all words, and a
+        # selection that took memory in proportion to n would need 3 GiB
         n, b = 3 * 2 ** 30, 3
         assert rejects(n, b, 4, 5, 0)
         assert np.array_equal(minibatch_sequence(n, b, 40, 5, 0),
@@ -163,24 +163,24 @@ class TestColumnMajorReplay:
     time) against ``floyd_pick`` row by row, and the draws it selects from
     against ``lemire_rows``."""
 
-    # b = n (its first draw has bound 1), b = 1, b = n - 1, and
-    # n = 10,000 with small and large b
+    # b = n (its first draw has bound 1), b = 1, b = n - 1, n = 10,000
+    # with small and large b, a large n (50,000), n above int32
+    # (3 * 2**30) and a large b (256)
     @pytest.mark.parametrize("n,b", [(1, 1), (8, 8), (16, 16), (16, 1),
                                      (256, 1), (16, 15), (16, 8), (32, 4),
-                                     (10000, 1), (10000, 37), (10000, 200)])
+                                     (10000, 1), (10000, 37), (10000, 200),
+                                     (50000, 10), (3 * 2 ** 30, 3),
+                                     (4096, 256)])
     @pytest.mark.parametrize("lead", [(1,), (257,), (3, 50)])
-    def test_floyd_equals_row_major(self, monkeypatch, n, b, lead):
+    def test_floyd_equals_row_major(self, n, b, lead):
         rng = np.random.default_rng(n * 31 + b)
         draws = rng.integers(0, np.arange(n - b + 1, n + 1),
                              size=lead + (b,)).reshape(-1, b)
         want = np.array([floyd_pick(row, n) for row in draws])
-        # one mask for every row, masks of 7 rows at a time, and a budget
-        # below n, where each draw is compared with its row's earlier picks
-        for budget in (dynamics._DRAW_INDICES, 7 * n, n - 1):
-            monkeypatch.setattr(dynamics, "_DRAW_INDICES", budget)
-            got = draws.astype(np.int32)
-            dynamics._floyd(got, n)
-            assert np.array_equal(got, want)
+        # every row at once, one column at a time, in the engine's dtype
+        got = draws.astype(np.int32 if n < 2 ** 31 else np.int64)
+        dynamics._floyd(got, n)
+        assert np.array_equal(got, want)
         # every row is a set of b distinct indices below n
         rows = np.sort(got, axis=1)
         assert rows.min() >= 0 and rows.max() < n

@@ -659,8 +659,8 @@ def test_fuzz_base_config_passes_every_command(tmp_path):
 def test_readme_field_table_matches_the_schema():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Config")[1].split("\n## ")[0]
-    paths = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
-    assert paths == [row[0] for row in harness.FIELDS]
+    rows = re.findall(r"^\| `([^`]+)` \| ([a-z]+) \|", section, flags=re.M)
+    assert rows == [row[:2] for row in harness.FIELDS]
 
 
 def test_minorization_grid_of_three_is_admissible(tmp_path):
@@ -818,6 +818,16 @@ class TestCli:
     def test_missing_config_exits_1(self, tmp_path):
         assert cli.main(["bounds", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 1
+
+    # a config path that is a directory; an output path that is a file
+    @pytest.mark.parametrize("config,out", [(".", "out"),
+                                            ("config.json", "config.json")])
+    def test_os_error_exits_1(self, tmp_path, capsys, config, out):
+        write_config(tmp_path, quadratic_config())
+        assert cli.main(["bounds", "--config", str(tmp_path / config),
+                         "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_config_error_exits_1(self, tmp_path):
         cfg = quadratic_config(regime="Magic")

@@ -81,6 +81,18 @@ class TestContraction:
         assert not cert.passed
         assert cert.margin < 0
 
+    def test_diverged_replicas_fail_with_margin_zero(self):
+        # on unit data (a = 1, y = 1) eta = 3 maps theta - 1 to -2 (theta - 1):
+        # the chain from 0 first passes the guard 1e12 at step 40 (2^40 - 1)
+        cert = check_contraction(model.LossModel("Quadratic"),
+                                 unit_dataset(10), eta=3.0, b=1,
+                                 claimed_rate=0.9, k_max=40, R=4, seed=0)
+        assert not cert.passed
+        assert cert.margin == 0.0
+        assert cert.details["diverged_replicas"] == 4
+        assert cert.details["first_diverged_k"] == 40
+        assert "diverged" in cert.confidence
+
     def test_no_replicas_rejected(self):
         with pytest.raises(ValueError, match="R >= 2"):
             check_contraction(model.LossModel("Quadratic"), unit_dataset(),

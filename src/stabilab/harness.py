@@ -348,7 +348,10 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
         "n": cfg["dataset"]["n"], "b": cfg["sgd"]["batch_b"],
         "eta": cfg["sgd"]["eta"]}
     _write_json(out_dir / "bounds.json", report)
-    print(f"{cfg['regime']} bound at k={report['k']}: {bound.value}")
+    line = f"{cfg['regime']} bound at k={report['k']}: {bound.value}"
+    if math.isinf(bound.value) and math.isfinite(bound.log_value):
+        line += f" (log_value {bound.log_value})"    # overflowed
+    print(line)
     return EXIT_OK
 
 

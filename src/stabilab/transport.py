@@ -8,15 +8,12 @@ pathwise mean of the coupled chains dominates the true distance).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_file_location
-from pathlib import Path
 
 import numpy as np
 
 from .model import _mean_stderr, _norms
+from .solvers import load_optimize
 
 ASSIGNMENT_CAP = 1024
 
@@ -66,36 +63,10 @@ def wasserstein_exact_1d(p: float, A, B) -> TransportEstimate:
 
 
 def _load_lsap():
-    """scipy's compiled ``linear_sum_assignment`` without running
-    ``scipy.optimize/__init__``, which imports much of scipy (about 49 MB
-    and half a second).  The extension registers itself in ``sys.modules``
-    while it loads, and that entry is removed: a later ``import
-    scipy.optimize`` that found it would never bind ``scipy.optimize._lsap``,
-    while unregistered it loads the submodule itself, with the same
-    function.  Where the module is already loaded it is reused; where the
-    file is missing (older scipy ships ``_lsap`` as Python) or does not
-    load, the public import is used."""
-    module = sys.modules.get(_LSAP)
-    if module is None:
-        import scipy
-        directory = Path(scipy.__file__).parent / "optimize"
-        for suffix in EXTENSION_SUFFIXES:
-            path = directory / f"_lsap{suffix}"
-            if path.is_file():
-                try:
-                    loader = ExtensionFileLoader(_LSAP, str(path))
-                    module = module_from_spec(
-                        spec_from_file_location(_LSAP, path, loader=loader))
-                    loader.exec_module(module)
-                except ImportError:  # a broken or foreign build
-                    module = None
-                finally:
-                    sys.modules.pop(_LSAP, None)
-                break
-    if module is None:
-        from scipy.optimize import linear_sum_assignment
-        return linear_sum_assignment
-    return module.linear_sum_assignment
+    """scipy's compiled ``linear_sum_assignment``, or the public one where
+    its extension file is missing or does not load."""
+    return load_optimize(_LSAP, "linear_sum_assignment",
+                         "linear_sum_assignment")[0]
 
 
 def _distance_cost(p: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -201,6 +201,27 @@ def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
                  "R": R, "seed": seed} | worst)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, bit for bit what scipy 1.17's
+    special-function ``logsumexp(a, axis=-1)`` returns for real ``a``: the
+    row maximum and its ties are taken out, the rest summed as exp(a - max)
+    and divided by the tie count, and log1p of that added to log(count) +
+    max; where that is not finite (a row of -inf, an inf or a NaN),
+    log(sum(exp)) is returned instead."""
+    top = np.max(a, axis=-1, keepdims=True)
+    ties = a == top
+    count = np.sum(ties, axis=-1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top), axis=-1,
+                   keepdims=True)
+        out = (np.log1p(np.where(s == 0, s, s / count)) + np.log(count)
+               + top)[..., 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=-1))
+    return out
+
+
 def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
                    var: np.ndarray, thetas: np.ndarray, theta1s: np.ndarray,
                    omegas: np.ndarray) -> np.ndarray:
@@ -210,8 +231,6 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
     Works on blocks of about ``dynamics._BLOCK_ELEMENTS`` elements (one
     gradient per block of thetas); no value depends on the blocking.
     """
-    from scipy.special import logsumexp
-
     C, b = omegas.shape
     d = thetas.shape[-1]
     log_norm = -0.5 * (d * math.log(2.0 * math.pi) + np.sum(np.log(var)))
@@ -225,7 +244,7 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
         for j in range(0, len(theta1s), jc):
             diff = theta1s[j:j + jc, None, :] - means    # (tc, jc, C, d)
             comps = log_norm - 0.5 * np.sum(diff ** 2 / var, axis=-1)
-            out[t:t + tc, j:j + jc] = logsumexp(comps, axis=-1) - math.log(C)
+            out[t:t + tc, j:j + jc] = _logsumexp(comps) - math.log(C)
     return out
 
 

@@ -103,6 +103,26 @@ class TestBoundsCommand:
         sb = evaluate_bound(validate_config(quadratic_config()))
         assert sb.value == pytest.approx(0.8, rel=1e-12)
 
+    def test_overflowed_bound_prints_its_log_value(self, tmp_path, capsys):
+        # deep-noisy's bound overflows; stdout names log_value, and
+        # bounds.json stays the stored one
+        golden = Path(__file__).parent / "golden" / "deep-noisy"
+        cfg = json.loads((golden / "config.json").read_text())
+        assert cmd_bounds(cfg, tmp_path) == EXIT_OK
+        rep = json.loads((tmp_path / "bounds.json").read_text())
+        assert capsys.readouterr().out == (
+            f"NonconvexNoisy bound at k=inf: inf "
+            f"(log_value {rep['log_value']})\n")
+        assert round(rep["log_value"], 1) == 1525.2
+        assert ((tmp_path / "bounds.json").read_bytes()
+                == (golden / "bounds.json").read_bytes())
+
+    def test_finite_bound_prints_its_value_alone(self, tmp_path, capsys):
+        assert cmd_bounds(quadratic_config(), tmp_path) == EXIT_OK
+        rep = json.loads((tmp_path / "bounds.json").read_text())
+        assert capsys.readouterr().out == (
+            f"Quadratic bound at k=inf: {rep['value']}\n")
+
 
 class TestSimulateCommand:
     CFG = dict(replicas=8, checkpoints=[50, 100],

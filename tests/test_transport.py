@@ -12,7 +12,7 @@ import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from stabilab import transport
+from stabilab import solvers, transport
 from stabilab.transport import (coupled_upper_bound, wasserstein_assignment,
                                 wasserstein_exact_1d)
 
@@ -188,7 +188,7 @@ class TestDistanceCost:
 
 
 LSAP_FILE = next((Path(scipy.__file__).parent / "optimize" / f"_lsap{s}"
-                  for s in transport.EXTENSION_SUFFIXES
+                  for s in solvers.EXTENSION_SUFFIXES
                   if (Path(scipy.__file__).parent / "optimize"
                       / f"_lsap{s}").is_file()), None)
 needs_extension = pytest.mark.skipif(
@@ -231,12 +231,12 @@ class TestSolverLoad:
     def test_direct_load_reads_the_extension_file(self, unloaded):
         loads = []
 
-        class RecordingLoader(transport.ExtensionFileLoader):
+        class RecordingLoader(solvers.ExtensionFileLoader):
             def __init__(self, name, path):
                 loads.append((name, path))
                 super().__init__(name, path)
 
-        unloaded.setattr(transport, "ExtensionFileLoader", RecordingLoader)
+        unloaded.setattr(solvers, "ExtensionFileLoader", RecordingLoader)
         solver = transport._load_lsap()
         assert loads == [(transport._LSAP, str(LSAP_FILE))]
         # left unregistered, so that scipy.optimize binds its own _lsap
@@ -252,7 +252,7 @@ class TestSolverLoad:
         module = types.ModuleType(transport._LSAP)
         module.linear_sum_assignment = solver
         unloaded.setitem(sys.modules, transport._LSAP, module)
-        unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
+        unloaded.setattr(solvers, "ExtensionFileLoader", FailingLoader)
         assert transport._load_lsap() is solver
 
     def test_loaded_once_on_first_matching(self, unloaded):
@@ -266,9 +266,9 @@ class TestSolverLoad:
     @pytest.mark.parametrize("failure", ["missing", "raises"])
     def test_falls_back_to_public_import(self, unloaded, failure):
         if failure == "missing":
-            unloaded.setattr(transport, "EXTENSION_SUFFIXES", [".missing"])
+            unloaded.setattr(solvers, "EXTENSION_SUFFIXES", [".missing"])
         else:
-            unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
+            unloaded.setattr(solvers, "ExtensionFileLoader", FailingLoader)
         assert transport._load_lsap() is scipy.optimize.linear_sum_assignment
 
     @needs_extension
@@ -283,9 +283,9 @@ class TestSolverLoad:
             A, B = rng.standard_normal((512, 2)), rng.standard_normal((512, 2))
         direct = transport._load_lsap()
         if failure == "missing":
-            unloaded.setattr(transport, "EXTENSION_SUFFIXES", [".missing"])
+            unloaded.setattr(solvers, "EXTENSION_SUFFIXES", [".missing"])
         else:
-            unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
+            unloaded.setattr(solvers, "ExtensionFileLoader", FailingLoader)
         public = transport._load_lsap()
         assert public is scipy.optimize.linear_sum_assignment
         cols, value, stderr = assignment_with(unloaded, direct, p, A, B)
@@ -350,6 +350,75 @@ def test_fresh_process_matching_loads_no_scipy_optimize():
     # import of scipy.optimize binds as its own
     assert result["reused"]
     assert result["same"]
+
+
+FRESH_NOISY = """
+import json, pathlib, sys, tempfile
+import numpy as np
+from stabilab import cli, harness, model
+cfg = json.loads(sys.argv[1])
+with tempfile.TemporaryDirectory() as out:
+    path = pathlib.Path(out) / "config.json"
+    path.write_text(json.dumps(cfg))
+    codes = [cli.main([command, "--config", str(path), "--out", out])
+             for command in ("bounds", "verify")]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+exp = harness.build_experiment(harness.validate_config(cfg))
+A, Y, loss = exp.dataset.features, exp.dataset.labels, exp.loss
+ours = model.empirical_minimizer(loss, exp.dataset)
+import scipy.optimize
+public = scipy.optimize.minimize(
+    lambda t: 0.5 * loss.m0 * t @ t + loss.s * np.mean(np.sin(A @ t - Y)),
+    np.zeros(len(ours)), jac=lambda t: model.grad_batch(loss, t, A, Y),
+    method="L-BFGS-B", tol=1e-14).x
+print(json.dumps({
+    "codes": codes, "loaded": loaded,
+    "compiled": model._setulb[1],
+    "reused": scipy.optimize._lbfgsb.setulb is model._setulb[0],
+    "same": bool(np.array_equal(ours, public))}))
+"""
+
+
+@needs_extension
+def test_fresh_process_noisy_bounds_and_verify_load_no_scipy_optimize():
+    # a small certify-grid: a NonconvexNoisy bound from the minimizer and
+    # the minorization check's Gaussian-mixture densities
+    cfg = {
+        "schema_version": 1,
+        "regime": "NonconvexNoisy",
+        "loss": {"family": "RegularizedSine", "m0": 2.0, "s": 0.01},
+        "dataset": {"n": 6, "d": 2, "generator": "gaussian_clipped",
+                    "radius_D": 0.1, "label_range": 0.05, "seed": 0},
+        "sgd": {"eta": 0.2, "batch_b": 2, "k_max": 20, "theta0": [0.0, 0.0],
+                "master_seed": 3},
+        "noise": {"kind": "gaussian_diag", "scale": [0.7, 0.7]},
+        "bound": {"k": 20},
+        "replicas": 8,
+        "checkpoints": [20],
+        "estimators": ["coupled"],
+        "certificates": [
+            {"kind": "minorization", "M": 1.0, "n_grid": 5},
+            {"kind": "drift", "mode": "monte_carlo", "n_mc": 50,
+             "claimed_delta": 0.7, "claimed_L": 0.5,
+             "theta_grid": [[0.0, 0.0], [1.0, 0.0]]}],
+    }
+    src = str(Path(transport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", FRESH_NOISY, json.dumps(cfg)],
+                         env=env, capture_output=True, text=True, check=True)
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    # a later import of scipy.optimize gives the same theta*
+    assert result["same"]
+    if not result["compiled"]:
+        pytest.skip("this scipy has no compiled setulb of this signature")
+    for package in ("scipy.optimize", "scipy.special", "scipy.linalg",
+                    "scipy.spatial"):
+        assert package not in result["loaded"]
+        assert not [m for m in result["loaded"]
+                    if m.startswith(package + ".")], package
+    # and binds the directly loaded setulb as its own
+    assert result["reused"]
 
 
 def coupled_loop(p, A, B):

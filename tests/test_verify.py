@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from stabilab import model
+from stabilab import model, verify
 from stabilab.bounds import StabilityBound
 from stabilab.transport import TransportEstimate
 from stabilab.verify import (Certificate, check_bound_dominates,
@@ -240,6 +241,40 @@ class TestMinorization:
             check_minorization_gaussian(model.LossModel("Quadratic"), ds, 0.1,
                                         1, [0.5, 0.5, 0.5], 1.0, 2.44, 0.5,
                                         1.0, n_grid=9)
+
+
+def logsumexp_cases(length, scale, seed):
+    """Rows of one length at one scale: plain, with ties of the maximum,
+    with -inf entries, all -inf, and with a +inf or a NaN."""
+    rng = np.random.default_rng(seed)
+    a = scale * rng.standard_normal((6, 5, length))
+    ties = np.round(a / scale) * scale       # the maximum tied in most rows
+    ties[:, 0, -1] = ties[:, 0].max(axis=-1)
+    holes = a.copy()
+    holes[..., ::2] = -np.inf
+    holes[0, 0] = -np.inf                   # a row of -inf
+    blown = a.copy()
+    blown[1, 2, 0], blown[2, 3, -1] = np.inf, np.nan
+    return [a, ties, holes, blown, a[0, 0], np.full(length, -np.inf)]
+
+
+class TestLogSumExp:
+    """``verify._logsumexp`` against ``scipy.special.logsumexp``, the
+    minorization check's former call, bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, 3, 70, 200])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2, 1e5])
+    def test_equals_scipy(self, length, scale):
+        for a in logsumexp_cases(length, scale, length):
+            ours, theirs = verify._logsumexp(a), logsumexp(a, axis=-1)
+            assert np.shape(ours) == np.shape(theirs)
+            assert np.array_equal(ours, theirs, equal_nan=True)
+
+    def test_ties_are_counted(self):
+        # three tied maxima and nothing else: log(3) + max, exactly
+        a = np.array([[2.0, 2.0, 2.0], [-np.inf, 5.0, -np.inf]])
+        assert np.array_equal(verify._logsumexp(a),
+                              [np.log(3.0) + 2.0, 5.0])
 
 
 class TestDominance:

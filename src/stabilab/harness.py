@@ -381,17 +381,18 @@ def cmd_simulate(given: dict, out_dir) -> int:
                             checkpoints)
     elapsed = time.perf_counter() - start
     diverged = [r.diverged_at for r in ensemble.replicas if r.diverged]
+    rows = list(_estimates_rows(cfg, ensemble))
+    estimated = time.perf_counter() - start - elapsed
     with open(out_dir / "estimates.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([
-            ["k", "estimator", "p", "value", "stderr", "status"],
-            *_estimates_rows(cfg, ensemble)])
+            ["k", "estimator", "p", "value", "stderr", "status"], *rows])
     _write_json(out_dir / "run_summary.json", {
         "schema_version": SCHEMA_VERSION, "stream_version": STREAM_VERSION,
         "regime": cfg["regime"], "master_seed": cfg["sgd"]["master_seed"],
         "replicas": R, "checkpoints": checkpoints,
         "diverged_replicas": len(diverged), "config": given})
-    print(f"simulated {R} replicas to k={exp.sgd.k_max} in {elapsed:.2f}s; "
-          f"{len(diverged)} diverged"
+    print(f"simulated {R} replicas to k={exp.sgd.k_max} in {elapsed:.2f}s, "
+          f"estimated in {estimated:.2f}s; {len(diverged)} diverged"
           + (f", the first at step {min(diverged)}" if diverged else ""))
     return EXIT_OK
 

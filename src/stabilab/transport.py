@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _BLOCK_ELEMENTS
 from .model import _mean_stderr, _norms
 from .solvers import load_optimize
 
@@ -72,17 +73,24 @@ def _load_lsap():
 def _distance_cost(p: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """|a_i - b_j|^p for every pair, bit for bit ``cdist(A, B) ** p``: the
     squared coordinate differences summed left to right, then the root.
-    Holds two (N, N) arrays at once."""
-    cost = np.subtract.outer(A[:, 0], B[:, 0])
-    cost *= cost
-    diff = np.empty_like(cost)
-    for j in range(1, A.shape[1]):
-        np.subtract.outer(A[:, j], B[:, j], out=diff)
-        diff *= diff
-        cost += diff
-    np.sqrt(cost, out=cost)
-    if p != 1:
-        cost **= p
+    Fills the one (N, N) cost in blocks of ``_BLOCK_ELEMENTS // N`` rows
+    with one block of scratch: 8 MB plus 0.5 MB at the assignment cap."""
+    N, d = A.shape
+    cost = np.empty((N, len(B)))
+    rows = max(1, _BLOCK_ELEMENTS // len(B))
+    diff = np.empty((min(rows, N), len(B)))
+    for lo in range(0, N, rows):
+        block = cost[lo:lo + rows]
+        scratch = diff[:len(block)]
+        np.subtract.outer(A[lo:lo + rows, 0], B[:, 0], out=block)
+        block *= block
+        for j in range(1, d):
+            np.subtract.outer(A[lo:lo + rows, j], B[:, j], out=scratch)
+            scratch *= scratch
+            block += scratch
+        np.sqrt(block, out=block)
+        if p != 1:
+            block **= p
     return cost
 
 

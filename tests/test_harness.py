@@ -175,7 +175,10 @@ class TestSimulateCommand:
 
     def test_stdout_without_divergence(self, tmp_path, capsys):
         assert cmd_simulate(quadratic_config(**self.CFG), tmp_path) == EXIT_OK
-        assert capsys.readouterr().out.strip().endswith("s; 0 diverged")
+        line = capsys.readouterr().out.strip()
+        assert line.endswith("s; 0 diverged")
+        # the ensemble's time and the estimators' time
+        assert re.search(r" in \d+\.\d\ds, estimated in \d+\.\d\ds;", line)
 
     def test_assignment_needs_two_replicas(self):
         cfg = quadratic_config(replicas=1, estimators=["assignment"])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -185,6 +186,46 @@ class TestDistanceCost:
             B = A[::-1] + scale * rng.standard_normal((97, d))
             assert np.array_equal(transport._distance_cost(p, A, B),
                                   cdist(A, B) ** p), scale
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    @pytest.mark.parametrize("N", [1, 63, 64, 65, 1000, 1024])
+    def test_equals_cdist_across_blocks(self, N, d, p):
+        # against the cap's 1024 points a block is 64 rows: N = 63 is less
+        # than one block, 64 one block, 65 one row over, 1000 ends in a
+        # ragged block of 40 rows and 1024 is 16 blocks; N points against N
+        # points is the assignment's own shape
+        assert transport._BLOCK_ELEMENTS // transport.ASSIGNMENT_CAP == 64
+        rng = np.random.default_rng([N, d])
+        A = rng.standard_normal((N, d))
+        B = rng.standard_normal((transport.ASSIGNMENT_CAP, d))
+        assert np.array_equal(transport._distance_cost(p, A, B),
+                              cdist(A, B) ** p)
+        B = A[::-1] + rng.standard_normal((N, d))
+        assert np.array_equal(transport._distance_cost(p, A, B),
+                              cdist(A, B) ** p)
+
+
+class TestAssignmentMemory:
+    def test_holds_one_cost_matrix(self):
+        # the (N, N) cost takes 8 MB at the cap; its one block of scratch
+        # (0.5 MB) and the potential's vectors stay under 1.5 MB more
+        N = transport.ASSIGNMENT_CAP
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((N, 2))
+        B = A + [0.5, -0.25] + 0.01 * rng.standard_normal((N, 2))
+        moves = B - A
+        # the shift potential runs on these clouds
+        assert (2 * np.linalg.norm(moves.mean(axis=0))
+                >= np.linalg.norm(moves, axis=1).mean())
+        wasserstein_assignment(1.0, A[:2], B[:2])   # loads the solver
+        tracemalloc.start()
+        try:
+            wasserstein_assignment(1.0, A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * N * 8 + 1.5 * 2 ** 20
 
 
 LSAP_FILE = next((Path(scipy.__file__).parent / "optimize" / f"_lsap{s}"

@@ -101,25 +101,47 @@ class Experiment:
 
 
 def rho_quadratic(dataset: Dataset, eta: float, b: int,
-                  mode: str = "exact", n_mc: int = 10000,
-                  seed: int = 0) -> dict:
+                  mode: str = "exact", n_mc: int = 10000, seed: int = 0,
+                  pair: NeighborPair | None = None) -> dict:
     """E||I - (eta/b) sum_{i in Omega} a_i a_i^T|| over minibatches.
 
     Exact mode enumerates all C(n, b) minibatches (cap 20000); Monte-Carlo
-    mode samples n_mc minibatches and reports a standard error.
+    mode samples n_mc minibatches and reports a standard error.  With a
+    neighbor ``pair`` whose base is ``dataset``, the same minibatches also
+    give the perturbed dataset's ``rho_hat`` and ``Eq1_norm``
+    (:func:`expected_q_norm`), equal to the separate calls bit for bit: a
+    minibatch without the differing index has the same norm on both
+    datasets, so only the others are taken again.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
+    if pair is not None and pair.base is not dataset:
+        raise ValueError("the pair's base must be the dataset")
     d, eye = dataset.dim_d, np.eye(dataset.dim_d)
 
-    def norms(omegas, _):
-        A = dataset.features[omegas]
+    def norms(features, omegas):
+        A = features[omegas]
         H = A.swapaxes(-1, -2) @ A / b
         return np.linalg.norm(eye - eta * H, 2, axis=(-2, -1))
 
-    rho, stderr = MinibatchSource(dataset.n, b, mode, seed).average(
-        norms, n_mc, b * d + d * d)
-    return {"rho": rho, "stderr": stderr}
+    source, width = MinibatchSource(dataset.n, b, mode, seed), b * d + d * d
+    if pair is None:
+        rho, stderr = source.average(
+            lambda omegas, _: norms(dataset.features, omegas), n_mc, width)
+        return {"rho": rho, "stderr": stderr}
+    q_hat = pair.perturbed.features * pair.perturbed.labels[:, None]
+
+    def terms(omegas, _):
+        rho = norms(dataset.features, omegas)
+        hit = (omegas == pair.differing_index).any(axis=1)
+        rho_hat = rho.copy()
+        rho_hat[hit] = norms(pair.perturbed.features, omegas[hit])
+        return rho, rho_hat, _norms(q_hat[omegas].sum(axis=1))
+
+    (rho, stderr), (rho_hat, _), (eq1, _) = source.averages(terms, n_mc,
+                                                            width)
+    return {"rho": rho, "stderr": stderr, "rho_hat": rho_hat,
+            "Eq1_norm": eq1}
 
 
 def expected_q_norm(dataset: Dataset, b: int, mode: str = "exact",
@@ -438,14 +460,12 @@ def _theta0_norm(exp: Experiment) -> float:
 
 
 def _quadratic(exp: Experiment, cfg: dict) -> StabilityBound:
-    sgd, data, perturbed = exp.sgd, exp.dataset, exp.pair.perturbed
-    kw = {"mode": cfg["rho_mode"], "seed": cfg["rho_seed"]}
-    rho = rho_quadratic(data, sgd.eta, sgd.batch_b, **kw)["rho"]
-    rho_hat = rho_quadratic(perturbed, sgd.eta, sgd.batch_b, **kw)["rho"]
-    eq1 = expected_q_norm(perturbed, sgd.batch_b, **kw)
-    return bound_quadratic(rho, rho_hat, eq1, data.radius_D, sgd.eta,
-                           sgd.batch_b, data.n, _theta0_norm(exp),
-                           _bound_k(cfg))
+    sgd, data = exp.sgd, exp.dataset
+    rho = rho_quadratic(data, sgd.eta, sgd.batch_b, cfg["rho_mode"],
+                        seed=cfg["rho_seed"], pair=exp.pair)
+    return bound_quadratic(rho["rho"], rho["rho_hat"], rho["Eq1_norm"],
+                           data.radius_D, sgd.eta, sgd.batch_b, data.n,
+                           _theta0_norm(exp), _bound_k(cfg))
 
 
 def _noisy(exp: Experiment, cfg: dict) -> StabilityBound:

@@ -47,14 +47,20 @@ however its steps are split into draws:
   ``laplace(0, scale, (c, d))``, equal to c per-step draws.
 
 A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes (in
-:func:`run_lanes` at most k_max and ``_BLOCK_STEPS`` steps), and the
-minibatch buffer at most ``_DRAW_INDICES`` indices plus a block's.  A
-refill holds the buffer being read, the new one (4 MB of int32 at the cap)
-and ``_floyd``'s column-major copy of it, so the transient memory does not
-grow with k_max but reaches about 16 MB: tracemalloc measured peaks of 9.3
-MB at R = 1024, k_max = 100 and b = 8 (one refill), 16.2 MB at k_max =
-1000, where the refills reach the cap, and 7.7 MB at R = 16, k_max =
-10,000 (MB here is 2^20 bytes).
+:func:`run_lanes` at most k_max and ``_BLOCK_STEPS`` steps).  A refill of
+the minibatch buffer holds the rows the caller will still read, at most
+about ``_BLOCK_ELEMENTS`` indices across all lanes, but at least
+``_LANE_DRAW_INDICES`` a lane (an ``integers`` call costs far more than its
+draws below that), and never more than ``_DRAW_INDICES`` in all.  At R =
+16 and b = 4 that is 1,024 rows a lane, so deep-noisy's ensemble makes 10
+calls a lane; wide-quadratic's R = 1024, k_max = 100 and certify-grid's R
+= 64, k_max = 500 make one.  A refill holds the buffer being read, the new
+one and ``_floyd``'s column-major copy of it, so the transient memory does
+not grow with k_max: tracemalloc measured peaks of 3.3 MiB at R = 16, d =
+16 and b = 4 for k_max from 2,000 to 40,000, 4.4 MiB at R = 64, k_max =
+500 and b = 4, and 9.2 MiB at R = 1024, k_max = 100 and b = 8.  Many lanes
+still reach the ``_DRAW_INDICES`` cap (4 MiB of int32): 16.2 MiB at R =
+1024 and k_max = 1000.
 
 Every average over the minibatch law outside the engine (the contraction
 factor and E||q|| of ``bounds``, the drift and kernel-gap certificates of
@@ -102,6 +108,9 @@ _BLOCK_STEPS = 1 << 12
 # minibatch indices one refill draws at most across all lanes, 4 MB at
 # int32: one refill a run for an R = 1024, k = 100 ensemble at b = 8
 _DRAW_INDICES = 1 << 20
+# minibatch indices one lane's integers call draws at least, within that
+# cap, where a block's worth across all lanes would be fewer
+_LANE_DRAW_INDICES = 1 << 12
 
 NOISE_KINDS = ("none", "gaussian_diag", "laplace")
 
@@ -228,8 +237,9 @@ class _IndexStreams:
     The lanes stay in step: one ``(L, rows, b)`` buffer holds every lane's
     drawn minibatches, read from one position.  A block that runs past its
     end refills it with one ``integers`` call per lane, sized to the rows the
-    caller said it will still read (:meth:`expect`) and capped at
-    ``_DRAW_INDICES`` indices across all lanes.
+    caller said it will still read (:meth:`expect`) and capped at about
+    ``_BLOCK_ELEMENTS`` indices across all lanes, or ``_LANE_DRAW_INDICES``
+    a lane where that is more, and at ``_DRAW_INDICES`` in all.
     """
 
     def __init__(self, rngs: list, n: int, b: int):
@@ -260,7 +270,10 @@ class _IndexStreams:
         self.ahead -= rows
         short = rows - held.shape[1]
         if short:
-            cap = max(1, _DRAW_INDICES // max(len(self.rngs) * self.b, 1))
+            lanes = max(len(self.rngs), 1)
+            cap = max(1, min(_DRAW_INDICES // (lanes * self.b),
+                             max(_LANE_DRAW_INDICES // self.b,
+                                 _block_rows(lanes, self.b))))
             self._refill(max(short, min(short + self.ahead, cap)))
             self.pos = short
             fresh = self.buf[:, :short]
@@ -339,9 +352,16 @@ class MinibatchSource:
     def average(self, f, count: int, width: int) -> tuple:
         """(mean, standard error) of ``f(rows, noise)``, one value per
         minibatch, over :meth:`blocks`; the error is 0 in exact mode."""
-        vals = np.concatenate([f(rows, xis)
-                               for rows, xis in self.blocks(count, width)])
-        return tuple(map(float, _mean_stderr(vals, self.exact is None)))
+        return self.averages(lambda rows, xis: (f(rows, xis),), count,
+                             width)[0]
+
+    def averages(self, f, count: int, width: int) -> list:
+        """:meth:`average` of each of the arrays that ``f(rows, noise)``
+        returns, over one pass of :meth:`blocks`."""
+        return [tuple(map(float, _mean_stderr(np.concatenate(vals),
+                                              self.exact is None)))
+                for vals in zip(*(f(rows, xis) for rows, xis
+                                  in self.blocks(count, width)))]
 
 
 def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,

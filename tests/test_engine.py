@@ -9,7 +9,11 @@
   shift split of ``random_raw``;
 * the per-run minibatch buffer against the references, with refills inside
   blocks and runs, lane subsets and a word rejection between refills, and
-  its ``integers`` calls and held indices counted;
+  its ``integers`` calls and held indices counted, at each workload's
+  ensemble shape;
+* refills of about one block across the lanes against the same run, or
+  Monte-Carlo averages, forced to one refill, bit for bit; the ensemble's
+  tracemalloc peak against k_max;
 * the engine against a loop of scalar ``step`` calls, for every loss family,
   noise kind and chain pairing;
 * a replica's result against the size of the ensemble it runs in;
@@ -217,6 +221,33 @@ class CountingStream:
         return self.rng.integers(*args, **kwargs)
 
 
+def count_integers_calls(monkeypatch) -> list:
+    """The CountingStream of every minibatch stream ``dynamics._stream``
+    builds from now on, in the order built."""
+    counters, stream = [], dynamics._stream
+
+    def counting_stream(master_seed, replica_id, tag):
+        rng = stream(master_seed, replica_id, tag)
+        if tag != dynamics._STREAM_MINIBATCH:
+            return rng
+        counters.append(CountingStream(rng))
+        return counters[-1]
+
+    monkeypatch.setattr(dynamics, "_stream", counting_stream)
+    return counters
+
+
+def deep_noisy_case():
+    """(loss, pair, noise) of the deep-noisy workload: n = 32, d = 16,
+    Gaussian noise."""
+    base = model.make_synthetic_dataset(
+        {"n": 32, "d": 16, "generator": "gaussian_clipped",
+         "radius_D": 0.1, "label_range": 0.05}, 0)
+    return (model.LossModel("RegularizedSine", m0=2.0, s=0.01),
+            model.make_neighbor(base, 0, 1),
+            NoiseModel("gaussian_diag", (math.sqrt(0.5),) * 16))
+
+
 class TestWordBuffer:
     """The per-run buffer of drawn minibatches against ``reference_rows``,
     with refills inside blocks and runs (``_DRAW_INDICES`` shrunk to a few
@@ -297,16 +328,9 @@ class TestWordBuffer:
             NoiseModel("gaussian_diag", (0.3, 0.3)), [0, 5, 2])
 
     def test_few_raw_calls_per_lane(self, monkeypatch):
-        counters, stream = [], dynamics._stream
-
-        def counting_stream(master_seed, replica_id, tag):
-            rng = stream(master_seed, replica_id, tag)
-            if tag != dynamics._STREAM_MINIBATCH:
-                return rng
-            counters.append(CountingStream(rng))
-            return counters[-1]
-
-        monkeypatch.setattr(dynamics, "_stream", counting_stream)
+        # wide-quadratic's ensemble: 800 indices a lane, against a cap of
+        # 1,024 a lane (2^20 over 1,024 lanes): one integers call each
+        counters = count_integers_calls(monkeypatch)
         base = model.make_synthetic_dataset(
             {"n": 16, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 0)
@@ -314,9 +338,29 @@ class TestWordBuffer:
         run_ensemble(model.LossModel("Quadratic"),
                      model.make_neighbor(base, 0, 1), config, NoiseModel(),
                      1024)
-        # 800 indices a lane, against a budget of 1,024 a lane: one
-        # integers call each
         assert [c.calls for c in counters] == [1] * 1024
+
+    def test_certify_grid_one_call_per_lane(self, monkeypatch):
+        # certify-grid's ensemble: 2,000 indices a lane, against a cap of
+        # 4,096 a lane (_LANE_DRAW_INDICES, above 2^16 over 64 lanes)
+        counters = count_integers_calls(monkeypatch)
+        base = model.make_synthetic_dataset(
+            {"n": 8, "d": 2, "generator": "gaussian_clipped",
+             "radius_D": 0.1, "label_range": 0.05}, 0)
+        config = SGDConfig(0.2, 4, 500, np.zeros(2), 3)
+        run_ensemble(model.LossModel("RegularizedSine", m0=2.0, s=0.01),
+                     model.make_neighbor(base, 0, 1), config,
+                     NoiseModel("gaussian_diag", (math.sqrt(0.5),) * 2), 64)
+        assert [c.calls for c in counters] == [1] * 64
+
+    def test_deep_noisy_refills_every_1024_rows(self, monkeypatch):
+        # deep-noisy's ensemble: 2^16 indices over 16 lanes at b = 4 make
+        # 1,024 rows a refill, ten over 10,000 steps
+        counters = count_integers_calls(monkeypatch)
+        loss, pair, noise = deep_noisy_case()
+        run_ensemble(loss, pair, SGDConfig(0.2, 4, 10000, np.zeros(16), 3),
+                     noise, 16)
+        assert [c.calls for c in counters] == [10] * 16
 
     @pytest.mark.parametrize("count", [1, 5, 300, 2000, 40000])
     def test_one_lane_source_holds_count_plus_one_block(self, count):
@@ -327,6 +371,87 @@ class TestWordBuffer:
         for _ in source.blocks(count, width):
             held = max(held, source.index.buf.size)
         assert held <= (count + rows) * 8
+
+
+class TestRefillSize:
+    """Refills of about one block of indices across the lanes, at least
+    ``_LANE_DRAW_INDICES`` a lane, against the same calls forced to one
+    refill per run or average, bit for bit."""
+
+    @staticmethod
+    def one_refill_per_run(monkeypatch):
+        monkeypatch.setattr(dynamics, "_DRAW_INDICES", 1 << 40)
+        monkeypatch.setattr(dynamics, "_LANE_DRAW_INDICES", 1 << 40)
+
+    def test_deep_noisy_run_across_refills(self, monkeypatch):
+        # 16 lanes at b = 4 refill every 1,024 steps (four blocks of 256):
+        # four refills, checkpoints on both sides of the first refill
+        # boundary and on the next two
+        loss, pair, noise = deep_noisy_case()
+        k_max = 3 * 1024 + 100
+        args = (loss, (pair.base, pair.perturbed),
+                (np.zeros(16), np.full(16, 0.5)),
+                SGDConfig(0.2, 4, k_max, np.zeros(16), 3), noise, range(16),
+                [1, 1023, 1024, 1025, 2048, 3072, k_max])
+        counters = count_integers_calls(monkeypatch)
+        run = run_lanes(*args, distances=True)
+        assert [c.calls for c in counters] == [4] * 16
+        self.one_refill_per_run(monkeypatch)
+        counters.clear()
+        whole = run_lanes(*args, distances=True)
+        assert [c.calls for c in counters] == [1] * 16
+        assert np.all(run.diverged_at == k_max + 1)
+        for got, want in zip(run, whole):
+            assert np.array_equal(got, want)
+
+    def test_monte_carlo_averages_across_refills(self, monkeypatch):
+        # one lane at b = 4 refills every 16,384 rows: three refills for
+        # 40,000 rows, then one for the next average's 5,000
+        noise = NoiseModel("gaussian_diag", (0.5, 2.0))
+        weights = np.array([1.0, 2.0, 3.0, 4.0])
+
+        def averages():
+            source = dynamics.MinibatchSource(32, 4, "monte_carlo", seed=7,
+                                              noise=noise)
+            counter = CountingStream(source.index.rngs[0])
+            source.index.rngs = [counter]
+            blocks = [list(source.blocks(count, 8))
+                      for count in (40000, 5000)]
+            means = [source.average(
+                lambda rows, xis: rows @ weights + xis[:, 0] * xis[:, 1],
+                count, 8) for count in (40000, 5000)]
+            return blocks, means, counter.calls
+
+        blocks, means, calls = averages()
+        assert calls == 8
+        self.one_refill_per_run(monkeypatch)
+        whole, whole_means, calls = averages()
+        assert calls == 4
+        assert means == whole_means
+        for got, want in zip(blocks, whole):
+            got_rows, got_noise = map(np.concatenate, zip(*got))
+            want_rows, want_noise = map(np.concatenate, zip(*want))
+            assert np.array_equal(got_rows, want_rows)
+            assert np.array_equal(got_noise, want_noise)
+
+
+class TestRefillMemory:
+    def test_ensemble_peak_does_not_grow_with_k_max(self):
+        # deep-noisy's shape: each refill holds 1,024 rows a lane, so the
+        # tracemalloc peak (about 3.3 MiB) stays flat where sizing refills
+        # to the rest of the run took it from 3.3 to 15.5 MiB
+        loss, pair, noise = deep_noisy_case()
+        peaks = []
+        for k_max in (2000, 40000):
+            config = SGDConfig(0.2, 4, k_max, np.zeros(16), 3)
+            tracemalloc.start()
+            try:
+                run_ensemble(loss, pair, config, noise, 16)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 ** 18
+        assert peaks[1] < 5 * 2 ** 20
 
 
 class TestNoiseBlocks:
@@ -424,17 +549,12 @@ class TestEngineAgainstScalarSteps:
         deep-noisy workload.  Budget 64 makes blocks of 2 steps in
         sub-blocks of 1; budget 1024 blocks of 32 steps in sub-blocks of 4,
         as deep-noisy's blocks of 256 steps hold sub-blocks of 32."""
-        base = model.make_synthetic_dataset(
-            {"n": 32, "d": 16, "generator": "gaussian_clipped",
-             "radius_D": 0.1, "label_range": 0.05}, 0)
-        pair = model.make_neighbor(base, 0, 1)
+        loss, pair, noise = deep_noisy_case()
         if budget is not None:
             monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         assert_matches_scalar_loop(
-            model.LossModel("RegularizedSine", m0=2.0, s=0.01),
-            (pair.base, pair.perturbed), (np.zeros(16), np.zeros(16)),
-            SGDConfig(0.2, 4, 40, np.zeros(16), 3),
-            NoiseModel("gaussian_diag", (math.sqrt(0.5),) * 16), [0, 9])
+            loss, (pair.base, pair.perturbed), (np.zeros(16), np.zeros(16)),
+            SGDConfig(0.2, 4, 40, np.zeros(16), 3), noise, [0, 9])
 
 
 def sine_pair(d=3):

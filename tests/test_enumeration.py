@@ -3,7 +3,8 @@ scalar references they replaced.
 
 * ``dynamics.minibatches`` against ``itertools.combinations``;
 * ``rho_quadratic`` and ``expected_q_norm`` (exact) against one spectral or
-  Euclidean norm per minibatch;
+  Euclidean norm per minibatch, and ``rho_quadratic``'s one pass for a
+  neighbor pair (rho, rho_hat and E||q_hat||) against the separate calls;
 * the minorization log-density-ratio grid against the per-point mixture
   density, element by element, in d = 1 and d = 2 and at any block budget;
 * the drift (exact and Monte-Carlo, with and without noise) and kernel-gap
@@ -286,6 +287,56 @@ class TestBoundsEnumeration:
                                     seed=4),
                     float(np.mean([np.linalg.norm(q[om].sum(axis=0))
                                    for om in oms])))
+
+    # the differing index first, inside and last; b = 1 (at d = 1, where
+    # rho is not 1), b = n - 1 and d = 3; blocks of one minibatch at
+    # budget 50
+    @pytest.mark.parametrize("n,d,b,index", [(7, 1, 1, 0), (9, 3, 4, 4),
+                                             (16, 2, 8, 15), (12, 2, 11, 3)])
+    @pytest.mark.parametrize("budget", [None, 50])
+    def test_pair_terms_equal_separate_calls(self, n, d, b, index, budget,
+                                             monkeypatch):
+        ds = dataset(n, d)
+        pair = model.make_neighbor(ds, index, 5)
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        for kw in ({}, {"mode": "monte_carlo", "n_mc": 300, "seed": 4}):
+            res = rho_quadratic(ds, 0.5, b, pair=pair, **kw)
+            alone = rho_quadratic(ds, 0.5, b, **kw)
+            hat = rho_quadratic(pair.perturbed, 0.5, b, **kw)
+            assert_same(res["rho"], alone["rho"])
+            assert_same(res["stderr"], alone["stderr"])
+            assert_same(res["rho_hat"], hat["rho"])
+            assert_same(res["Eq1_norm"],
+                        expected_q_norm(pair.perturbed, b, **kw))
+        assert res["rho_hat"] != res["rho"]
+
+    def test_pair_must_share_the_base(self):
+        ds = dataset(7, 2)
+        pair = model.make_neighbor(dataset(7, 2), 0, 5)
+        with pytest.raises(ValueError, match="base must be the dataset"):
+            rho_quadratic(ds, 0.5, 2, pair=pair)
+
+    def test_quadratic_bound_enumerates_once(self, monkeypatch):
+        calls, enumerate_all = [], dynamics.minibatches
+
+        def counting(n, b):
+            calls.append((n, b))
+            return enumerate_all(n, b)
+
+        monkeypatch.setattr(dynamics, "minibatches", counting)
+        ds = dataset(16, 2)
+        pair = model.make_neighbor(ds, 0, 1)
+        exp = bounds.Experiment(
+            model.LossModel("Quadratic"), ds, pair,
+            dynamics.SGDConfig(0.5, 8, 100, np.zeros(2), 3), NoiseModel())
+        sb = bounds.REGIMES["Quadratic"].evaluate(
+            exp, {"rho_mode": "exact", "rho_seed": 0, "k": 100})
+        assert calls == [(16, 8)]
+        used = sb.constants_used
+        assert_same(used["rho"], rho_loop(ds, 0.5, 8))
+        assert_same(used["rho_hat"], rho_loop(pair.perturbed, 0.5, 8))
+        assert_same(used["Eq1_norm"], q_norm_loop(pair.perturbed, 8))
 
 
 def minorization_case(d):

@@ -108,10 +108,10 @@ def rho_quadratic(dataset: Dataset, eta: float, b: int,
     Exact mode enumerates all C(n, b) minibatches (cap 20000); Monte-Carlo
     mode samples n_mc minibatches and reports a standard error.  With a
     neighbor ``pair`` whose base is ``dataset``, the same minibatches also
-    give the perturbed dataset's ``rho_hat`` and ``Eq1_norm``
-    (:func:`expected_q_norm`), equal to the separate calls bit for bit: a
-    minibatch without the differing index has the same norm on both
-    datasets, so only the others are taken again.
+    give the perturbed dataset's ``rho_hat`` and ``Eq1_norm`` =
+    E||sum_{i in Omega} a_i y_i||, rho_hat equal to the separate call bit
+    for bit: a minibatch without the differing index has the same norm on
+    both datasets, so only the others are taken again.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
@@ -142,15 +142,6 @@ def rho_quadratic(dataset: Dataset, eta: float, b: int,
                                                             width)
     return {"rho": rho, "stderr": stderr, "rho_hat": rho_hat,
             "Eq1_norm": eq1}
-
-
-def expected_q_norm(dataset: Dataset, b: int, mode: str = "exact",
-                    n_mc: int = 10000, seed: int = 0) -> float:
-    """E||sum_{i in Omega} a_i y_i|| over minibatches of size b."""
-    q = dataset.features * dataset.labels[:, None]
-    return MinibatchSource(dataset.n, b, mode, seed).average(
-        lambda omegas, _: _norms(q[omegas].sum(axis=1)), n_mc,
-        b * dataset.dim_d)[0]
 
 
 def _log(x: float) -> float:

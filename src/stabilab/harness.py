@@ -423,7 +423,7 @@ def _run_certificate(cfg: dict, exp: bnd.Experiment,
                                           *ensemble.clouds_at(spec["k"]))
     return verify.check_bound_dominates(
         emp, bound, margin_rule=spec["margin_rule"],
-        fixed_rel=spec["fixed_rel"], diverged_replicas=diverged)
+        fixed_rel=spec["fixed_rel"], diverged_replicas=diverged, k=spec["k"])
 
 
 def cmd_verify(cfg: dict, out_dir) -> int:
@@ -461,8 +461,11 @@ def cmd_report(in_dir) -> int:
     if (in_dir / "certificates.jsonl").exists():
         with open(in_dir / "certificates.jsonl") as fh:
             certs = [json.loads(line) for line in fh]
-        lines += _table("Certificates", [("kind", "passed", "margin")] + [
-            (c["kind"], c["passed"], c["margin"]) for c in certs])
+        keys = (*verify.WORST_KEYS, "diverged_replicas")
+        lines += _table("Certificates", [("kind", "passed", "margin", *keys)]
+                        + [(c["kind"], c["passed"], c["margin"],
+                            *(c["details"].get(key, "") for key in keys))
+                           for c in certs])
     if len(lines) <= 2:
         print(f"no stabilab outputs found in {in_dir}")
         return EXIT_USAGE

@@ -2,10 +2,17 @@
 
 Each check audits one ingredient of the stability analysis (contraction
 rate, Lyapunov drift, kernel perturbation gap, Gaussian minorization) or the
-end-to-end dominance of a theoretical bound over an empirical estimate.
-Grid- and sample-based checks are necessary-condition audits: a failure
-refutes the claimed constant, a pass supports it.  The statistical margin is
-three standard errors unless stated otherwise.
+dominance of a bound over an estimate: a failure refutes the claim, a pass
+supports it.  At each point (k, theta, (theta, theta1) or a checkpoint) a
+check has a measured value, its standard error and a claim, and keeps the
+point of least margin ±(claim - measured) + z stderr + ROUNDING_REL |claim|
+(- for the lower minorization claim), passing at margin >= 0.  z = 3 unless
+stated.  ``details`` always has ``points`` (the number tested), ``worst``,
+and the ``measured``, ``stderr`` and ``claim`` there.  Contraction tests
+k = 1..k_max, skipping k = 0 (Delta_0 is deterministic) and each k where
+every pair has merged; with none left it passes at ``points`` 0, margin
++inf.  A true claim fails each point w.p. about 0.00135, so a pass at m
+points is a test at family-wise level at most 0.00135 m.
 """
 
 from __future__ import annotations
@@ -26,13 +33,15 @@ from .transport import TransportEstimate
 
 THREE_SIGMA = "three standard errors of the Monte-Carlo mean"
 
-# relative floating-point slack on a contraction claim: averaging R equal
-# distances can land a few ulps above the claim they equal
-CONTRACTION_ROUNDING_REL = 1e-12
+# relative floating-point slack on every claim: averaging R equal distances
+# can land a few ulps above the claim they equal
+ROUNDING_REL = 1e-12
 
 LYAPUNOV_KINDS = ("one_plus_norm", "one_plus_sq_dist_to_min")
 DRIFT_MODES = ("exact", "monte_carlo")
 MARGIN_RULES = ("three_sigma", "fixed")
+# the details every certificate but a diverged one has, at its worst point
+WORST_KEYS = ("points", "worst", "measured", "stderr", "claim")
 
 
 @dataclass
@@ -66,6 +75,37 @@ def write_certificates_jsonl(certs, path) -> None:
                                 allow_nan=False) + "\n")
 
 
+def _worst(kind: str, points, measured, stderr, claim, details: dict, *,
+           lower: bool = False, z: float = 3.0, confidence: str = THREE_SIGMA,
+           at_worst: dict = None) -> Certificate:
+    """The certificate at the point of least margin.  ``points`` has one
+    axis per axis of ``measured``; ``stderr``, ``claim`` and the arrays of
+    ``at_worst`` (added to ``details`` at the worst point) broadcast."""
+    measured, stderr, claim = np.broadcast_arrays(measured, stderr, claim)
+    margins = (measured - claim if lower else claim - measured) \
+        + z * stderr + ROUNDING_REL * np.abs(claim)
+    if not margins.size:
+        return Certificate(kind, True, math.inf, details
+                           | dict.fromkeys(WORST_KEYS) | {"points": 0},
+                           confidence)
+    i = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = [np.asarray(axis[j]).tolist() for axis, j in zip(points, i)]
+    return Certificate(kind, margins[i] >= 0, float(margins[i]), details | {
+        "points": margins.size, "worst": worst[0] if len(i) == 1 else worst,
+        "measured": float(measured[i]), "stderr": float(stderr[i]),
+        "claim": float(claim[i])} | {
+        key: float(np.broadcast_to(value, margins.shape)[i])
+        for key, value in (at_worst or {}).items()}, confidence)
+
+
+def _diverged(kind: str, count: int, details: dict) -> Certificate:
+    """Failed with margin 0: the surviving replicas alone do not bound the
+    full law."""
+    return Certificate(kind, False, 0.0,
+                       details | {"diverged_replicas": count},
+                       "inconclusive: replicas diverged")
+
+
 def _lyapunov(kind: str, loss: LossModel, dataset: Dataset):
     """V acting on the last axis of its argument."""
     if kind == "one_plus_norm":
@@ -76,20 +116,22 @@ def _lyapunov(kind: str, loss: LossModel, dataset: Dataset):
     raise ValueError(f"unknown Lyapunov kind {kind!r}")
 
 
-def _grid(theta_grid) -> list:
-    """``theta_grid`` as a nonempty list of float vectors."""
+def _over_grid(theta_grid, V, average) -> tuple:
+    """(grid, mean, stderr, V) at each point of the nonempty ``theta_grid``,
+    one ``average(theta)`` a point, in grid order."""
     grid = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta_grid]
     if not grid:
         raise ValueError("theta_grid must be nonempty")
-    return grid
+    mean, se, v = np.array([(*average(t), float(V(t))) for t in grid]).T
+    return grid, mean, se, v
 
 
 def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
                       claimed_rate: float, k_max: int, R: int, seed: int,
                       theta0_a=None, theta0_b=None,
                       noise: NoiseModel = NoiseModel()) -> Certificate:
-    """Mean coupled distance from two starts vs claimed_rate^k * ||delta0||;
-    a diverged replica fails it with margin 0, as in check_bound_dominates."""
+    """Mean coupled distance from two starts vs claimed_rate^k * ||delta0||
+    at each k in 1..k_max where some pair has not merged."""
     if not (0 < claimed_rate < 1):
         raise ValueError("claimed_rate must lie in (0, 1)")
     if R < 2:
@@ -105,29 +147,16 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
                        theta0=theta0_a, master_seed=seed)
     run = run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
                     noise, range(R), distances=True)
+    details = {"claimed_rate": claimed_rate, "R": R, "k_max": k_max,
+               "seed": seed}
     diverged = run.diverged_at <= k_max
     if diverged.any():
-        return Certificate("contraction", False, 0.0, {
-            "claimed_rate": claimed_rate,
-            "diverged_replicas": int(diverged.sum()),
-            "first_diverged_k": int(run.diverged_at.min()),
-            "R": R, "k_max": k_max, "seed": seed},
-            "inconclusive: replicas diverged")
+        return _diverged("contraction", int(diverged.sum()), details | {
+            "first_diverged_k": int(run.diverged_at.min())})
     mean, se = _mean_stderr(run.distances)
-    delta0 = np.linalg.norm(theta0_a - theta0_b)
-    ks = np.arange(k_max + 1)
-    claim = claimed_rate ** ks * delta0
-    margins = claim + CONTRACTION_ROUNDING_REL * claim + 3.0 * se - mean
-    worst = int(np.argmin(margins))
-    margin = float(margins[worst])
-    return Certificate(
-        kind="contraction", passed=margin >= 0, margin=margin,
-        details={"claimed_rate": claimed_rate, "worst_k": worst,
-                 "mean_at_worst_k": float(mean[worst]),
-                 "claim_at_worst_k": float(claim[worst]),
-                 "stderr_at_worst_k": float(se[worst]),
-                 "rounding_rel": CONTRACTION_ROUNDING_REL,
-                 "R": R, "k_max": k_max, "seed": seed})
+    ks = np.flatnonzero(mean[1:] > 0) + 1
+    claim = claimed_rate ** ks * np.linalg.norm(theta0_a - theta0_b)
+    return _worst("contraction", (ks,), mean[ks], se[ks], claim, details)
 
 
 def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
@@ -147,30 +176,21 @@ def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,
         raise ValueError(f"n_mc = {n_mc}: the standard error needs n_mc >= 2")
     V = _lyapunov(lyapunov, loss, dataset_hat)
     source = MinibatchSource(dataset_hat.n, b, mode, seed, noise)
-    worst_margin = math.inf
-    worst = {}
-    for theta in _grid(theta_grid):
-        pv, se = source.average(
-            lambda omegas, xis: V(step(loss, dataset_hat, theta, omegas, eta,
-                                       xis)), n_mc, b * len(theta))
-        v = float(V(theta))
-        margin = claimed_delta * v + claimed_L + 3.0 * se - pv
-        if margin < worst_margin:
-            worst_margin = margin
-            worst = {"theta": theta.tolist(), "PV": pv, "V": v,
-                     "stderr": se}
-    return Certificate(
-        kind="drift", passed=worst_margin >= -1e-12, margin=float(worst_margin),
-        details={"claimed_delta": claimed_delta, "claimed_L": claimed_L,
-                 "lyapunov": lyapunov, "mode": mode, "seed": seed,
-                 "stream_version": STREAM_VERSION} | worst,
+    grid, pv, se, v = _over_grid(theta_grid, V, lambda theta: source.average(
+        lambda omegas, xis: V(step(loss, dataset_hat, theta, omegas, eta,
+                                   xis)), n_mc, b * len(theta)))
+    return _worst(
+        "drift", (grid,), pv, se, claimed_delta * v + claimed_L,
+        {"claimed_delta": claimed_delta, "claimed_L": claimed_L,
+         "lyapunov": lyapunov, "mode": mode, "seed": seed,
+         "stream_version": STREAM_VERSION},
         confidence="exact enumeration" if mode == "exact" else THREE_SIGMA)
 
 
 def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
                      lyapunov: str, claimed_gamma: float, theta_grid,
                      R: int, seed: int) -> Certificate:
-    """One-step coupled kernel gap vs the claimed gamma.
+    """One-step coupled kernel gap over V vs the claimed gamma.
 
     The coupled mean distance upper-bounds W1 between the two one-step
     kernels, so a pass certifies consistency of the claimed gap, not
@@ -180,25 +200,14 @@ def check_kernel_gap(loss: LossModel, pair: NeighborPair, eta: float, b: int,
         raise ValueError(f"R = {R}: the standard error needs R >= 2")
     V = _lyapunov(lyapunov, loss, pair.perturbed)
     source = MinibatchSource(pair.base.n, b, "monte_carlo", seed)
-    worst_ratio = -math.inf
-    worst = {}
-    for theta in _grid(theta_grid):
-        gap, se = source.average(
-            lambda omegas, _: _norms(
-                step(loss, pair.base, theta, omegas, eta)
-                - step(loss, pair.perturbed, theta, omegas, eta)),
-            R, b * len(theta))
-        v = float(V(theta))
-        ratio, se = gap / v, se / v
-        if ratio - 3.0 * se > worst_ratio:
-            worst_ratio = ratio - 3.0 * se
-            worst = {"theta": theta.tolist(), "measured_gap": ratio,
-                     "stderr": se}
-    margin = claimed_gamma - worst_ratio
-    return Certificate(
-        kind="kernel_gap", passed=margin >= 0, margin=float(margin),
-        details={"claimed_gamma": claimed_gamma, "lyapunov": lyapunov,
-                 "R": R, "seed": seed} | worst)
+    grid, gap, se, v = _over_grid(theta_grid, V, lambda theta: source.average(
+        lambda omegas, _: _norms(
+            step(loss, pair.base, theta, omegas, eta)
+            - step(loss, pair.perturbed, theta, omegas, eta)),
+        R, b * len(theta)))
+    return _worst("kernel_gap", (grid,), gap / v, se / v, claimed_gamma,
+                  {"claimed_gamma": claimed_gamma, "lyapunov": lyapunov,
+                   "R": R, "seed": seed})
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -256,9 +265,9 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
 
     Checks inf p(theta, theta1) / p(theta*, theta1) >= sqrt(eta_hat) over
     the grid {V(theta) <= R} x {||theta1 - theta*|| <= M}, with eta_hat from
-    the closed-form lower bound.  Margins are reported in log-space, with
-    the grid point where the ratio is smallest.  The cost is
-    n_theta * n_theta1 * C(n, b) Gaussian components, as array work.
+    the closed-form lower bound: a lower claim on exact values (z = 0),
+    in log-space, whose worst point is the pair [theta, theta1].  The cost
+    is n_theta * n_theta1 * C(n, b) Gaussian components, as array work.
     """
     d = dataset.dim_d
     if d > 2:
@@ -287,39 +296,33 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
         raise ValueError(f"n_grid = {n_grid} puts no grid point in the ball")
     logs = _log_densities(loss, dataset, eta, eta ** 2 * Sigma,
                           np.vstack([theta_star, thetas]), theta1s, omegas)
-    ratios = logs[1:] - logs[0]
-    t, j = np.unravel_index(np.argmin(ratios), ratios.shape)
-    min_log_ratio = float(ratios[t, j])
-    margin = min_log_ratio - 0.5 * eh["log_eta_hat"]
-    return Certificate(
-        kind="minorization", passed=margin >= 0, margin=float(margin),
-        details={"log_eta_hat": eh["log_eta_hat"], "M": M, "R": R,
-                 "min_log_density_ratio": min_log_ratio,
-                 "n_theta": len(thetas), "n_theta1": len(theta1s),
-                 "grad_at_star_sup": grad_sup,
-                 "worst_theta": thetas[t].tolist(),
-                 "worst_theta1": theta1s[j].tolist(),
-                 "log_density_at_star": float(logs[0, j])},
-        confidence="exact densities on a finite grid; margin in log-space")
+    return _worst(
+        "minorization", (thetas, theta1s), logs[1:] - logs[0], 0.0,
+        0.5 * eh["log_eta_hat"],
+        {"log_eta_hat": eh["log_eta_hat"], "M": M, "R": R,
+         "n_theta": len(thetas), "n_theta1": len(theta1s),
+         "grad_at_star_sup": grad_sup}, lower=True, z=0.0,
+        confidence="exact densities on a finite grid; margin in log-space",
+        at_worst={"log_density_at_star": logs[0]})
 
 
 def check_bound_dominates(empirical: TransportEstimate | None,
                           theoretical: StabilityBound,
                           margin_rule: str = "three_sigma",
                           fixed_rel: float = 0.0,
-                          diverged_replicas: int = 0) -> Certificate:
-    """Empirical estimate vs theoretical bound.
+                          diverged_replicas: int = 0,
+                          k: int = None) -> Certificate:
+    """Empirical estimate at checkpoint ``k`` vs the theoretical bound.
 
     Coupled estimates upper-bound the true distance, so they get no
     statistical margin (empirical <= theory is the conservative direction);
-    assignment/order-statistics estimates use the stated margin rule.  Any
-    diverged replica fails the check with margin 0: an estimate over the
-    surviving replicas alone does not bound the full-law distance.
+    assignment/order-statistics estimates use the stated margin rule: three
+    standard errors, or a claim of bound * (1 + fixed_rel).  Any diverged
+    replica fails the check with margin 0.
     """
     if diverged_replicas:
-        return Certificate("dominance", False, 0.0, {
-            "diverged_replicas": diverged_replicas,
-            "regime": theoretical.regime}, "inconclusive: replicas diverged")
+        return _diverged("dominance", diverged_replicas,
+                         {"regime": theoretical.regime})
     expected_p = getattr(REGIMES.get(theoretical.regime), "p", None) \
         or theoretical.constants_used.get("p")
     if expected_p is not None and abs(empirical.p - expected_p) > 1e-12:
@@ -327,23 +330,17 @@ def check_bound_dominates(empirical: TransportEstimate | None,
             f"estimator order p = {empirical.p} does not match the "
             f"{theoretical.regime} regime (p = {expected_p})")
     # regimes stated in W2^2 / W_p^p compare against the p-th-power mean
-    emp_value = empirical.value if expected_p == 1.0 \
-        else empirical.power_mean
+    measured = empirical.value if expected_p == 1.0 else empirical.power_mean
+    claim, z = theoretical.value, 0.0
     if empirical.method == "coupled":
-        margin_abs = 0.0
         rule = "coupled upper bound, no margin"
     elif margin_rule == "three_sigma":
-        margin_abs = 3.0 * empirical.stderr
-        rule = THREE_SIGMA
+        z, rule = 3.0, THREE_SIGMA
     elif margin_rule == "fixed":
-        margin_abs = fixed_rel * theoretical.value
+        claim *= 1.0 + fixed_rel
         rule = f"fixed relative margin {fixed_rel}"
     else:
         raise ValueError(f"unknown margin rule {margin_rule!r}")
-    margin = theoretical.value + margin_abs - emp_value
-    return Certificate(
-        kind="dominance", passed=margin >= 0, margin=float(margin),
-        details={"empirical": emp_value, "estimator": empirical.method,
-                 "theoretical": theoretical.value,
-                 "regime": theoretical.regime, "margin_abs": margin_abs},
-        confidence=rule)
+    return _worst("dominance", ([k],), [measured], empirical.stderr, claim,
+                  {"estimator": empirical.method,
+                   "regime": theoretical.regime}, z=z, confidence=rule)

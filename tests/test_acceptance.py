@@ -21,7 +21,8 @@ from stabilab.dynamics import NoiseModel, SGDConfig, run_ensemble, run_lanes
 from stabilab.harness import cmd_bounds, cmd_simulate, cmd_verify, \
     evaluate_bound, validate_config
 from stabilab.model import AssumptionConstants
-from stabilab.verify import check_bound_dominates, check_drift
+from stabilab.verify import (check_bound_dominates, check_contraction,
+                             check_drift)
 
 LOG_ETA_HAT_FROZEN = -2746.1971327097285
 
@@ -271,7 +272,7 @@ def test_09_drift_equality_point():
                            theta_grid=[[0.0]])
         assert cert.passed
         assert abs(cert.margin) <= 1e-9
-        assert cert.details["PV"] == pytest.approx(1.1, abs=1e-12)
+        assert cert.details["measured"] == pytest.approx(1.1, abs=1e-12)
 
 
 def test_10_gradient_and_assumption_suites():
@@ -348,3 +349,26 @@ def test_11_determinism(tmp_path):
                      "certificates.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_12_contraction_false_fail_rate():
+    # d = 1 Quadratic with eta = 0.5 / max a_i^2: every factor 1 - eta h_Omega
+    # is positive, so E|Delta_k| = r^k exactly with r = 1 - eta mean(a_i^2)
+    # = 0.79724.  Claiming exactly r, each of the 50 points fails w.p. about
+    # 0.00135 (one-sided 3 SE), so at most 300 * 50 * 0.00135 = 20.25 of 300
+    # seeds fail by the union bound; 4 do.
+    with _Budget("12 contraction false-fail rate", 10.0):
+        ds = model.make_synthetic_dataset(
+            {"n": 16, "d": 1, "generator": "gaussian_clipped",
+             "radius_D": 1.0}, 0)
+        a2 = ds.features[:, 0] ** 2
+        eta = 0.5 / a2.max()
+        rate = 1.0 - eta * a2.mean()
+        assert rate == pytest.approx(0.79724, abs=1e-5)
+        certs = [check_contraction(model.LossModel("Quadratic"), ds, eta, 4,
+                                   rate, k_max=50, R=64, seed=seed)
+                 for seed in range(300)]
+        assert all(c.details["points"] == 50 for c in certs)
+        fails = sum(not c.passed for c in certs)
+        print(f"false fails: {fails} of 300")
+        assert fails <= 20

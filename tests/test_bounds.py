@@ -8,8 +8,8 @@ from stabilab.bounds import (InadmissibleError, _perturbation_bound,
                              bound_nonconvex_noisy, bound_nonconvex_plain,
                              bound_quadratic, bound_strongly_convex,
                              bound_subconvex, dissipative_radius, eta_bar,
-                             eta_hat_gaussian_log, expected_q_norm,
-                             k0_constant, rho_quadratic)
+                             eta_hat_gaussian_log, k0_constant,
+                             rho_quadratic)
 from stabilab.model import AssumptionConstants
 
 # frozen regression constants, computed once by independent closed-form
@@ -62,7 +62,9 @@ class TestRhoQuadratic:
         assert mc["rho"] == pytest.approx(exact, abs=5 * mc["stderr"] + 1e-6)
 
     def test_expected_q_norm_unit(self):
-        assert expected_q_norm(unit_dataset(10), 1) == pytest.approx(1.0)
+        ds = unit_dataset(10)
+        res = rho_quadratic(ds, 0.1, 1, pair=model.NeighborPair(ds, ds, 0))
+        assert res["Eq1_norm"] == pytest.approx(1.0)
 
 
 class TestBoundQuadratic:

@@ -2,9 +2,10 @@
 scalar references they replaced.
 
 * ``dynamics.minibatches`` against ``itertools.combinations``;
-* ``rho_quadratic`` and ``expected_q_norm`` (exact) against one spectral or
-  Euclidean norm per minibatch, and ``rho_quadratic``'s one pass for a
-  neighbor pair (rho, rho_hat and E||q_hat||) against the separate calls;
+* ``rho_quadratic`` (exact, and its E||q_hat|| for a neighbor pair)
+  against one spectral or Euclidean norm per minibatch, and its one pass
+  for a neighbor pair (rho, rho_hat and E||q_hat||) against the separate
+  calls and the per-minibatch loops;
 * the minorization log-density-ratio grid against the per-point mixture
   density, element by element, in d = 1 and d = 2 and at any block budget;
 * the drift (exact and Monte-Carlo, with and without noise) and kernel-gap
@@ -37,7 +38,7 @@ from scipy.special import logsumexp
 from stream_oracle import floyd_row
 
 from stabilab import bounds, dynamics, model, verify
-from stabilab.bounds import expected_q_norm, rho_quadratic
+from stabilab.bounds import rho_quadratic
 from stabilab.dynamics import (EXACT_ENUMERATION_CAP, MinibatchSource,
                                NoiseModel, minibatches, step)
 from stabilab.model import grad_batch
@@ -84,10 +85,21 @@ def rho_loop(ds, eta, b):
     return float(np.mean(vals))
 
 
-def q_norm_loop(ds, b):
+def q_norm_loop(ds, b, omegas=None):
+    """E||sum_{i in Omega} a_i y_i|| over ``omegas``, by default every
+    minibatch."""
     q = ds.features * ds.labels[:, None]
+    if omegas is None:
+        omegas = combinations(range(ds.n), b)
     return float(np.mean([np.linalg.norm(q[list(om)].sum(axis=0))
-                          for om in combinations(range(ds.n), b)]))
+                          for om in omegas]))
+
+
+def eq1_norm(ds, eta, b, **kw):
+    """``rho_quadratic``'s E||q_hat|| for the neighbor of ``ds`` at index 0,
+    with that neighbor."""
+    pair = model.make_neighbor(ds, 0, 5)
+    return rho_quadratic(ds, eta, b, pair=pair, **kw)["Eq1_norm"], pair
 
 
 def lyapunov(kind, loss, ds):
@@ -117,19 +129,21 @@ def drift_loop(loss, ds, eta, b, kind, delta, L, grid, mode, n_mc, seed,
                                    noise.draw(noise_rng))))
             se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
         pv = float(np.mean(vals))
-        margin = delta * V(theta) + L + 3.0 * se - pv
+        claim = delta * V(theta) + L
+        margin = (claim - pv) + 3.0 * se + 1e-12 * abs(claim)
         if margin < worst_margin:
             worst_margin = margin
-            worst = {"theta": theta.tolist(), "PV": pv, "V": V(theta),
-                     "stderr": se}
+            worst = {"worst": theta.tolist(), "measured": pv,
+                     "claim": claim, "stderr": se}
     return worst_margin, worst
 
 
-def kernel_gap_loop(loss, pair, eta, b, kind, grid, R, seed):
-    """(worst measured gap - 3 SE, worst point), one step pair per sample."""
+def kernel_gap_loop(loss, pair, eta, b, kind, gamma, grid, R, seed):
+    """(margin, worst point) of the kernel-gap check, one step pair per
+    sample."""
     V = lyapunov(kind, loss, pair.perturbed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    worst_ratio, worst = -math.inf, {}
+    worst_margin, worst = math.inf, {}
     for theta in np.asarray(grid, dtype=float):
         dists = np.empty(R)
         for r in range(R):
@@ -139,11 +153,12 @@ def kernel_gap_loop(loss, pair, eta, b, kind, grid, R, seed):
                 - step(loss, pair.perturbed, theta, omega, eta))
         ratio = float(np.mean(dists)) / V(theta)
         se = float(np.std(dists, ddof=1) / np.sqrt(R)) / V(theta)
-        if ratio - 3.0 * se > worst_ratio:
-            worst_ratio = ratio - 3.0 * se
-            worst = {"theta": theta.tolist(), "measured_gap": ratio,
-                     "stderr": se}
-    return worst_ratio, worst
+        margin = (gamma - ratio) + 3.0 * se + 1e-12 * abs(gamma)
+        if margin < worst_margin:
+            worst_margin = margin
+            worst = {"worst": theta.tolist(), "measured": ratio,
+                     "claim": gamma, "stderr": se}
+    return worst_margin, worst
 
 
 def assumptions_loop(loss, ds, constants, n_samples, seed):
@@ -236,7 +251,7 @@ class TestMinibatches:
 
     @pytest.mark.parametrize("call", [
         lambda ds: rho_quadratic(ds, 0.1, 2),
-        lambda ds: expected_q_norm(ds, 2),
+        lambda ds: eq1_norm(ds, 0.1, 2),
         lambda ds: check_drift(model.LossModel("Quadratic"), ds, 0.1, 2,
                                "one_plus_norm", 0.9, 1.0, [[0.0]]),
         lambda ds: check_minorization_gaussian(
@@ -260,15 +275,16 @@ class TestBoundsEnumeration:
     @pytest.mark.parametrize("n,d,b", [(7, 2, 1), (7, 2, 3), (7, 2, 7),
                                        (9, 3, 4), (16, 2, 8), (12, 1, 9)])
     def test_expected_q_norm_exact(self, n, d, b):
-        ds = dataset(n, d)
-        assert_same(expected_q_norm(ds, b), q_norm_loop(ds, b))
+        value, pair = eq1_norm(dataset(n, d), 0.5, b)
+        assert_same(value, q_norm_loop(pair.perturbed, b))
 
     @pytest.mark.parametrize("budget", [1, 50])
     def test_block_budget_changes_no_value(self, budget, monkeypatch):
         ds = dataset(9, 3)
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         assert_same(rho_quadratic(ds, 0.5, 4)["rho"], rho_loop(ds, 0.5, 4))
-        assert_same(expected_q_norm(ds, 4), q_norm_loop(ds, 4))
+        value, pair = eq1_norm(ds, 0.5, 4)
+        assert_same(value, q_norm_loop(pair.perturbed, 4))
 
     def test_monte_carlo_streams_unchanged(self):
         ds = dataset(12, 2)
@@ -282,11 +298,9 @@ class TestBoundsEnumeration:
         assert_same(res["rho"], float(np.mean(vals)))
         assert_same(res["stderr"],
                     float(np.std(vals, ddof=1) / np.sqrt(50)))
-        q = ds.features * ds.labels[:, None]
-        assert_same(expected_q_norm(ds, 3, mode="monte_carlo", n_mc=50,
-                                    seed=4),
-                    float(np.mean([np.linalg.norm(q[om].sum(axis=0))
-                                   for om in oms])))
+        value, pair = eq1_norm(ds, 0.2, 3, mode="monte_carlo", n_mc=50,
+                               seed=4)
+        assert_same(value, q_norm_loop(pair.perturbed, 3, oms))
 
     # the differing index first, inside and last; b = 1 (at d = 1, where
     # rho is not 1), b = n - 1 and d = 3; blocks of one minibatch at
@@ -307,8 +321,11 @@ class TestBoundsEnumeration:
             assert_same(res["rho"], alone["rho"])
             assert_same(res["stderr"], alone["stderr"])
             assert_same(res["rho_hat"], hat["rho"])
-            assert_same(res["Eq1_norm"],
-                        expected_q_norm(pair.perturbed, b, **kw))
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(4)))
+            assert_same(res["Eq1_norm"], q_norm_loop(
+                pair.perturbed, b, [floyd_row(rng, n, b) for _ in range(300)]
+                if kw else None))
         assert res["rho_hat"] != res["rho"]
 
     def test_pair_must_share_the_base(self):
@@ -399,17 +416,19 @@ class TestMinorizationGrid:
         omegas = list(combinations(range(ds.n), 3))
         Sigma = np.array([0.4, 0.4])
         star = model.empirical_minimizer(loss, ds)
-        at_star = log_mixture_density(loss, ds, 0.2, Sigma, star,
-                                      np.array(d["worst_theta1"]), omegas)
-        worst = log_mixture_density(loss, ds, 0.2, Sigma,
-                                    np.array(d["worst_theta"]),
-                                    np.array(d["worst_theta1"]), omegas)
+        theta, theta1 = map(np.array, d["worst"])
+        at_star = log_mixture_density(loss, ds, 0.2, Sigma, star, theta1,
+                                      omegas)
+        worst = log_mixture_density(loss, ds, 0.2, Sigma, theta, theta1,
+                                    omegas)
         assert d["log_density_at_star"] == at_star
-        assert d["min_log_density_ratio"] == worst - at_star
-        assert cert.margin == d["min_log_density_ratio"] \
-            - 0.5 * d["log_eta_hat"]
-        assert np.linalg.norm(np.array(d["worst_theta1"]) - star) \
-            <= 1.0 + 1e-12
+        assert d["measured"] == worst - at_star
+        assert d["claim"] == 0.5 * d["log_eta_hat"]
+        assert d["stderr"] == 0.0
+        assert d["points"] == d["n_theta"] * d["n_theta1"]
+        assert cert.margin == (d["measured"] - d["claim"]) \
+            + 1e-12 * abs(d["claim"])
+        assert np.linalg.norm(theta1 - star) <= 1.0 + 1e-12
 
     def test_empty_grid_rejected(self):
         # n_grid = 2 in d = 2 puts every grid point at a corner, outside
@@ -494,9 +513,9 @@ class TestStepKernels:
         pair = sine_pair()
         cert = check_kernel_gap(loss, pair, 0.3, b, "one_plus_norm", 0.5,
                                 self.GRID, R=500, seed=5)
-        ratio, worst = kernel_gap_loop(loss, pair, 0.3, b, "one_plus_norm",
-                                       self.GRID, 500, 5)
-        assert_same(cert.margin, 0.5 - ratio)
+        margin, worst = kernel_gap_loop(loss, pair, 0.3, b, "one_plus_norm",
+                                        0.5, self.GRID, 500, 5)
+        assert_same(cert.margin, margin)
         assert {k: cert.details[k] for k in worst} == worst
 
     # b = 4 at d = 2 takes 8 numbers a minibatch: blocks of 1 and 8 rows,
@@ -508,9 +527,9 @@ class TestStepKernels:
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         cert = check_kernel_gap(loss, pair, 0.3, 4, "one_plus_norm", 0.5,
                                 self.GRID, R=301, seed=5)
-        ratio, worst = kernel_gap_loop(loss, pair, 0.3, 4, "one_plus_norm",
-                                       self.GRID, 301, 5)
-        assert_same(cert.margin, 0.5 - ratio)
+        margin, worst = kernel_gap_loop(loss, pair, 0.3, 4, "one_plus_norm",
+                                        0.5, self.GRID, 301, 5)
+        assert_same(cert.margin, margin)
         assert {k: cert.details[k] for k in worst} == worst
 
     def test_kernel_gap_scalar_power(self):
@@ -522,9 +541,10 @@ class TestStepKernels:
         grid = [[0.0], [0.7]]
         cert = check_kernel_gap(loss, pair, 0.2, 2, "one_plus_sq_dist_to_min",
                                 0.5, grid, R=200, seed=1)
-        ratio, worst = kernel_gap_loop(loss, pair, 0.2, 2,
-                                       "one_plus_sq_dist_to_min", grid, 200, 1)
-        assert_same(cert.margin, 0.5 - ratio)
+        margin, worst = kernel_gap_loop(loss, pair, 0.2, 2,
+                                        "one_plus_sq_dist_to_min", 0.5, grid,
+                                        200, 1)
+        assert_same(cert.margin, margin)
         assert {k: cert.details[k] for k in worst} == worst
 
 

@@ -807,6 +807,38 @@ class TestReportCommand:
         assert cmd_report(tmp_path) == EXIT_OK
         assert "| exp(1525.25) |" in (tmp_path / "report.md").read_text()
 
+    def test_failing_contraction_shows_its_worst_k(self, tmp_path):
+        # full batch on unit data contracts at exactly 0.9 per step, so a
+        # claimed rate of 0.5 fails worst at k = 3: 0.9^3 against 0.5^3
+        cfg = quadratic_config(
+            dataset={"n": 4, "d": 1, "generator": "unit_fixed", "seed": 0},
+            sgd={"eta": 0.1, "batch_b": 4, "k_max": 10, "theta0": [0.0],
+                 "master_seed": 42},
+            certificates=[{"kind": "contraction", "claimed_rate": 0.5,
+                           "k_max": 10, "R": 4, "seed": 0}])
+        assert cmd_verify(cfg, tmp_path) == EXIT_CERT_FAILURE
+        assert cmd_report(tmp_path) == EXIT_OK
+        text = (tmp_path / "report.md").read_text()
+        assert text == (
+            "# stabilab report\n\n## Certificates\n\n"
+            "| kind | passed | margin | points | worst | measured | stderr "
+            "| claim | diverged_replicas |\n"
+            "| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
+            "| contraction | False | -0.603999999999875 | 10 | 3 | 0.729 "
+            "| 0.0 | 0.125 |  |\n")
+        row = text.splitlines()[-1].strip("| ").split(" | ")
+        assert float(row[5]) > float(row[7])    # measured > claim
+
+    def test_diverged_certificate_shows_its_count(self, tmp_path):
+        verify.write_certificates_jsonl([verify.Certificate(
+            "dominance", False, 0.0,
+            {"diverged_replicas": 3, "regime": "Quadratic"},
+            "inconclusive: replicas diverged")],
+            tmp_path / "certificates.jsonl")
+        assert cmd_report(tmp_path) == EXIT_OK
+        assert "| dominance | False | 0.0 |  |  |  |  |  | 3 |" \
+            in (tmp_path / "report.md").read_text()
+
     def test_empty_directory_is_usage_error(self, tmp_path):
         assert cmd_report(tmp_path) == harness.EXIT_USAGE
 

@@ -49,6 +49,7 @@ class TestContraction:
                                  b=2, claimed_rate=0.9, k_max=5, R=4, seed=0,
                                  theta0_a=[0.5], theta0_b=[0.5])
         assert cert.passed
+        assert cert.details["points"] == 0
 
     def test_margin_reproducible(self):
         ds = model.make_synthetic_dataset(
@@ -60,18 +61,18 @@ class TestContraction:
         assert a.margin == b.margin
 
     def test_equal_distances_pass_despite_rounding(self):
-        # the mean of 256 equal distances sqrt(2) lands 2 ulps above the
-        # claim sqrt(2) at k = 0; the rounding term absorbs that
+        # k = 0, where Delta_0 = delta_0 is deterministic, is not tested, so
+        # k_max = 0 leaves no point; test_exact_rate_passes_with_zero_margin
+        # covers the rounding term at k >= 1
         ds = model.make_synthetic_dataset(
             {"n": 8, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 3)
         cert = check_contraction(model.LossModel("Quadratic"), ds, 0.5, 4,
                                  0.95, k_max=0, R=256, seed=1,
                                  theta0_a=[1.0, 0.0], theta0_b=[0.0, 1.0])
-        d = cert.details
-        assert d["mean_at_worst_k"] > d["claim_at_worst_k"]
-        assert d["rounding_rel"] == 1e-12
         assert cert.passed
+        assert cert.details["points"] == 0
+        assert cert.margin == math.inf
 
     def test_claim_violated_by_1e9_relative_fails(self):
         # full batch contracts at exactly 0.9 per step
@@ -124,7 +125,8 @@ class TestDrift:
                            "one_plus_norm", claimed_delta=0.9, claimed_L=0.2,
                            theta_grid=[[0.0]])
         assert cert.passed
-        assert cert.margin == pytest.approx(0.9 + 0.2 - 1.1, abs=1e-12)
+        assert cert.margin == pytest.approx(0.9 + 0.2 - 1.1 + 1.1e-12,
+                                            abs=1e-12)
 
     def test_undersized_L_fails(self):
         ds = unit_dataset(4)
@@ -153,6 +155,16 @@ class TestDrift:
                          0.95, 1.0, grid, mode="monte_carlo", n_mc=4000,
                          seed=9)
         assert exact.passed == mc.passed
+
+    def test_nan_at_a_grid_point_fails(self):
+        # one step from inf lands at inf - inf = NaN: the point's margin is
+        # NaN, which must fail the certificate, not be skipped
+        with np.errstate(invalid="ignore"):
+            cert = check_drift(model.LossModel("Quadratic"), unit_dataset(4),
+                               0.1, 1, "one_plus_norm", claimed_delta=0.9,
+                               claimed_L=0.2, theta_grid=[[0.0], [math.inf]])
+        assert not cert.passed
+        assert cert.details["worst"] == [math.inf]
 
     def test_single_monte_carlo_sample_rejected(self):
         # one sample has no standard error; the 3 SE margin would be NaN
@@ -301,16 +313,17 @@ class TestDominance:
         assert check_bound_dominates(self.est(0.0), self.sb(0.8)).passed
 
     def test_coupled_gets_no_margin(self):
-        cert = check_bound_dominates(self.est(0.81, method="coupled"),
-                                     self.sb(0.8))
+        # three standard errors would pass it at margin +0.02
+        cert = check_bound_dominates(
+            self.est(0.81, method="coupled", stderr=0.01), self.sb(0.8))
         assert not cert.passed
-        assert cert.details["margin_abs"] == 0.0
+        assert cert.margin == pytest.approx(0.8 - 0.81)
 
     def test_squared_regime_compares_power_mean(self):
         emp = self.est(1.4, p=2.0)      # power mean 1.96
         cert = check_bound_dominates(emp, self.sb(2.0, "NonconvexPlain"))
         assert cert.passed
-        assert cert.details["empirical"] == pytest.approx(1.96)
+        assert cert.details["measured"] == pytest.approx(1.96)
 
     def test_mismatched_order_rejected(self):
         with pytest.raises(ValueError):
@@ -355,6 +368,9 @@ class TestSerialization:
             assert type(cert.passed) is bool
             assert rec["passed"] is cert.passed
             assert rec["margin"] == cert.margin
+            assert {"points", "worst", "measured", "stderr", "claim"} \
+                <= rec["details"].keys()
+            assert rec["details"]["points"] >= 1
 
     def test_jsonl_is_strict_json(self, tmp_path):
         import json

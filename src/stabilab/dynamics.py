@@ -27,12 +27,20 @@ and ``theta_{s+1} += eta * xi_s``, with no indexing, checks or temporaries.
 
 Stream layout v3 (``STREAM_VERSION``)
 -------------------------------------
-Randomness is counter-based: every stream is a Philox generator keyed by
-(master_seed, replica_id, stream_tag), tag 0 for minibatch indices and tag 1
-for noise, so replicas are independent and order-independent by
-construction, and both chains of a pair consume the same streams
-structurally rather than incidentally.  Each stream yields the same values
-however its steps are split into draws:
+Randomness is counter-based: every generator is ``model._stream(seed,
+*key)``, Philox keyed by a seed and a spawn key, so replicas are
+independent and order-independent by construction, and both chains of a
+pair consume the same streams structurally rather than incidentally.  Keys:
+
+* ``(replica_id, 0)`` and ``(replica_id, 1)``: a replica's minibatches and
+  noise in :func:`run_lanes`, under ``sgd.master_seed`` or a contraction
+  certificate's seed;
+* ``()`` and ``(0, 1)``: a :class:`MinibatchSource`'s minibatches and
+  noise, under ``bound.rho_seed`` or a drift or kernel-gap certificate's;
+* ``()``: ``model``'s dataset points, neighbour point and assumption audit,
+  under ``dataset.seed``, ``neighbor.seed`` and the audit's seed.
+
+Each stream yields the same values however its steps are split into draws:
 
 * Minibatch s of a stream is one ``integers(0, highs)`` with ``highs =
   [n-b+1, ..., n]``, so its draw t is uniform on [0, n-b+t], followed by
@@ -65,9 +73,8 @@ still reach the ``_DRAW_INDICES`` cap (4 MiB of int32): 16.2 MiB at R =
 Every average over the minibatch law outside the engine (the contraction
 factor and E||q|| of ``bounds``, the drift and kernel-gap certificates of
 ``verify``) runs over one :class:`MinibatchSource`.  In Monte-Carlo mode it
-reads consecutive minibatches of one ``Philox(SeedSequence(seed))`` stream
-in the same blocks, and draws noise from a second stream, ``_stream(seed,
-0, _STREAM_NOISE)``, one :meth:`NoiseModel.draw_block` per block.
+reads consecutive minibatches in the same blocks, and one
+:meth:`NoiseModel.draw_block` of noise per block.
 
 Earlier layouts: v2 replayed numpy's ``choice(n, b, replace=False)`` word
 for word (Floyd's selection then a Fisher-Yates shuffle, or a shuffle of
@@ -87,7 +94,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (Dataset, LossModel, NeighborPair, _mean_stderr, _norms,
-                    grad_batch, grad_kernel)
+                    _stream, grad_batch, grad_kernel)
 
 # version of the random-stream layout described in the module docstring
 STREAM_VERSION = 3
@@ -196,12 +203,6 @@ class CoupledEnsemble:
 
     def any_diverged(self) -> bool:
         return any(r.diverged for r in self.replicas)
-
-
-def _stream(master_seed: int, replica_id: int, tag: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(
-        entropy=int(master_seed), spawn_key=(int(replica_id), int(tag)))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def _block_rows(lanes: int, width: int) -> int:
@@ -315,10 +316,10 @@ class MinibatchSource:
     """The minibatches that averages over the minibatch law run over.
 
     ``exact`` mode: every minibatch (:func:`minibatches`) for every average,
-    without noise.  ``monte_carlo`` mode: consecutive minibatches of the
-    seed's stream, each one ``integers`` draw per index and Floyd's
-    selection, and noise from the second stream (stream layout v3),
-    carrying on from one average to the next.
+    without noise.  ``monte_carlo`` mode: consecutive minibatches of
+    ``_stream(seed)``, each one ``integers`` draw per index and Floyd's
+    selection, and noise from ``_stream(seed, 0, _STREAM_NOISE)`` (stream
+    layout v3), carrying on from one average to the next.
     Blocking changes no value: the streams are block-invariant, and a
     lane's gradient does not depend on the other lanes in its call.
     """
@@ -331,8 +332,7 @@ class MinibatchSource:
             raise ValueError("exact mode enumerates the noiseless kernel")
         self.exact = minibatches(n, b) if mode == "exact" else None
         if self.exact is None:
-            self.index = _IndexStreams([np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed)))], n, b)
+            self.index = _IndexStreams([_stream(seed)], n, b)
             self.noise, self.noise_rng = noise, _stream(seed, 0, _STREAM_NOISE)
 
     def blocks(self, count: int, width: int):

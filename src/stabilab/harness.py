@@ -86,7 +86,7 @@ FIELDS = (
     ("p", "number", "[1, inf)", 1.0),
     ("estimators", "enums", tuple(ESTIMATORS), ("coupled",)),
     ("bound", "object", None, {}),
-    ("bound.k", "horizon", "[0, inf)", "inf"),
+    ("bound.k", "horizon", f"[0, {sys.float_info.max}]", "inf"),
     ("bound.rho_mode", "enum", ("exact", "monte_carlo"), "exact"),
     ("bound.rho_seed", "int", "[0, inf)", 0),
     ("bound.epsilon", "number", FINITE, 0.5),
@@ -154,12 +154,13 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
-def validate_config(cfg: dict) -> dict:
+def validate_config(cfg: dict, bound: bool = False) -> dict:
     """A copy of ``cfg`` with every default filled in, checked against
-    FIELDS and the cross-field rules; ConfigError names the field."""
+    FIELDS and the cross-field rules; ConfigError names the field.
+    ``bound``: the command evaluates the bound."""
     _check(isinstance(cfg, dict), "config must be an object")
     filled = _fill("", cfg, "config", None)
-    _check_rules(filled)
+    _check_rules(filled, bound)
     return filled
 
 
@@ -333,8 +334,7 @@ def evaluate_bound(cfg: dict, exp: bnd.Experiment = None) -> StabilityBound:
 
 
 def cmd_bounds(cfg: dict, out_dir) -> int:
-    cfg = validate_config(cfg)
-    _check_rules(cfg, bound=True)
+    cfg = validate_config(cfg, bound=True)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -88,8 +88,10 @@ class Dataset:
     generator_spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        self.labels = np.asarray(self.labels, dtype=float)
+        # C-contiguous, as a strided view moves theta* in its last bit
+        self.features = np.atleast_2d(
+            np.ascontiguousarray(self.features, dtype=float))
+        self.labels = np.ascontiguousarray(self.labels, dtype=float)
         if self.n < 1:
             raise ValueError("dataset needs n >= 1")
         if self.radius_D <= 0:
@@ -263,25 +265,30 @@ def max_grad_norm(loss: LossModel, dataset: Dataset,
         dataset.labels[:, None])).max())
 
 
-def _draw_point(generator: str, d: int, radius_D: float, label_range: float,
-                rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    if generator == "unit_fixed":
-        a = np.zeros(d)
-        a[0] = 1.0
-        return a, 1.0
-    if generator == "sphere_uniform":
-        z = rng.standard_normal(d + 1)
-        z /= np.linalg.norm(z)
-        z *= radius_D
-    elif generator == "gaussian_clipped":
-        z = rng.standard_normal(d + 1)
-        z[d] *= label_range
-        norm = np.linalg.norm(z)
-        if norm > radius_D:
-            z *= radius_D / norm
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox generator of ``seed`` and spawn key ``key``, the one place
+    a generator is built; key ``()`` is the plain ``SeedSequence(seed)``."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(int(seed), spawn_key=key)))
+
+
+def _points(spec: dict, count: int, rng: np.random.Generator) -> tuple:
+    """``count`` points of the generator ``spec`` as views (features,
+    labels) of one (count, d + 1) array, from one ``standard_normal`` draw:
+    the same values as ``count`` draws of one point."""
+    d, radius_D, generator = spec["d"], spec["radius_D"], spec["generator"]
+    if generator == "unit_fixed":                       # (e1, 1)
+        z = np.zeros((count, d + 1))
+        z[:, [0, d]] = 1.0
     else:
-        raise ValueError(f"unknown generator {generator!r}")
-    return z[:d], float(z[d])
+        z = rng.standard_normal((count, d + 1))
+    if generator == "sphere_uniform":
+        z /= _norms(z)[:, None]
+        z *= radius_D
+    elif generator == "gaussian_clipped":     # x * 1.0 is x, bit for bit
+        z[:, d] *= spec["label_range"]
+        z *= np.minimum(1.0, radius_D / _norms(z))[:, None]
+    return z[:, :d], z[:, d]
 
 
 def make_synthetic_dataset(spec: dict, seed: int) -> Dataset:
@@ -309,16 +316,11 @@ def make_synthetic_dataset(spec: dict, seed: int) -> Dataset:
         raise ValueError("unit_fixed points have norm sqrt(2) > radius_D")
     label_range = spec.get("label_range")
     label_range = 1.0 if label_range is None else float(label_range)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    features = np.empty((n, d))
-    labels = np.empty(n)
-    for i in range(n):
-        features[i], labels[i] = _draw_point(
-            generator, d, radius_D, label_range, rng)
     full_spec = {"n": n, "d": d, "generator": generator,
                  "radius_D": radius_D, "label_range": label_range,
                  "seed": int(seed)}
-    return Dataset(features, labels, radius_D, full_spec)
+    return Dataset(*_points(full_spec, n, _stream(seed)), radius_D,
+                   full_spec)
 
 
 def make_neighbor(base: Dataset, index: int, seed: int) -> NeighborPair:
@@ -328,13 +330,11 @@ def make_neighbor(base: Dataset, index: int, seed: int) -> NeighborPair:
     spec = base.generator_spec
     if not spec:
         raise ValueError("base dataset carries no generator spec")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    a, y = _draw_point(spec["generator"], base.dim_d, base.radius_D,
-                       spec["label_range"], rng)
+    a, y = _points(spec, 1, _stream(seed))
     features = base.features.copy()
     labels = base.labels.copy()
-    features[index] = a
-    labels[index] = y
+    features[index] = a[0]
+    labels[index] = y[0]
     perturbed = Dataset(features, labels, base.radius_D, dict(spec))
     return NeighborPair(base, perturbed, index)
 
@@ -479,7 +479,7 @@ def check_assumptions(loss: LossModel, dataset: Dataset,
     """
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _stream(seed)
     d, n = dataset.dim_d, dataset.n
     thetas, radii = np.empty((n_samples, 2, d)), np.empty((n_samples, 2))
     ij = np.empty((n_samples, 2), dtype=np.int64)

@@ -32,15 +32,18 @@ class TransportEstimate:
     power_mean: float = 0.0  # mean of the p-th powers (W_p^p plug-in)
 
 
-def _as_cloud(points) -> np.ndarray:
-    cloud = np.asarray(points, dtype=float)
-    if cloud.ndim == 1:
-        cloud = cloud[:, None]
-    if cloud.shape[0] < 1:
+def _clouds(A, B) -> tuple:
+    """A and B as float (N, d) clouds, a 1-D cloud as one column; they must
+    have equal shapes, N >= 1 and finite points."""
+    A, B = (np.asarray(c, dtype=float) for c in (A, B))
+    A, B = (c[:, None] if c.ndim == 1 else c for c in (A, B))
+    if A.shape != B.shape:
+        raise ValueError("clouds must have equal shapes")
+    if len(A) < 1:
         raise ValueError("empty sample cloud")
-    if not np.all(np.isfinite(cloud)):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("sample cloud contains non-finite points")
-    return cloud
+    return A, B
 
 
 def _estimate(method: str, p: float, powers: np.ndarray) -> TransportEstimate:
@@ -54,11 +57,9 @@ def _estimate(method: str, p: float, powers: np.ndarray) -> TransportEstimate:
 
 def wasserstein_exact_1d(p: float, A, B) -> TransportEstimate:
     """Exact W_p between equal-size 1-D clouds via sorted samples."""
-    A, B = _as_cloud(A), _as_cloud(B)
-    if A.shape[1] != 1 or B.shape[1] != 1:
+    A, B = _clouds(A, B)
+    if A.shape[1] != 1:
         raise ValueError("exact_1d requires d = 1")
-    if A.shape[0] != B.shape[0]:
-        raise ValueError("clouds must have equal size")
     diffs = np.abs(np.sort(A[:, 0]) - np.sort(B[:, 0]))
     return _estimate("exact_1d", p, diffs ** p)
 
@@ -112,11 +113,7 @@ def wasserstein_assignment(p: float, A, B) -> TransportEstimate:
     p = 1 the potential's slope |g| = 1, whatever |t|, slows the solver.
     """
     global _lsap
-    A, B = _as_cloud(A), _as_cloud(B)
-    if A.shape[0] != B.shape[0]:
-        raise ValueError("clouds must have equal size")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("clouds must share a dimension")
+    A, B = _clouds(A, B)
     N = A.shape[0]
     if N > ASSIGNMENT_CAP:
         raise ValueError(
@@ -146,7 +143,5 @@ def coupled_upper_bound(p: float, A, B) -> TransportEstimate:
 
     Also reports the Monte-Carlo standard error of the p-th-power mean.
     """
-    A, B = _as_cloud(A), _as_cloud(B)
-    if A.shape != B.shape:
-        raise ValueError("clouds must have equal shapes")
+    A, B = _clouds(A, B)
     return _estimate("coupled", p, _norms(A - B) ** p)

@@ -443,6 +443,12 @@ CONFIG_ERRORS = {
     "bound-k-string": (_bound(k="x"), "config.bound.k"),
     "bound-k-negative": (_bound(k=-5), "config.bound.k"),
     "bound-k-fraction": (_bound(k=2.5), "config.bound.k"),
+    # an integer no float holds, which the bound's log-space needs
+    "bound-k-huge": (_bound(k=10 ** 400), "config.bound.k"),
+    "bound-k-huge-dominance": (lambda c: (_bound(k=10 ** 400)(c),
+                                          c["certificates"].append(
+                                              {"kind": "dominance", "R": 4})),
+                               "config.bound.k"),
     "rho-mode": (_bound(rho_mode="x"), "config.bound.rho_mode"),
     "rho-seed": (_bound(rho_seed="x"), "config.bound.rho_seed"),
     "bound-list": (lambda c: c.update(bound=[1]), "config.bound"),

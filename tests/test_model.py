@@ -1,9 +1,12 @@
+import ast
+import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stabilab import model
+from stabilab import harness, model
 from stabilab.model import (AssumptionConstants, NeighborPair,
                             POWER_SEPARATION_FLOOR, check_assumptions,
                             derive_constants, grad_batch, make_neighbor,
@@ -216,6 +219,97 @@ class TestNeighbor:
                                      "generator": "unit_fixed"}, 0)
         with pytest.raises(ValueError):
             make_neighbor(ds, 4, 0)
+
+
+def draw_point_reference(generator, d, radius_D, label_range, rng):
+    """The per-point draw that ``model._points`` replaced, kept as its
+    oracle: one ``standard_normal(d + 1)`` and one ``np.linalg.norm`` a
+    point."""
+    if generator == "unit_fixed":
+        a = np.zeros(d)
+        a[0] = 1.0
+        return a, 1.0
+    z = rng.standard_normal(d + 1)
+    if generator == "sphere_uniform":
+        z /= np.linalg.norm(z)
+        z *= radius_D
+    else:
+        z[d] *= label_range
+        norm = np.linalg.norm(z)
+        if norm > radius_D:
+            z *= radius_D / norm
+    return z[:d], float(z[d])
+
+
+def reference_stream(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+class TestPoints:
+    @pytest.mark.parametrize("generator", model.GENERATORS)
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_block_draw_equals_per_point_draws(self, generator, d, n):
+        # radius sqrt(d + 1) clips about half the gaussian_clipped points
+        spec = {"n": n, "d": d, "generator": generator, "label_range": 0.5,
+                "radius_D": None if generator == "unit_fixed"
+                else np.sqrt(d + 1.0)}
+        ds = make_synthetic_dataset(spec, 11)
+        rng = reference_stream(11)
+        want = [draw_point_reference(generator, d, ds.radius_D, 0.5, rng)
+                for _ in range(n)]
+        assert np.array_equal(ds.features, np.array([a for a, _ in want]))
+        assert np.array_equal(ds.labels, np.array([y for _, y in want]))
+
+    @pytest.mark.parametrize("generator", model.GENERATORS)
+    def test_neighbor_point_equals_per_point_draw(self, generator):
+        ds = make_synthetic_dataset({"n": 7, "d": 2, "generator": generator,
+                                     "label_range": 0.5}, 3)
+        pair = make_neighbor(ds, 4, 5)
+        a, y = draw_point_reference(generator, 2, ds.radius_D, 0.5,
+                                    reference_stream(5))
+        assert np.array_equal(pair.perturbed.features[4], a)
+        assert pair.perturbed.labels[4] == y
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["wide-quadratic", "deep-noisy",
+                                  "certify-grid"])
+def test_strided_views_give_the_contiguous_minimizer(name):
+    # certify-grid's theta* moved by 2.7e-20 when Dataset kept the views
+    cfg = harness.validate_config(
+        json.loads((GOLDEN / name / "config.json").read_text()))
+    ds, loss = harness.build_dataset(cfg), harness.build_loss(cfg)
+    z, d = np.column_stack([ds.features, ds.labels]), ds.dim_d
+    views = model.Dataset(z[:, :d], z[:, d], ds.radius_D)
+    copies = model.Dataset(z[:, :d].copy(), z[:, d].copy(), ds.radius_D)
+    assert views.features.flags.c_contiguous
+    assert views.labels.flags.c_contiguous
+    assert np.array_equal(model.empirical_minimizer(loss, views),
+                          model.empirical_minimizer(loss, copies))
+
+
+def _generator_calls(node, where=()):
+    """(enclosing definitions, name) of every Philox or SeedSequence call
+    under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = where + (child.name,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else where
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "attr", getattr(child.func, "id", None))
+            if name in ("Philox", "SeedSequence"):
+                yield where, name
+        yield from _generator_calls(child, inner)
+
+
+def test_every_generator_is_built_by_stream():
+    calls = {(path.name, where, name)
+             for path in Path(model.__file__).parent.glob("*.py")
+             for where, name in _generator_calls(ast.parse(path.read_text()))}
+    assert calls == {("model.py", ("_stream",), "Philox"),
+                     ("model.py", ("_stream",), "SeedSequence")}
 
 
 class TestConstants:

@@ -268,6 +268,13 @@ def _check_rules(cfg: dict, bound: bool = False) -> None:
             for est in cfg["estimators"]]
     for spec in cfg["certificates"]:
         kind = spec["kind"]
+        if kind == "contraction":
+            # its R x (k_max + 1) distance matrix of float64
+            _check(spec["R"] * (spec["k_max"] + 1) * 8
+                   <= np.iinfo(np.intp).max,
+                   f"certificate.k_max (default: config.sgd.k_max) = "
+                   f"{spec['k_max']}: an R = {spec['R']} x (k_max + 1) "
+                   f"distance matrix is beyond numpy's addressable size")
         if kind == "drift" and spec["mode"] == "exact":
             _check(noise["kind"] == "none", "certificate.mode exact "
                    "enumerates the noiseless kernel; use monte_carlo with "
@@ -383,6 +390,9 @@ def cmd_simulate(given: dict, out_dir) -> int:
     diverged = [r.diverged_at for r in ensemble.replicas if r.diverged]
     rows = list(_estimates_rows(cfg, ensemble))
     estimated = time.perf_counter() - start - elapsed
+    # a run_summary.json beside a half-written estimates.csv would vouch
+    # for it (see _simulated_estimate)
+    (out_dir / "run_summary.json").unlink(missing_ok=True)
     with open(out_dir / "estimates.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([
             ["k", "estimator", "p", "value", "stderr", "status"], *rows])
@@ -397,37 +407,78 @@ def cmd_simulate(given: dict, out_dir) -> int:
     return EXIT_OK
 
 
-def _run_certificate(cfg: dict, exp: bnd.Experiment,
-                     spec: dict) -> verify.Certificate:
+def _simulated_estimate(given: dict, cfg: dict, spec: dict, out_dir: Path):
+    """(estimate, diverged replicas) of the dominance ``spec`` as ``simulate``
+    wrote them to ``out_dir``: the very numbers its own ensemble would give.
+    None unless out_dir holds simulate's run of this config, the run has
+    spec's R, k and estimator, and p = 1 (at p != 1 the certificate compares
+    power_mean, which estimates.csv does not hold)."""
+    if not (spec["R"] == cfg["replicas"] and spec["k"] in cfg["checkpoints"]
+            and spec["estimator"] in cfg["estimators"] and cfg["p"] == 1.0):
+        return None
+    try:
+        summary = json.loads((out_dir / "run_summary.json").read_text())
+        diverged = summary["diverged_replicas"]
+        if (summary["config"], summary["stream_version"],
+                summary["schema_version"]) != (
+                given, STREAM_VERSION, SCHEMA_VERSION) \
+                or type(diverged) is not int or diverged < 0:
+            return None
+        if diverged:
+            return None, diverged
+        with open(out_dir / "estimates.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                if (row["k"], row["estimator"], row["status"]) == (
+                        str(spec["k"]), spec["estimator"], "ok"):
+                    value = float(row["value"])
+                    return transport.TransportEstimate(
+                        value, 1.0, spec["estimator"], spec["R"],
+                        float(row["stderr"]), value), 0
+    except (OSError, ValueError, LookupError, TypeError):
+        pass    # unreadable or malformed: the ensemble is run again
+    return None
+
+
+def _run_certificate(given: dict, cfg: dict, exp: bnd.Experiment,
+                     spec: dict, out_dir: Path) -> tuple:
+    """``spec``'s certificate, and where a dominance certificate's estimate
+    came from ("" for the other kinds)."""
     sgd, kind = exp.sgd, spec["kind"]
     args = {key: value for key, value in spec.items() if key != "kind"}
     if kind == "contraction":
         return verify.check_contraction(exp.loss, exp.dataset, sgd.eta,
-                                        sgd.batch_b, noise=exp.noise, **args)
+                                        sgd.batch_b, noise=exp.noise,
+                                        **args), ""
     if kind == "drift":
         return verify.check_drift(exp.loss, exp.pair.perturbed, sgd.eta,
-                                  sgd.batch_b, noise=exp.noise, **args)
+                                  sgd.batch_b, noise=exp.noise, **args), ""
     if kind == "kernel_gap":
         return verify.check_kernel_gap(exp.loss, exp.pair, sgd.eta,
-                                       sgd.batch_b, **args)
+                                       sgd.batch_b, **args), ""
     if kind == "minorization":
         return verify.check_minorization_gaussian(
             exp.loss, exp.dataset, sgd.eta, sgd.batch_b,
             np.array(exp.noise.scale) ** 2, exp.constants.m, exp.K0,
-            K1=exp.constants.K1, **args)
+            K1=exp.constants.K1, **args), ""
     bound = evaluate_bound(cfg, exp)
-    ensemble = run_ensemble(exp.loss, exp.pair, sgd, exp.noise, spec["R"],
-                            [spec["k"]])
-    diverged = sum(r.diverged for r in ensemble.replicas)
-    emp = None if diverged else _estimate(spec["estimator"], cfg["p"],
-                                          *ensemble.clouds_at(spec["k"]))
+    reused = _simulated_estimate(given, cfg, spec, out_dir)
+    if reused is not None:
+        (emp, diverged), source = reused, "simulate's estimates.csv"
+    else:
+        ensemble = run_ensemble(exp.loss, exp.pair, sgd, exp.noise,
+                                spec["R"], [spec["k"]])
+        diverged = sum(r.diverged for r in ensemble.replicas)
+        emp = None if diverged else _estimate(
+            spec["estimator"], cfg["p"], *ensemble.clouds_at(spec["k"]))
+        source = f"its own {spec['R']}-replica run"
     return verify.check_bound_dominates(
         emp, bound, margin_rule=spec["margin_rule"],
-        fixed_rel=spec["fixed_rel"], diverged_replicas=diverged, k=spec["k"])
+        fixed_rel=spec["fixed_rel"], diverged_replicas=diverged,
+        k=spec["k"]), f", estimate from {source}"
 
 
-def cmd_verify(cfg: dict, out_dir) -> int:
-    cfg = validate_config(cfg)
+def cmd_verify(given: dict, out_dir) -> int:
+    cfg = validate_config(given)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _check(cfg["certificates"],
@@ -436,9 +487,10 @@ def cmd_verify(cfg: dict, out_dir) -> int:
     certs = []
     for spec in cfg["certificates"]:
         start = time.perf_counter()
-        cert = _run_certificate(cfg, exp, spec)
+        cert, source = _run_certificate(given, cfg, exp, spec, out_dir)
         print(f"{'PASS' if cert.passed else 'FAIL'} {cert.kind}: margin "
-              f"{cert.margin:.6g} ({time.perf_counter() - start:.2f} s)")
+              f"{cert.margin:.6g} ({time.perf_counter() - start:.2f} s"
+              f"{source})")
         certs.append(cert)
     verify.write_certificates_jsonl(certs, out_dir / "certificates.jsonl")
     return EXIT_OK if all(c.passed for c in certs) else EXIT_CERT_FAILURE

@@ -10,7 +10,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -422,6 +424,9 @@ CONFIG_ERRORS = {
     "kernel-gap-R-one": (_certificate(kind="kernel_gap", claimed_gamma=1.0,
                                       R=1), "certificate.R"),
     "k-max-negative": (_contraction(k_max=-1), "certificate.k_max"),
+    # its R x (k_max + 1) distance matrix is more than numpy can address
+    "k-max-unaddressable": (_contraction(k_max=10 ** 20),
+                            "certificate.k_max"),
     "seed-negative": (_contraction(seed=-1), "certificate.seed"),
     "theta0-a-length": (_contraction(theta0_a=[1.0, 1.0]),
                         "certificate.theta0_a"),
@@ -913,3 +918,164 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("k_max, ok", [(2 ** 58 - 2, True),
+                                       (2 ** 58 - 1, False)])
+def test_contraction_matrix_at_numpys_size_limit(k_max, ok):
+    # R = 4 rows of k_max + 1 float64 distances: 2^63 bytes is one past
+    # what numpy addresses
+    cfg = quadratic_config(certificates=[
+        {"kind": "contraction", "claimed_rate": 0.9, "k_max": k_max,
+         "R": 4}])
+    if ok:
+        validate_config(cfg)
+        return
+    with pytest.raises(ConfigError, match="certificate.k_max"):
+        validate_config(cfg)
+    with pytest.raises(ValueError, match="too big"):
+        np.empty((4, k_max + 1))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# a Quadratic run with an admissible bound that partly diverges: from
+# theta0 = 0.9e12 a step with eta a_i^2 > 2 leaves the guard
+DIVERGING = quadratic_config(replicas=16, checkpoints=[50, 100],
+                             certificates=[{"kind": "dominance"}])
+DIVERGING["dataset"].update(generator="gaussian_clipped", radius_D=2.0)
+DIVERGING["sgd"].update(eta=0.7, theta0=[0.9e12])
+PIPELINES = {p.name: json.loads((p / "config.json").read_text())
+             for p in sorted(GOLDEN.iterdir()) if p.is_dir()} | {
+                 "diverging": DIVERGING}
+# dominance ensembles that verify runs after simulate in the same --out;
+# readme's certificate has R = 32 against 64 replicas
+RERUNS_AFTER_SIMULATE = {"certify-grid": 0, "deep-noisy": 0, "diverging": 0,
+                         "readme": 1, "wide-quadratic": 0}
+
+
+def _count_ensembles(monkeypatch) -> list:
+    """The list that every later harness.run_ensemble call appends to."""
+    calls, run = [], harness.run_ensemble
+    monkeypatch.setattr(harness, "run_ensemble",
+                        lambda *args: calls.append(1) or run(*args))
+    return calls
+
+
+def _cli(command, path, out):
+    return cli.main([command, "--config", str(path), "--out", str(out)])
+
+
+@pytest.mark.parametrize("name", PIPELINES)
+def test_dominance_after_simulate_matches_its_own_run(tmp_path, monkeypatch,
+                                                      capsys, name):
+    cfg = PIPELINES[name]
+    path = write_config(tmp_path, cfg)
+    calls = _count_ensembles(monkeypatch)
+    assert _cli("simulate", path, tmp_path / "after") == EXIT_OK
+    calls.clear()
+    capsys.readouterr()
+    code = _cli("verify", path, tmp_path / "after")
+    after, out = len(calls), capsys.readouterr().out
+    calls.clear()
+    assert _cli("verify", path, tmp_path / "alone") == code
+    alone = capsys.readouterr().out
+    dominance = [s for s in cfg.get("certificates", [])
+                 if s["kind"] == "dominance"]
+    assert (after, len(calls)) == (RERUNS_AFTER_SIMULATE[name],
+                                   len(dominance))
+    certs = (tmp_path / "after" / "certificates.jsonl").read_bytes()
+    assert certs == (tmp_path / "alone" / "certificates.jsonl").read_bytes()
+    # stdout, and only stdout, names where each estimate came from
+    assert out.count("estimate from simulate's estimates.csv") \
+        == len(dominance) - after
+    assert alone.count("-replica run)") == len(dominance)
+    assert b"estimate from" not in certs
+    diverged = json.loads((tmp_path / "after" / "run_summary.json")
+                          .read_text())["diverged_replicas"]
+    assert (diverged > 0) == (name == "diverging")
+    if diverged:
+        assert code == EXIT_CERT_FAILURE
+        assert json.loads(certs)["details"]["diverged_replicas"] == diverged
+
+
+def _seeded(cfg, seed):
+    return cfg | {"sgd": cfg["sgd"] | {"master_seed": seed}}
+
+
+def _edit(name, edit):
+    """A change to ``name`` in --out after simulate: text to text."""
+    def change(out, cfg):
+        (out / name).write_text(edit((out / name).read_text()))
+    return change
+
+
+def _drop_row(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("100,coupled,"))
+
+
+def _summary(**fields):
+    return _edit("run_summary.json",
+                 lambda text: json.dumps(json.loads(text) | fields))
+
+
+def _simulate_stopped(out, cfg):
+    """Another seed's simulate, stopped before run_summary.json."""
+    with mock.patch.object(harness, "_write_json", side_effect=OSError), \
+            pytest.raises(OSError):
+        cmd_simulate(_seeded(cfg, 43), out)
+
+
+# a config whose dominance estimate verify takes from simulate
+REUSABLE = quadratic_config(replicas=16, checkpoints=[50, 100],
+                            estimators=["coupled", "exact_1d"],
+                            certificates=[{"kind": "dominance"}])
+REUSABLE["dataset"]["generator"] = "gaussian_clipped"
+# (change to the config, change to --out after simulate): each makes
+# verify run the dominance ensemble itself
+RERUNS = {
+    "master-seed": (None, lambda out, cfg: cmd_simulate(_seeded(cfg, 43),
+                                                        out)),
+    "simulate-stopped": (None, _simulate_stopped),
+    "stream-version-2": (None, _summary(stream_version=2)),
+    "diverged-not-a-count": (None, _summary(diverged_replicas="0")),
+    "R": (lambda c: c["certificates"][0].update(R=8), None),
+    "k": (lambda c: c["certificates"][0].update(k=75), None),
+    "estimator": (lambda c: c["certificates"][0].update(
+        estimator="assignment"), None),
+    # W_2^2: the certificate compares power_mean, not in estimates.csv
+    "nonconvex-plain-p2": (lambda c: c.update(
+        _regime("NonconvexPlain", SINE, 0.2, 4, 100), p=2.0, replicas=16,
+        checkpoints=[50], certificates=[{"kind": "dominance"}]), None),
+    "csv-missing": (None, lambda out, cfg: (out / "estimates.csv").unlink()),
+    # cut within the row's stderr: the stub still parses as a number, and
+    # only the missing status shows the cut
+    "csv-truncated": (None, _edit("estimates.csv", lambda text: text[
+        :text.index("\n", text.index("100,coupled,")) - 6])),
+    "csv-row-missing": (None, _edit("estimates.csv", _drop_row)),
+    "csv-non-numeric": (None, _edit("estimates.csv", lambda text: re.sub(
+        r"^(100,coupled,1\.0,)[^,]+", r"\1x", text, flags=re.M))),
+    "summary-not-json": (None, _edit("run_summary.json",
+                                     lambda text: text[:-5])),
+}
+
+
+@pytest.mark.parametrize("case", ["reused", *RERUNS])
+def test_dominance_reruns_unless_simulate_wrote_its_estimate(
+        tmp_path, monkeypatch, capsys, case):
+    config_change, out_change = RERUNS.get(case, (None, None))
+    cfg = copy.deepcopy(REUSABLE)
+    if config_change:
+        config_change(cfg)
+    path = write_config(tmp_path, cfg)
+    after = tmp_path / "after"
+    assert _cli("simulate", path, after) == EXIT_OK
+    if out_change:
+        out_change(after, cfg)
+    calls = _count_ensembles(monkeypatch)
+    code = _cli("verify", path, after)
+    assert len(calls) == (case != "reused")
+    assert _cli("verify", path, tmp_path / "alone") == code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (after / "certificates.jsonl").read_bytes() == \
+        (tmp_path / "alone" / "certificates.jsonl").read_bytes()

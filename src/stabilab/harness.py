@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from dataclasses import fields
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import getitem
 from pathlib import Path
 
@@ -340,18 +340,35 @@ def evaluate_bound(cfg: dict, exp: bnd.Experiment = None) -> StabilityBound:
     return bnd.REGIMES[cfg["regime"]].evaluate(exp, cfg["bound"])
 
 
-def cmd_bounds(cfg: dict, out_dir) -> int:
-    cfg = validate_config(cfg, bound=True)
+def _stamp(given: dict) -> dict:
+    """The keys that tie a written record to the config ``given``."""
+    return {"schema_version": SCHEMA_VERSION,
+            "stream_version": STREAM_VERSION, "config": given}
+
+
+def _stamped(path: Path, given: dict):
+    """The JSON record at ``path`` if a command wrote it for the config
+    ``given`` under this schema and stream version, else None."""
+    try:
+        record = json.loads(path.read_text())
+        stamped = {key: record[key] for key in _stamp(given)} == _stamp(given)
+    except (OSError, ValueError, LookupError, TypeError):
+        return None    # missing, unreadable, malformed or unstamped
+    return record if stamped else None
+
+
+def cmd_bounds(given: dict, out_dir) -> int:
+    cfg = validate_config(given, bound=True)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         bound = evaluate_bound(cfg)
     except InadmissibleError as exc:
         print(f"inadmissible configuration: {exc}", file=sys.stderr)
-        _write_json(out_dir / "bounds.json", {
+        _write_json(out_dir / "bounds.json", _stamp(given) | {
             "regime": cfg["regime"], "admissible": False, "reason": str(exc)})
         return EXIT_INADMISSIBLE
-    report = bound.as_dict() | {
+    report = bound.as_dict() | _stamp(given) | {
         "n": cfg["dataset"]["n"], "b": cfg["sgd"]["batch_b"],
         "eta": cfg["sgd"]["eta"]}
     _write_json(out_dir / "bounds.json", report)
@@ -396,11 +413,10 @@ def cmd_simulate(given: dict, out_dir) -> int:
     with open(out_dir / "estimates.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([
             ["k", "estimator", "p", "value", "stderr", "status"], *rows])
-    _write_json(out_dir / "run_summary.json", {
-        "schema_version": SCHEMA_VERSION, "stream_version": STREAM_VERSION,
+    _write_json(out_dir / "run_summary.json", _stamp(given) | {
         "regime": cfg["regime"], "master_seed": cfg["sgd"]["master_seed"],
         "replicas": R, "checkpoints": checkpoints,
-        "diverged_replicas": len(diverged), "config": given})
+        "diverged_replicas": len(diverged)})
     print(f"simulated {R} replicas to k={exp.sgd.k_max} in {elapsed:.2f}s, "
           f"estimated in {estimated:.2f}s; {len(diverged)} diverged"
           + (f", the first at step {min(diverged)}" if diverged else ""))
@@ -417,12 +433,9 @@ def _simulated_estimate(given: dict, cfg: dict, spec: dict, out_dir: Path):
             and spec["estimator"] in cfg["estimators"] and cfg["p"] == 1.0):
         return None
     try:
-        summary = json.loads((out_dir / "run_summary.json").read_text())
-        diverged = summary["diverged_replicas"]
-        if (summary["config"], summary["stream_version"],
-                summary["schema_version"]) != (
-                given, STREAM_VERSION, SCHEMA_VERSION) \
-                or type(diverged) is not int or diverged < 0:
+        diverged = _stamped(out_dir / "run_summary.json",
+                            given)["diverged_replicas"]
+        if type(diverged) is not int or diverged < 0:
             return None
         if diverged:
             return None, diverged
@@ -439,10 +452,28 @@ def _simulated_estimate(given: dict, cfg: dict, spec: dict, out_dir: Path):
     return None
 
 
+def _dominance_bound(given: dict, cfg: dict, exp: bnd.Experiment,
+                     out_dir: Path) -> tuple:
+    """(The bound, where it came from): the one ``bounds`` wrote to
+    ``out_dir`` for this config if it is admissible and finite (bounds.json
+    writes inf and NaN alike as null), else evaluated."""
+    rep = _stamped(out_dir / "bounds.json", given) or {}
+    value, used = rep.get("value"), rep.get("constants_used")
+    if rep.get("admissible") is True and rep.get("regime") == cfg["regime"] \
+            and type(value) is float and math.isfinite(value) \
+            and type(used) is dict:
+        k, log_value = rep.get("k"), rep.get("log_value")
+        return StabilityBound(
+            cfg["regime"], value, math.inf if k == "inf" else k, used,
+            -math.inf if log_value is None else log_value), "from bounds.json"
+    return evaluate_bound(cfg, exp), "evaluated"
+
+
 def _run_certificate(given: dict, cfg: dict, exp: bnd.Experiment,
-                     spec: dict, out_dir: Path) -> tuple:
+                     spec: dict, out_dir: Path, bound) -> tuple:
     """``spec``'s certificate, and where a dominance certificate's estimate
-    came from ("" for the other kinds)."""
+    and bound came from ("" for the other kinds); ``bound()`` gives the
+    (bound, its source)."""
     sgd, kind = exp.sgd, spec["kind"]
     args = {key: value for key, value in spec.items() if key != "kind"}
     if kind == "contraction":
@@ -460,7 +491,7 @@ def _run_certificate(given: dict, cfg: dict, exp: bnd.Experiment,
             exp.loss, exp.dataset, sgd.eta, sgd.batch_b,
             np.array(exp.noise.scale) ** 2, exp.constants.m, exp.K0,
             K1=exp.constants.K1, **args), ""
-    bound = evaluate_bound(cfg, exp)
+    bound, bound_source = bound()
     reused = _simulated_estimate(given, cfg, spec, out_dir)
     if reused is not None:
         (emp, diverged), source = reused, "simulate's estimates.csv"
@@ -474,7 +505,7 @@ def _run_certificate(given: dict, cfg: dict, exp: bnd.Experiment,
     return verify.check_bound_dominates(
         emp, bound, margin_rule=spec["margin_rule"],
         fixed_rel=spec["fixed_rel"], diverged_replicas=diverged,
-        k=spec["k"]), f", estimate from {source}"
+        k=spec["k"]), f", bound {bound_source}, estimate from {source}"
 
 
 def cmd_verify(given: dict, out_dir) -> int:
@@ -484,10 +515,12 @@ def cmd_verify(given: dict, out_dir) -> int:
     _check(cfg["certificates"],
            "nothing to verify: config.certificates is empty")
     exp = build_experiment(cfg)
+    # for the first dominance certificate, then kept
+    bound = cache(lambda: _dominance_bound(given, cfg, exp, out_dir))
     certs = []
     for spec in cfg["certificates"]:
         start = time.perf_counter()
-        cert, source = _run_certificate(given, cfg, exp, spec, out_dir)
+        cert, source = _run_certificate(given, cfg, exp, spec, out_dir, bound)
         print(f"{'PASS' if cert.passed else 'FAIL'} {cert.kind}: margin "
               f"{cert.margin:.6g} ({time.perf_counter() - start:.2f} s"
               f"{source})")

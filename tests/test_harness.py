@@ -1079,3 +1079,170 @@ def test_dominance_reruns_unless_simulate_wrote_its_estimate(
     assert capsys.readouterr().err == ""
     assert (after / "certificates.jsonl").read_bytes() == \
         (tmp_path / "alone" / "certificates.jsonl").read_bytes()
+
+
+def _count_bounds(monkeypatch) -> list:
+    """The list that every later harness.evaluate_bound call appends to."""
+    calls, evaluate = [], harness.evaluate_bound
+    monkeypatch.setattr(harness, "evaluate_bound",
+                        lambda *args: calls.append(1) or evaluate(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", PIPELINES)
+def test_verify_after_bounds_matches_verify_alone(tmp_path, monkeypatch,
+                                                  capsys, name):
+    cfg = PIPELINES[name]
+    path = write_config(tmp_path, cfg)
+    after = tmp_path / "after"
+    assert _cli("bounds", path, after) == EXIT_OK
+    assert _cli("simulate", path, after) == EXIT_OK
+    capsys.readouterr()
+    calls = _count_bounds(monkeypatch)
+    code = _cli("verify", path, after)
+    evaluated, out = len(calls), capsys.readouterr().out
+    calls.clear()
+    assert _cli("verify", path, tmp_path / "alone") == code
+    alone = capsys.readouterr().out
+    dominance = sum(s["kind"] == "dominance"
+                    for s in cfg.get("certificates", []))
+    assert (evaluated, len(calls)) == (0, min(dominance, 1))
+    certs = (after / "certificates.jsonl").read_bytes()
+    assert certs == (tmp_path / "alone" / "certificates.jsonl").read_bytes()
+    # stdout, and only stdout, names where each bound came from
+    assert out.count(", bound from bounds.json,") == dominance
+    assert alone.count(", bound evaluated,") == dominance
+    assert b"bound from" not in certs and b"bound evaluated" not in certs
+
+
+# a Quadratic config with two dominance certificates of one bound
+TWO_DOMINANCE = quadratic_config(
+    replicas=16, certificates=[{"kind": "dominance"},
+                               {"kind": "dominance", "k": 50,
+                                "estimator": "exact_1d"}])
+TWO_DOMINANCE["dataset"]["generator"] = "gaussian_clipped"
+
+
+@pytest.mark.parametrize("bounds_first", [False, True])
+def test_verify_gets_the_bound_at_most_once(tmp_path, monkeypatch, capsys,
+                                            bounds_first):
+    path = write_config(tmp_path, TWO_DOMINANCE)
+    if bounds_first:
+        assert _cli("bounds", path, tmp_path / "out") == EXIT_OK
+    calls = _count_bounds(monkeypatch)
+    assert _cli("verify", path, tmp_path / "out") == EXIT_OK
+    assert len(calls) == (not bounds_first)
+    assert capsys.readouterr().out.count(
+        ", bound from bounds.json," if bounds_first
+        else ", bound evaluated,") == 2
+    golden = tmp_path / "golden"
+    with mock.patch.object(harness, "_dominance_bound",
+                           side_effect=lambda given, cfg, exp, out: (
+                               evaluate_bound(cfg, exp), "evaluated")):
+        assert _cli("verify", path, golden) == EXIT_OK
+    assert (tmp_path / "out" / "certificates.jsonl").read_bytes() == \
+        (golden / "certificates.jsonl").read_bytes()
+
+
+def _bounds_of(change):
+    """bounds.json of the config after ``change``, in place of its own."""
+    def write(out, cfg):
+        other = copy.deepcopy(cfg)
+        change(other)
+        assert cmd_bounds(other, out) == EXIT_OK
+    return write
+
+
+def _report(**fields):
+    return _edit("bounds.json",
+                 lambda text: json.dumps(json.loads(text) | fields))
+
+
+def _unstamped(text):
+    rep = json.loads(text)
+    for key in ("config", "schema_version", "stream_version"):
+        del rep[key]
+    return json.dumps(rep)
+
+
+MONTE_CARLO = copy.deepcopy(REUSABLE)
+MONTE_CARLO["bound"].update(rho_mode="monte_carlo")
+# (config, change to --out after bounds): each makes verify evaluate the
+# bound itself
+EVALUATES = {
+    "eta": (REUSABLE, _bounds_of(lambda c: c["sgd"].update(eta=0.05))),
+    "rho-seed": (MONTE_CARLO, _bounds_of(
+        lambda c: c["bound"].update(rho_seed=1))),
+    "stream-version-2": (REUSABLE, _report(stream_version=2)),
+    "schema-version-0": (REUSABLE, _report(schema_version=0)),
+    "missing": (REUSABLE, lambda out, cfg: (out / "bounds.json").unlink()),
+    "truncated": (REUSABLE, _edit("bounds.json",
+                                  lambda text: text[:len(text) // 2])),
+    "not-json": (REUSABLE, _edit("bounds.json", lambda text: "bounds\n")),
+    "unstamped": (REUSABLE, _edit("bounds.json", _unstamped)),
+    "not-admissible": (REUSABLE, _report(admissible=False)),
+    "other-regime": (REUSABLE, _report(regime="StronglyConvex")),
+    "value-null": (REUSABLE, _report(value=None)),
+    "value-string": (REUSABLE, _report(value="x")),
+    # Python's json reads the non-standard NaN: never a passing bound
+    "value-nan": (REUSABLE, _edit("bounds.json", lambda text: re.sub(
+        r'"value": [^,\n]+', '"value": NaN', text))),
+}
+
+
+@pytest.mark.parametrize("case", ["read", *EVALUATES])
+def test_dominance_evaluates_unless_bounds_wrote_its_bound(
+        tmp_path, monkeypatch, capsys, case):
+    cfg, out_change = EVALUATES.get(case, (REUSABLE, None))
+    path = write_config(tmp_path, cfg)
+    after = tmp_path / "after"
+    assert _cli("bounds", path, after) == EXIT_OK
+    if out_change:
+        out_change(after, cfg)
+    calls = _count_bounds(monkeypatch)
+    code = _cli("verify", path, after)
+    assert len(calls) == (case != "read")
+    assert _cli("verify", path, tmp_path / "alone") == code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (after / "certificates.jsonl").read_bytes() == \
+        (tmp_path / "alone" / "certificates.jsonl").read_bytes()
+
+
+def test_inadmissible_record_is_evaluated_again(tmp_path, monkeypatch,
+                                                capsys):
+    cfg = quadratic_config(certificates=[{"kind": "dominance"}])
+    cfg["sgd"]["eta"] = 2.5   # rho = 1.5 >= 1 on unit data
+    path = write_config(tmp_path, cfg)
+    assert _cli("bounds", path, tmp_path / "after") == EXIT_INADMISSIBLE
+    rep = json.loads((tmp_path / "after" / "bounds.json").read_text())
+    assert (rep["admissible"], rep["config"]) == (False, cfg)
+    capsys.readouterr()
+    calls = _count_bounds(monkeypatch)
+    errs = []
+    for out in ("after", "alone"):
+        calls.clear()
+        assert _cli("verify", path, tmp_path / out) == EXIT_INADMISSIBLE
+        assert len(calls) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("inadmissible configuration: ")
+    assert errs[0].count("\n") == 1
+
+
+def test_overflowed_bound_is_evaluated_again(tmp_path, monkeypatch, capsys):
+    # deep-noisy's bound overflows: bounds.json holds value null beside a
+    # finite log_value, and null may be inf or NaN alike
+    cfg = copy.deepcopy(PIPELINES["deep-noisy"])
+    cfg["certificates"] = [{"kind": "dominance", "k": 100}]
+    path = write_config(tmp_path, cfg)
+    assert _cli("bounds", path, tmp_path / "after") == EXIT_OK
+    rep = json.loads((tmp_path / "after" / "bounds.json").read_text())
+    assert rep["value"] is None and math.isfinite(rep["log_value"])
+    calls = _count_bounds(monkeypatch)
+    for out in ("after", "alone"):
+        calls.clear()
+        assert _cli("verify", path, tmp_path / out) == EXIT_OK
+        assert len(calls) == 1
+    assert ", bound evaluated," in capsys.readouterr().out
+    assert (tmp_path / "after" / "certificates.jsonl").read_bytes() == \
+        (tmp_path / "alone" / "certificates.jsonl").read_bytes()

@@ -30,7 +30,9 @@ Stream layout v3 (``STREAM_VERSION``)
 Randomness is counter-based: every generator is ``model._stream(seed,
 *key)``, Philox keyed by a seed and a spawn key, so replicas are
 independent and order-independent by construction, and both chains of a
-pair consume the same streams structurally rather than incidentally.  Keys:
+pair consume the same streams structurally rather than incidentally.
+:func:`run_lanes` builds its lanes' streams with ``model._streams``, the
+same generators from one vectorized hash of their keys.  Keys:
 
 * ``(replica_id, 0)`` and ``(replica_id, 1)``: a replica's minibatches and
   noise in :func:`run_lanes`, under ``sgd.master_seed`` or a contraction
@@ -42,15 +44,19 @@ pair consume the same streams structurally rather than incidentally.  Keys:
 
 Each stream yields the same values however its steps are split into draws:
 
-* Minibatch s of a stream is one ``integers(0, highs)`` with ``highs =
-  [n-b+1, ..., n]``, so its draw t is uniform on [0, n-b+t], followed by
-  Floyd's selection (Bentley & Floyd, *Programming pearls: a sample of
-  brilliance*, CACM 1987): a draw already picked in its row becomes n-b+t.
-  Each row is a uniform b-subset of range(n), in the order picked.  The
-  engine draws many rows with one ``integers(0, highs, size=(rows, b))``
-  call; with the default int64 dtype numpy keeps no part of a word between
-  calls outside the bit generator, so that call and ``rows`` calls of one
-  row return the same values.
+* Minibatch s of a stream is the values of one ``integers(0, highs)``
+  with ``highs = [n-b+1, ..., n]`` and n <= 2**32, so its draw t is
+  uniform on [0, n-b+t], followed by Floyd's selection (Bentley & Floyd,
+  *Programming pearls: a sample of brilliance*, CACM 1987): a draw already
+  picked in its row becomes n-b+t.  Each row is a uniform b-subset of
+  range(n), in the order picked.  The engine calls no ``integers``: it
+  reads the stream's 32-bit words from ``random_raw``, the low half of each
+  64-bit word first, and maps word w to (w * high) >> 32 by Lemire's
+  multiply-shift (Lemire, *Fast random integer generation in an interval*,
+  ACM TOMACS 2019), taking the next word where the product's low half is
+  below (2**32 - high) % high; a bound of 1 reads no word.  That is how
+  numpy's ``integers`` maps the same words, so the values are the ones it
+  returns, and a word left over at the end of a refill opens the next.
 * Noise for a block of c steps is ``standard_normal((c, d)) * scale`` or
   ``laplace(0, scale, (c, d))``, equal to c per-step draws.
 
@@ -58,16 +64,16 @@ A block holds about ``_BLOCK_ELEMENTS`` draws across all lanes (in
 :func:`run_lanes` at most k_max and ``_BLOCK_STEPS`` steps).  A refill of
 the minibatch buffer holds the rows the caller will still read, at most
 about ``_BLOCK_ELEMENTS`` indices across all lanes, but at least
-``_LANE_DRAW_INDICES`` a lane (an ``integers`` call costs far more than its
-draws below that), and never more than ``_DRAW_INDICES`` in all.  At R =
+``_LANE_DRAW_INDICES`` a lane (a lane's refill costs a few numpy calls
+whatever its size), and never more than ``_DRAW_INDICES`` in all.  At R =
 16 and b = 4 that is 1,024 rows a lane, so deep-noisy's ensemble makes 10
 calls a lane; wide-quadratic's R = 1024, k_max = 100 and certify-grid's R
 = 64, k_max = 500 make one.  A refill holds the buffer being read, the new
 one and ``_floyd``'s column-major copy of it, so the transient memory does
 not grow with k_max: tracemalloc measured peaks of 3.3 MiB at R = 16, d =
 16 and b = 4 for k_max from 2,000 to 40,000, 4.4 MiB at R = 64, k_max =
-500 and b = 4, and 9.2 MiB at R = 1024, k_max = 100 and b = 8.  Many lanes
-still reach the ``_DRAW_INDICES`` cap (4 MiB of int32): 16.2 MiB at R =
+500 and b = 4, and 9.3 MiB at R = 1024, k_max = 100 and b = 8.  Many lanes
+still reach the ``_DRAW_INDICES`` cap (4 MiB of int32): 16.3 MiB at R =
 1024 and k_max = 1000.
 
 Every average over the minibatch law outside the engine (the contraction
@@ -94,7 +100,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (Dataset, LossModel, NeighborPair, _mean_stderr, _norms,
-                    _stream, grad_batch, grad_kernel)
+                    _stream, _streams, grad_batch, grad_kernel)
 
 # version of the random-stream layout described in the module docstring
 STREAM_VERSION = 3
@@ -115,9 +121,11 @@ _BLOCK_STEPS = 1 << 12
 # minibatch indices one refill draws at most across all lanes, 4 MB at
 # int32: one refill a run for an R = 1024, k = 100 ensemble at b = 8
 _DRAW_INDICES = 1 << 20
-# minibatch indices one lane's integers call draws at least, within that
+# minibatch indices one lane's random_raw call draws at least, within that
 # cap, where a block's worth across all lanes would be fewer
 _LANE_DRAW_INDICES = 1 << 12
+# words a rejected lane's replay maps per pass
+_REPLAY_WORDS = 1 << 10
 
 NOISE_KINDS = ("none", "gaussian_diag", "laplace")
 
@@ -237,19 +245,29 @@ class _IndexStreams:
 
     The lanes stay in step: one ``(L, rows, b)`` buffer holds every lane's
     drawn minibatches, read from one position.  A block that runs past its
-    end refills it with one ``integers`` call per lane, sized to the rows the
-    caller said it will still read (:meth:`expect`) and capped at about
+    end refills it with one ``random_raw`` call per lane, sized to the rows
+    the caller said it will still read (:meth:`expect`) and capped at about
     ``_BLOCK_ELEMENTS`` indices across all lanes, or ``_LANE_DRAW_INDICES``
-    a lane where that is more, and at ``_DRAW_INDICES`` in all.
+    a lane where that is more, and at ``_DRAW_INDICES`` in all.  The
+    generators must be fresh: their draws are this object's alone.
     """
 
     def __init__(self, rngs: list, n: int, b: int):
         if b > n:
             raise ValueError("batch size exceeds dataset size")
+        if n > 2 ** 32:
+            raise ValueError("a minibatch draw reads one 32-bit word, so the "
+                             "dataset size must be at most 2**32")
         self.rngs, self.n, self.b = rngs, n, b
-        self.highs = np.arange(n - b + 1, n + 1)
+        self.highs = np.arange(n - b + 1, n + 1, dtype=np.uint64)
+        # Lemire's rejection threshold of each bound; a bound of 1, the
+        # first at b = n, reads no word, and maps a 0 to 0
+        self.floor = ((2 ** 32 - self.highs) % self.highs).astype(np.uint32)
+        self.skip = int(n == b)
         self.buf = np.empty((len(rngs), 0, b),
                             dtype=np.int32 if n < 2 ** 31 else np.int64)
+        # each lane's words drawn and not yet read, copied out of their draw
+        self.carry = [np.empty(0, np.uint32)] * len(rngs)
         self.pos = 0
         self.ahead = 0      # rows the caller will still read
 
@@ -258,11 +276,65 @@ class _IndexStreams:
         self.ahead = rows
 
     def _refill(self, rows: int):
-        self.buf = np.empty((len(self.rngs), rows, self.b),
-                            dtype=self.buf.dtype)
-        for lane, rng in zip(self.buf, self.rngs):
-            lane[:] = rng.integers(0, self.highs, size=(rows, self.b))
-        _floyd(self.buf.reshape(-1, self.b), self.n)
+        """``rows`` new rows of every lane: its next words in the new
+        buffer's own memory, :meth:`_lemire`, then Floyd's selection."""
+        b, need = self.b, rows * (self.b - self.skip)
+        self.buf = np.empty((len(self.rngs), rows, b), dtype=self.buf.dtype)
+        self.buf[..., :self.skip] = 0
+        words = self.buf.view(f"u{self.buf.itemsize}")
+        for lane, rng in enumerate(self.rngs):
+            held = self.carry[lane]
+            held = np.concatenate((held, _words(rng, need - len(held))))
+            words[lane, :, self.skip:] = held[:need].reshape(rows, -1)
+            self.carry[lane] = held[need:].copy()
+        self._lemire(words, rows)
+        _floyd(self.buf.reshape(-1, b), self.n)
+
+    def _lemire(self, words, rows: int):
+        """Map every lane's words (L, rows, b) in place by Lemire's
+        multiply-shift, a quarter of ``_BLOCK_ELEMENTS`` at a time (13 bytes
+        an element of temporaries), then :meth:`_replay` each lane from its
+        first rejected word."""
+        replays, width = {}, self.b - self.skip
+        flat = words.reshape(-1, self.b)
+        step = max(1, _BLOCK_ELEMENTS // 4 // self.b)
+        for start in range(0, len(flat), step):
+            part = flat[start:start + step]
+            m = part.astype(np.uint64)
+            m *= self.highs
+            bad = m.astype(np.uint32) < self.floor
+            for r in np.flatnonzero(bad.any(axis=1)) if bad.any() else ():
+                lane, row = divmod(start + r, rows)
+                if lane not in replays:     # copy its words while unmapped
+                    at = row * width + int(bad[r].argmax()) - self.skip
+                    replays[lane] = at, np.concatenate((words[
+                        lane, :, self.skip:].reshape(-1)[at + 1:],
+                        self.carry[lane]))
+            m >>= 32
+            part[:] = m
+        for lane, (at, held) in replays.items():
+            self.carry[lane] = self._replay(words[lane].reshape(-1), at, held,
+                                            self.rngs[lane])
+
+    def _replay(self, out, at: int, held, rng) -> np.ndarray:
+        """Lemire's rule on a lane's rows ``out`` (flat) from word position
+        ``at``, whose word was rejected, on ``held``, the words after it,
+        and more drawn as rejections need; returns the words left over."""
+        width = self.b - self.skip
+        end = len(out) // self.b * width
+        while at < end:
+            pos = np.arange(at, min(end, at + _REPLAY_WORDS))
+            if len(held) < len(pos):
+                held = np.concatenate((held, _words(rng, len(pos) -
+                                                    len(held))))
+            col = self.skip + pos % width
+            m = held[:len(pos)].astype(np.uint64) * self.highs[col]
+            bad = m.astype(np.uint32) < self.floor[col]
+            ok = int(bad.argmax()) if bad.any() else len(pos)
+            out[(pos // width * self.b + col)[:ok]] = m[:ok] >> 32
+            at += ok
+            held = held[ok + (ok < len(pos)):]
+        return held.copy()
 
     def next_rows(self, rows: int) -> np.ndarray:
         """The next ``rows`` minibatches of every lane, shape (L, rows, b)."""
@@ -281,6 +353,14 @@ class _IndexStreams:
             held = np.concatenate([held, fresh], axis=1) \
                 if held.shape[1] else fresh
         return held
+
+
+def _words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of ``rng``, or one more, from one
+    ``random_raw``: the low half of each 64-bit word first, as numpy's
+    bounded ``integers`` reads them."""
+    return rng.bit_generator.random_raw(max(0, count + 1) // 2).astype(
+        "<u8", copy=False).view("<u4")
 
 
 def minibatch_sequence(n: int, b: int, k_max: int, master_seed: int,
@@ -317,7 +397,7 @@ class MinibatchSource:
 
     ``exact`` mode: every minibatch (:func:`minibatches`) for every average,
     without noise.  ``monte_carlo`` mode: consecutive minibatches of
-    ``_stream(seed)``, each one ``integers`` draw per index and Floyd's
+    ``_stream(seed)``, each one bounded draw per index and Floyd's
     selection, and noise from ``_stream(seed, 0, _STREAM_NOISE)`` (stream
     layout v3), carrying on from one average to the next.
     Blocking changes no value: the streams are block-invariant, and a
@@ -414,11 +494,11 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     labels = np.concatenate([ds.labels for ds in datasets])
     chain_offset = n * np.arange(2)[:, None]
     start = np.array(starts, dtype=float)[None].repeat(lanes, axis=0)
-    index = _IndexStreams([_stream(config.master_seed, r, _STREAM_MINIBATCH)
-                           for r in replica_ids], n, config.batch_b)
+    index = _IndexStreams(_streams(config.master_seed, replica_ids,
+                                   _STREAM_MINIBATCH), n, config.batch_b)
     index.expect(k_max)
-    noise_rngs = [] if noise.kind == "none" else [
-        _stream(config.master_seed, r, _STREAM_NOISE) for r in replica_ids]
+    noise_rngs = [] if noise.kind == "none" else _streams(
+        config.master_seed, replica_ids, _STREAM_NOISE)
     checkpoints = np.array(list(checkpoints), dtype=np.int64)
     saved = np.full((lanes, len(checkpoints)) + start.shape[1:], np.nan)
     dist = np.full((lanes, k_max + 1), np.nan) if distances else None

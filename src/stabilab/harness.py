@@ -455,14 +455,21 @@ def _simulated_estimate(given: dict, cfg: dict, spec: dict, out_dir: Path):
 def _dominance_bound(given: dict, cfg: dict, exp: bnd.Experiment,
                      out_dir: Path) -> tuple:
     """(The bound, where it came from): the one ``bounds`` wrote to
-    ``out_dir`` for this config if it is admissible and finite (bounds.json
-    writes inf and NaN alike as null), else evaluated."""
+    ``out_dir`` for this config if it is admissible, else evaluated.
+    bounds.json writes inf and NaN alike as null: a null beside a finite
+    ``log_value`` whose exp overflows is +inf, the one pair that
+    ``bounds._perturbation_bound`` writes, and any other null is evaluated."""
     rep = _stamped(out_dir / "bounds.json", given) or {}
     value, used = rep.get("value"), rep.get("constants_used")
+    k, log_value = rep.get("k"), rep.get("log_value")
+    if value is None and type(log_value) is float and log_value < math.inf:
+        try:
+            math.exp(log_value)
+        except OverflowError:
+            value = math.inf
     if rep.get("admissible") is True and rep.get("regime") == cfg["regime"] \
-            and type(value) is float and math.isfinite(value) \
+            and type(value) is float and not math.isnan(value) \
             and type(used) is dict:
-        k, log_value = rep.get("k"), rep.get("log_value")
         return StabilityBound(
             cfg["regime"], value, math.inf if k == "inf" else k, used,
             -math.inf if log_value is None else log_value), "from bounds.json"

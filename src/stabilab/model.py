@@ -22,6 +22,7 @@ engine binds that kernel once per run and calls it every step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,10 +267,72 @@ def max_grad_norm(loss: LossModel, dataset: Dataset,
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """The Philox generator of ``seed`` and spawn key ``key``, the one place
-    a generator is built; key ``()`` is the plain ``SeedSequence(seed)``."""
+    """The Philox generator of ``seed`` and spawn key ``key``, the reference
+    that :func:`_streams` equals; key ``()`` is the plain
+    ``SeedSequence(seed)``."""
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(int(seed), spawn_key=key)))
+
+
+def _stream_keys(seed: int, ids, tag: int) -> np.ndarray:
+    """Each id's ``SeedSequence(seed, spawn_key=(id, tag)).generate_state(2,
+    np.uint64)``, shape (len(ids), 2), by numpy's mixing hash
+    (``numpy/random/bit_generator.pyx``): the seed's words, the same for
+    every lane, are mixed once in Python ints, the ids in one uint32 pass."""
+    seed, ids = int(seed), np.asarray(ids)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if ids.size and not 0 <= ids.min() <= ids.max() < 2 ** 32:
+        raise ValueError("a stream id must fit one 32-bit word")
+    mask, const = 0xFFFFFFFF, [0x43b0d7e5]     # advanced by every hashmix
+
+    def hashmix(value, mult=0x931e8875):
+        value = value ^ const[0]
+        const[0] = const[0] * mult & mask
+        value = value * const[0] & mask
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((0xca01f9dd * x & mask) - (0x4973f715 * y & mask)) & mask
+        return value ^ value >> 16
+
+    words = [seed >> s & mask for s in range(0, max(seed.bit_length(), 1),
+                                             32)]
+    words += [0] * (4 - len(words))     # a spawn key pads them to the pool
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:] + [ids.astype(np.uint32), tag]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const[0] = 0x8b51f9dd
+    state = np.stack([hashmix(v, 0x58f38ded) for v in pool], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _keyed() -> type:
+    """The seed sequence that hands Philox a precomputed key, defined on
+    first use, so that importing stabilab loads no ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Keyed(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key     # Philox asks for its two uint64 key words
+    return Keyed
+
+
+def _streams(seed: int, ids, tag: int) -> list:
+    """``[_stream(seed, id, tag) for id in ids]``, equal in key, counter and
+    draws, with every key from one :func:`_stream_keys`; ids below 2**32."""
+    keyed = _keyed()
+    return [np.random.Generator(np.random.Philox(keyed(key)))
+            for key in _stream_keys(seed, ids, tag)]
 
 
 def _points(spec: dict, count: int, rng: np.random.Generator) -> tuple:

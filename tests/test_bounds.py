@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from stabilab import model
-from stabilab.bounds import (InadmissibleError, _perturbation_bound,
+from stabilab.bounds import (REGIMES, InadmissibleError, _perturbation_bound,
                              bound_nonconvex_noisy, bound_nonconvex_plain,
                              bound_quadratic, bound_strongly_convex,
                              bound_subconvex, dissipative_radius, eta_bar,
                              eta_hat_gaussian_log, k0_constant,
                              rho_quadratic)
 from stabilab.model import AssumptionConstants
+from stabilab.verify import finite_or_null
 
 # frozen regression constants, computed once by independent closed-form
 # evaluation and pinned
@@ -297,6 +298,51 @@ class TestBoundSubconvex:
     def test_p_out_of_range(self):
         with pytest.raises(InadmissibleError):
             bound_subconvex(const(mu=1.0, p=2.0), 0.01, 1, 100)
+
+
+# (regime, bound, whether bounds.json pairs its null value with a finite
+# log_value): every regime at inputs whose value is not finite
+NON_FINITE = {
+    "Quadratic-inf": ("Quadratic", lambda: bound_quadratic(
+        0.9, 0.9, 1.0, 1e150, 0.1, 1, 10, 1e300, math.inf), True),
+    "Quadratic-nan": ("Quadratic", lambda: bound_quadratic(
+        0.9, 0.9, 1.0, 1.0, 0.1, 1, 10, math.nan, math.inf), False),
+    "StronglyConvex-inf": ("StronglyConvex", lambda: bound_strongly_convex(
+        const(mu=1.0, E=1e150), 0.01, 100, 0.0, math.inf), True),
+    "NonconvexNoisy-inf": ("NonconvexNoisy", lambda: bound_nonconvex_noisy(
+        const(m=1.0, K=0.5), 0.01, 1.0, 1, 100, 0.0, math.inf, 2.44,
+        LOG_ETA_HAT_FROZEN, 0.5), True),
+    "NonconvexPlain-inf": ("NonconvexPlain", lambda: bound_nonconvex_plain(
+        const(m=1.0, K=1e308), 0.01, 1, 100, 0.0, math.inf), False),
+    # 0 * inf at k = 0
+    "NonconvexPlain-nan": ("NonconvexPlain", lambda: bound_nonconvex_plain(
+        const(m=1.0, K=1e308), 0.01, 1, 100, 0.0, 0), False),
+    "SubConvexStationary-inf": ("SubConvexStationary",
+                                lambda: bound_subconvex(const(
+                                    mu=1.0, p=1.5, E=1e102, D=10.0), 1e-4,
+                                    1, 1), False),
+}
+
+
+def test_every_regime_has_a_non_finite_case():
+    assert {regime for regime, _, _ in NON_FINITE.values()} == set(REGIMES)
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_null_beside_finite_log_value_is_an_overflow(case):
+    # bounds.json writes inf and NaN alike as null; harness reads a null
+    # beside a finite log_value whose exp overflows as +inf, and only
+    # _perturbation_bound's overflow writes that pair (_log maps inf and
+    # NaN to non-finite values)
+    regime, bound, paired = NON_FINITE[case]
+    sb = bound()
+    rep = finite_or_null(sb.as_dict())
+    assert sb.regime == regime and rep["value"] is None
+    assert (rep["log_value"] is not None) == paired
+    if paired:
+        assert sb.value == math.inf
+        with pytest.raises(OverflowError):
+            math.exp(rep["log_value"])
 
 
 class TestDissipativeRadius:

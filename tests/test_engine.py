@@ -2,18 +2,18 @@
 
 * the minibatch streams against ``stream_oracle.floyd_row``, one
   ``integers`` call and one pick at a time, over several blocks, with and
-  without numpy's rejection of a word; their uniformity and their rows'
-  ranges; the block noise against per-step draws;
+  without numpy's rejection of a word and at n = 2**32; their uniformity
+  and their rows' ranges; the block noise against per-step draws;
 * the column-major Floyd selection against ``floyd_pick`` row by row, and
   the draws that the engine reads against Lemire's map of the mask and
   shift split of ``random_raw``;
 * the per-run minibatch buffer against the references, with refills inside
   blocks and runs, lane subsets and a word rejection between refills, and
-  its ``integers`` calls and held indices counted, at each workload's
+  its ``random_raw`` calls and held indices counted, at each workload's
   ensemble shape;
 * refills of about one block across the lanes against the same run, or
   Monte-Carlo averages, forced to one refill, bit for bit; the ensemble's
-  tracemalloc peak against k_max;
+  tracemalloc peak against k_max, and at wide-quadratic's shape;
 * the engine against a loop of scalar ``step`` calls, for every loss family,
   noise kind and chain pairing;
 * a replica's result against the size of the ensemble it runs in;
@@ -60,24 +60,27 @@ def split_words(rng, count):
     return words.ravel()[:count]
 
 
-def lemire_rows(n, b, rows, seed, replica_id):
+def lemire_rows(n, b, rows, seed, replica_id, floors=None):
     """Oracle: the replica's first ``rows`` rows of ``integers(0, highs)``,
-    highs = [n-b+1, ..., n] below 2**32, and whether a word was rejected.
+    highs = [n-b+1, ..., n] at most 2**32, and whether a word was rejected.
 
     Each draw maps the next word of ``split_words`` as numpy does: Lemire's
     multiply-shift, which rejects a word whose product's low half falls
-    below (2**32 - high) % high; a bound of 1 reads no word.
+    below (2**32 - high) % high, or below ``floors[t]`` for draw t where
+    given; a bound of 1 reads no word.
     """
     rng = dynamics._stream(seed, replica_id, dynamics._STREAM_MINIBATCH)
-    words = iter(split_words(rng, 2 * rows * b + 64).tolist())
+    words = iter(split_words(rng, 8 * rows * b + 64).tolist())
     draws, rejected = [], False
     for _ in range(rows):
-        for high in range(n - b + 1, n + 1):
+        for t, high in enumerate(range(n - b + 1, n + 1)):
             if high == 1:
                 draws.append(0)
                 continue
+            floor = (MASK32 + 1 - high) % high if floors is None \
+                else floors[t]
             m = next(words) * high
-            while (m & MASK32) < (MASK32 + 1 - high) % high:
+            while (m & MASK32) < floor:
                 rejected = True
                 m = next(words) * high
             draws.append(m >> 32)
@@ -161,6 +164,22 @@ class TestMinibatchReplay:
         with pytest.raises(ValueError):
             minibatch_sequence(4, 5, 3, 0, 0)
 
+    def test_bound_of_two_to_the_32_returns_the_raw_word(self, monkeypatch):
+        # at n = 2**32 the last draw's bound is 2**32: the word itself
+        n, b, rows = 2 ** 32, 3, 40
+        assert not rejects(n, b, rows, 5, 0)
+        assert np.array_equal(minibatch_sequence(n, b, rows, 5, 0),
+                              reference_rows(n, b, rows, 5, 0))
+        monkeypatch.setattr(dynamics, "_floyd", lambda draws, n: None)
+        rng = dynamics._stream(5, 0, dynamics._STREAM_MINIBATCH)
+        assert np.array_equal(minibatch_sequence(n, b, rows, 5, 0)[:, 2],
+                              split_words(rng, b * rows)[2::3])
+
+    def test_dataset_above_two_to_the_32_rejected(self):
+        index_streams(2 ** 32, 3, 5, [0])
+        with pytest.raises(ValueError, match="at most 2"):
+            index_streams(2 ** 32 + 1, 3, 5, [0])
+
 
 class TestColumnMajorReplay:
     """The column-major Floyd selection (every row at once, one column at a
@@ -209,31 +228,55 @@ class TestColumnMajorReplay:
                 want, _ = lemire_rows(n, b, sum(counts), 5, r)
                 assert np.array_equal(got[lane], want)
 
+    # b = n (a bound of 1 reads no word), b = n - 1 and one index a row,
+    # refills of 1 and 3 rows a lane and one refill
+    @pytest.mark.parametrize("n,b", [(8, 8), (8, 7), (2, 1), (1, 1)])
+    @pytest.mark.parametrize("cap", [1, 3, 1000])
+    def test_replays_at_raised_floors(self, monkeypatch, n, b, cap):
+        # floors of 2**31 reject half of all words, so most lanes replay
+        # from their first rejection in every refill, across the words a
+        # refill leaves over
+        monkeypatch.setattr(dynamics, "_floyd", lambda draws, n: None)
+        replica_ids, counts = [0, 4, 9], (3, 4, 1, 9, 2)
+        monkeypatch.setattr(dynamics, "_DRAW_INDICES",
+                            cap * len(replica_ids) * b)
+        streams = index_streams(n, b, 5, replica_ids)
+        streams.floor[streams.highs > 1] = 2 ** 31
+        streams.expect(sum(counts))
+        got = np.concatenate([streams.next_rows(c) for c in counts], axis=1)
+        for lane, r in enumerate(replica_ids):
+            want, _ = lemire_rows(n, b, sum(counts), 5, r,
+                                  streams.floor.tolist())
+            assert np.array_equal(got[lane], want)
+        assert all(len(words) <= 1 for words in streams.carry)
+
 
 class CountingStream:
-    """A generator that counts its ``integers`` calls."""
+    """A generator whose bit generator counts its ``random_raw`` calls."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, 0
+        self.bit_generator = self
 
-    def integers(self, *args, **kwargs):
+    def random_raw(self, *args, **kwargs):
         self.calls += 1
-        return self.rng.integers(*args, **kwargs)
+        return self.rng.bit_generator.random_raw(*args, **kwargs)
 
 
-def count_integers_calls(monkeypatch) -> list:
-    """The CountingStream of every minibatch stream ``dynamics._stream``
+def count_raw_calls(monkeypatch) -> list:
+    """The CountingStream of every minibatch stream ``dynamics._streams``
     builds from now on, in the order built."""
-    counters, stream = [], dynamics._stream
+    counters, streams = [], dynamics._streams
 
-    def counting_stream(master_seed, replica_id, tag):
-        rng = stream(master_seed, replica_id, tag)
+    def counting_streams(master_seed, replica_ids, tag):
+        rngs = streams(master_seed, replica_ids, tag)
         if tag != dynamics._STREAM_MINIBATCH:
-            return rng
-        counters.append(CountingStream(rng))
-        return counters[-1]
+            return rngs
+        rngs = [CountingStream(rng) for rng in rngs]
+        counters.extend(rngs)
+        return rngs
 
-    monkeypatch.setattr(dynamics, "_stream", counting_stream)
+    monkeypatch.setattr(dynamics, "_streams", counting_streams)
     return counters
 
 
@@ -252,7 +295,7 @@ class TestWordBuffer:
     """The per-run buffer of drawn minibatches against ``reference_rows``,
     with refills inside blocks and runs (``_DRAW_INDICES`` shrunk to a few
     rows a lane), for lane subsets and across a word rejection, and its
-    ``integers`` calls and held indices counted."""
+    ``random_raw`` calls and held indices counted."""
 
     # caps of 1, 3 and 7 rows a lane against blocks of 1 to 5 rows: a
     # refill per block, and blocks that open on held rows and refill
@@ -292,7 +335,7 @@ class TestWordBuffer:
         # replica 1's rejection falls in row 30 (see
         # TestMinibatchReplay.test_searched_seed_reaches_rejection): its
         # refill reads an odd number of words, so the refills after it
-        # open on the half word that Philox holds
+        # open on the half word carried on the lane's queue
         monkeypatch.setattr(dynamics, "_DRAW_INDICES", budget)
         n, b, rows = 10000, 200, 100
         streams = index_streams(n, b, 112, [0, 1])
@@ -300,8 +343,7 @@ class TestWordBuffer:
         blocks, half = [], []
         for c in (7,) * 14 + (2,):
             blocks.append(streams.next_rows(c))
-            half.append([rng.bit_generator.state["has_uint32"]
-                         for rng in streams.rngs])
+            half.append([len(words) for words in streams.carry])
         got = np.concatenate(blocks, axis=1)
         assert np.array_equal(got[1], reference_rows(n, b, rows, 112, 1))
         assert np.array_equal(got[0], reference_rows(n, b, rows, 112, 0))
@@ -329,8 +371,8 @@ class TestWordBuffer:
 
     def test_few_raw_calls_per_lane(self, monkeypatch):
         # wide-quadratic's ensemble: 800 indices a lane, against a cap of
-        # 1,024 a lane (2^20 over 1,024 lanes): one integers call each
-        counters = count_integers_calls(monkeypatch)
+        # 1,024 a lane (2^20 over 1,024 lanes): one random_raw call each
+        counters = count_raw_calls(monkeypatch)
         base = model.make_synthetic_dataset(
             {"n": 16, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 1.0}, 0)
@@ -343,7 +385,7 @@ class TestWordBuffer:
     def test_certify_grid_one_call_per_lane(self, monkeypatch):
         # certify-grid's ensemble: 2,000 indices a lane, against a cap of
         # 4,096 a lane (_LANE_DRAW_INDICES, above 2^16 over 64 lanes)
-        counters = count_integers_calls(monkeypatch)
+        counters = count_raw_calls(monkeypatch)
         base = model.make_synthetic_dataset(
             {"n": 8, "d": 2, "generator": "gaussian_clipped",
              "radius_D": 0.1, "label_range": 0.05}, 0)
@@ -356,7 +398,7 @@ class TestWordBuffer:
     def test_deep_noisy_refills_every_1024_rows(self, monkeypatch):
         # deep-noisy's ensemble: 2^16 indices over 16 lanes at b = 4 make
         # 1,024 rows a refill, ten over 10,000 steps
-        counters = count_integers_calls(monkeypatch)
+        counters = count_raw_calls(monkeypatch)
         loss, pair, noise = deep_noisy_case()
         run_ensemble(loss, pair, SGDConfig(0.2, 4, 10000, np.zeros(16), 3),
                      noise, 16)
@@ -393,7 +435,7 @@ class TestRefillSize:
                 (np.zeros(16), np.full(16, 0.5)),
                 SGDConfig(0.2, 4, k_max, np.zeros(16), 3), noise, range(16),
                 [1, 1023, 1024, 1025, 2048, 3072, k_max])
-        counters = count_integers_calls(monkeypatch)
+        counters = count_raw_calls(monkeypatch)
         run = run_lanes(*args, distances=True)
         assert [c.calls for c in counters] == [4] * 16
         self.one_refill_per_run(monkeypatch)
@@ -452,6 +494,23 @@ class TestRefillMemory:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 ** 18
         assert peaks[1] < 5 * 2 ** 20
+
+    def test_wide_quadratic_peak(self):
+        # 1,024 lanes each copy their leftover words out of their draw:
+        # about 9.25 MiB, where keeping them as views of the draws held
+        # every lane's draw alive (12.48 MiB)
+        base = model.make_synthetic_dataset(
+            {"n": 16, "d": 2, "generator": "gaussian_clipped",
+             "radius_D": 1.0}, 0)
+        args = (model.LossModel("Quadratic"), model.make_neighbor(base, 0, 1),
+                SGDConfig(0.5, 8, 100, np.zeros(2), 3), NoiseModel(), 1024)
+        tracemalloc.start()
+        try:
+            run_ensemble(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 2 ** 20
 
 
 class TestNoiseBlocks:

@@ -919,6 +919,22 @@ class TestCli:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_importing_the_cli_loads_no_numpy_random(self, tmp_path):
+        # numpy.random takes about 15 ms to import; model defines the seed
+        # sequence its batched streams need on first use
+        path = write_config(tmp_path, quadratic_config())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, stabilab.cli\n"
+                "from stabilab.harness import load_config\n"
+                "load_config(sys.argv[1])\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('numpy.random')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, str(path)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
+
 
 @pytest.mark.parametrize("k_max, ok", [(2 ** 58 - 2, True),
                                        (2 ** 58 - 1, False)])
@@ -1229,9 +1245,10 @@ def test_inadmissible_record_is_evaluated_again(tmp_path, monkeypatch,
     assert errs[0].count("\n") == 1
 
 
-def test_overflowed_bound_is_evaluated_again(tmp_path, monkeypatch, capsys):
+def test_overflowed_bound_is_read_as_inf(tmp_path, monkeypatch, capsys):
     # deep-noisy's bound overflows: bounds.json holds value null beside a
-    # finite log_value, and null may be inf or NaN alike
+    # finite log_value, which only an overflowed exp writes, so verify reads
+    # it as +inf and writes the certificates it writes without bounds.json
     cfg = copy.deepcopy(PIPELINES["deep-noisy"])
     cfg["certificates"] = [{"kind": "dominance", "k": 100}]
     path = write_config(tmp_path, cfg)
@@ -1239,10 +1256,13 @@ def test_overflowed_bound_is_evaluated_again(tmp_path, monkeypatch, capsys):
     rep = json.loads((tmp_path / "after" / "bounds.json").read_text())
     assert rep["value"] is None and math.isfinite(rep["log_value"])
     calls = _count_bounds(monkeypatch)
-    for out in ("after", "alone"):
+    outs = []
+    for out, evaluated in (("after", 0), ("alone", 1)):
         calls.clear()
         assert _cli("verify", path, tmp_path / out) == EXIT_OK
-        assert len(calls) == 1
-    assert ", bound evaluated," in capsys.readouterr().out
+        assert len(calls) == evaluated
+        outs.append(capsys.readouterr().out)
+    assert ", bound from bounds.json," in outs[0]
+    assert ", bound evaluated," in outs[1]
     assert (tmp_path / "after" / "certificates.jsonl").read_bytes() == \
         (tmp_path / "alone" / "certificates.jsonl").read_bytes()

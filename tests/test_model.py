@@ -305,11 +305,62 @@ def _generator_calls(node, where=()):
 
 
 def test_every_generator_is_built_by_stream():
+    # _streams builds the generators of _stream from precomputed keys
     calls = {(path.name, where, name)
              for path in Path(model.__file__).parent.glob("*.py")
              for where, name in _generator_calls(ast.parse(path.read_text()))}
     assert calls == {("model.py", ("_stream",), "Philox"),
-                     ("model.py", ("_stream",), "SeedSequence")}
+                     ("model.py", ("_stream",), "SeedSequence"),
+                     ("model.py", ("_streams",), "Philox")}
+
+
+class TestBatchedStreams:
+    """``_streams`` against one ``_stream`` per lane: Philox key, counter
+    and whole state, and the first draws."""
+
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 127 + 3]
+    IDS = [0, 1, 1023, 2 ** 31, 2 ** 32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("tag", [0, 1])
+    def test_equal_to_one_stream_per_lane(self, seed, tag):
+        for got, want in zip(model._streams(seed, self.IDS, tag),
+                             [model._stream(seed, i, tag) for i in self.IDS],
+                             strict=True):
+            got_state = got.bit_generator.state
+            want_state = want.bit_generator.state
+            for part in ("key", "counter"):
+                assert np.array_equal(got_state["state"][part],
+                                      want_state["state"][part])
+            assert np.array_equal(got_state["buffer"], want_state["buffer"])
+            assert [got_state[k] for k in ("buffer_pos", "has_uint32",
+                                           "uinteger")] == \
+                [want_state[k] for k in ("buffer_pos", "has_uint32",
+                                         "uinteger")]
+            assert np.array_equal(got.bit_generator.random_raw(5),
+                                  want.bit_generator.random_raw(5))
+            assert np.array_equal(got.integers(0, 1000, 7),
+                                  want.integers(0, 1000, 7))
+            assert np.array_equal(got.standard_normal(3),
+                                  want.standard_normal(3))
+
+    def test_keys_of_every_id_at_once(self):
+        keys = model._stream_keys(2 ** 64 + 5, range(300), 1)
+        assert keys.shape == (300, 2) and keys.dtype == np.uint64
+        assert np.array_equal(keys[123], np.random.SeedSequence(
+            2 ** 64 + 5, spawn_key=(123, 1)).generate_state(2, np.uint64))
+        assert model._streams(3, [], 0) == []
+
+    def test_negative_seed_raises_as_seed_sequence_does(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1, spawn_key=(0, 0))
+        with pytest.raises(ValueError):
+            model._streams(-1, [0], 0)
+
+    @pytest.mark.parametrize("bad", [2 ** 32, 2 ** 40, 2 ** 64, -1])
+    def test_id_beyond_one_word_raises(self, bad):
+        with pytest.raises(ValueError, match="32-bit word"):
+            model._streams(3, [0, bad], 0)
 
 
 class TestConstants:

@@ -10,7 +10,10 @@ advances L coupled pairs ("lanes", one per replica) as a single
 ``(L, 2, d)`` state array with one lane-vectorized gradient per step, for
 both pairings: two datasets from one start (:func:`run_ensemble`) and one
 dataset from two starts (``verify.check_contraction``).  The scalar
-:func:`step` is the reference path the engine is tested against.
+:func:`step` is the reference path the engine is tested against.  On one
+dataset, chains that reach one state coalesce (Propp & Wilson, *Exact
+sampling with coupled Markov chains*, 1996): the engine stops once every
+live lane's have and no checkpoint lies ahead.
 
 The engine's cost is a fixed handful of small numpy calls per step, so
 everything that can be done once is.  The loss's gradient kernel
@@ -464,6 +467,7 @@ class LaneRun(NamedTuple):
     states: np.ndarray        # (L, len(checkpoints), 2, d)
     diverged_at: np.ndarray   # (L,) first diverged step, k_max + 1 if none
     distances: np.ndarray | None   # (L, k_max + 1), NaN once diverged
+    steps: int                # steps run, k_max unless stepping stopped
 
 
 def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
@@ -478,7 +482,12 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     <= DIVERGENCE_GUARD (NaN included); it is frozen from then on and its
     states at later checkpoints are meaningless.  With ``distances`` the
     chain distance ||theta_k - theta_tilde_k|| is kept at every step.
-    Stepping stops once every lane has diverged.
+    Stepping stops once every lane has diverged, or, with one dataset object
+    for both chains and no checkpoint ahead, once every live lane's chains
+    are equal bit for bit (as uint64: -0.0 is not 0.0), checked before each
+    block and after each sub-block.  Such chains get the same rows, noise and
+    operations, so every later distance is 0; whether their common chain
+    would later diverge is not observed.
 
     The guard is checked once per block of steps: every lane runs the block
     unguarded into a buffer, then one vectorized check finds each lane's
@@ -503,6 +512,16 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     saved = np.full((lanes, len(checkpoints)) + start.shape[1:], np.nan)
     dist = np.full((lanes, k_max + 1), np.nan) if distances else None
     diverged_at = np.full(lanes, k_max + 1)
+    # the first step at which stepping may stop on coalescence
+    settle = checkpoints.max(initial=0) if datasets[0] is datasets[1] \
+        else k_max + 1
+
+    def coalesced(state, at):
+        """Whether stepping may stop at step ``at`` on ``state`` (L, 2, d)."""
+        if at < settle:
+            return False
+        bits = state.view(np.uint64)
+        return bool((bits[live, 0] == bits[live, 1]).all())
 
     def record(block, first):
         """Keep the checkpoints and distances of steps first, first + 1, ..."""
@@ -538,7 +557,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
         record(steps[:1], 0)
         k = 0
         for size in _blocks(k_max, rows):
-            if not live.any():
+            if not live.any() or coalesced(steps[0], k):
                 break
             # (step, lane, chain, b) indices into the stacked data
             rows_at = index.next_rows(size).swapaxes(0, 1)[:, :, None, :] \
@@ -564,6 +583,10 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
                     np.subtract(theta, g, out=after)
                     if kick is not None:
                         np.add(after, kick, out=after)
+                end = lo + len(part)
+                if end < size and coalesced(steps[end], k + end):
+                    size = end      # guarded below; the next check stops
+                    break
             block = steps[1:size + 1]
             ok = (_norms(block) <= DIVERGENCE_GUARD).all(axis=-1)
             failed = live & ~ok.all(axis=0)
@@ -583,8 +606,9 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     # every lane is frozen once the loop ends early
     saved[:, checkpoints > k] = steps[0][:, None]
     if dist is not None:
+        dist[:, k + 1:] = 0     # past k, every live lane has coalesced
         dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
-    return LaneRun(saved, diverged_at, dist)
+    return LaneRun(saved, diverged_at, dist, k)
 
 
 def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,

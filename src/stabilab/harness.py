@@ -478,15 +478,16 @@ def _dominance_bound(given: dict, cfg: dict, exp: bnd.Experiment,
 
 def _run_certificate(given: dict, cfg: dict, exp: bnd.Experiment,
                      spec: dict, out_dir: Path, bound) -> tuple:
-    """``spec``'s certificate, and where a dominance certificate's estimate
-    and bound came from ("" for the other kinds); ``bound()`` gives the
+    """``spec``'s certificate and what stdout adds to its line: where a
+    dominance certificate's estimate and bound came from, a contraction
+    certificate's ``note``, "" for the other kinds; ``bound()`` gives the
     (bound, its source)."""
     sgd, kind = exp.sgd, spec["kind"]
     args = {key: value for key, value in spec.items() if key != "kind"}
     if kind == "contraction":
-        return verify.check_contraction(exp.loss, exp.dataset, sgd.eta,
-                                        sgd.batch_b, noise=exp.noise,
-                                        **args), ""
+        cert = verify.check_contraction(exp.loss, exp.dataset, sgd.eta,
+                                        sgd.batch_b, noise=exp.noise, **args)
+        return cert, cert.note
     if kind == "drift":
         return verify.check_drift(exp.loss, exp.pair.perturbed, sgd.eta,
                                   sgd.batch_b, noise=exp.noise, **args), ""

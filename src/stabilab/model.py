@@ -278,7 +278,8 @@ def _stream_keys(seed: int, ids, tag: int) -> np.ndarray:
     """Each id's ``SeedSequence(seed, spawn_key=(id, tag)).generate_state(2,
     np.uint64)``, shape (len(ids), 2), by numpy's mixing hash
     (``numpy/random/bit_generator.pyx``): the seed's words, the same for
-    every lane, are mixed once in Python ints, the ids in one uint32 pass."""
+    every lane, are mixed once in Python ints; each later word is mixed into
+    the four pool words at once, as one (4, len(ids)) uint32 array."""
     seed, ids = int(seed), np.asarray(ids)
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -290,6 +291,14 @@ def _stream_keys(seed: int, ids, tag: int) -> np.ndarray:
         value = value ^ const[0]
         const[0] = const[0] * mult & mask
         value = value * const[0] & mask
+        return value ^ value >> 16
+
+    def hashmix4(value, mult=0x931e8875):
+        """Four hashmix calls as one: row j of ``value`` by constant j."""
+        col = np.array([const[0] * mult ** j & mask for j in range(5)],
+                       np.uint32)[:, None]
+        const[0] = int(col[4, 0])
+        value = (value ^ col[:4]) * col[1:]
         return value ^ value >> 16
 
     def mix(x, y):
@@ -304,12 +313,12 @@ def _stream_keys(seed: int, ids, tag: int) -> np.ndarray:
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    pool = np.array(pool, np.uint32)[:, None]
     for word in words[4:] + [ids.astype(np.uint32), tag]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        pool = mix(pool, hashmix4(word))
     const[0] = 0x8b51f9dd
-    state = np.stack([hashmix(v, 0x58f38ded) for v in pool], axis=-1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return hashmix4(pool, 0x58f38ded).T.astype("<u4", order="C").view(
+        "<u8").astype(np.uint64)
 
 
 @functools.cache

@@ -11,7 +11,10 @@ stated.  ``details`` always has ``points`` (the number tested), ``worst``,
 and the ``measured``, ``stderr`` and ``claim`` there.  Contraction tests
 k = 1..k_max, skipping k = 0 (Delta_0 is deterministic) and each k where
 every pair has merged; with none left it passes at ``points`` 0, margin
-+inf.  A true claim fails each point w.p. about 0.00135, so a pass at m
++inf.  Its run stops once every pair left has merged bit for bit, so
+divergence is seen only up to that step: a merged pair whose common chain
+would diverge later keeps distance 0, and ``first_diverged_k`` names a step
+that ran.  A true claim fails each point w.p. about 0.00135, so a pass at m
 points is a test at family-wise level at most 0.00135 m.
 """
 
@@ -51,6 +54,9 @@ class Certificate:
     margin: float          # signed slack, positive = satisfied
     details: dict = field(default_factory=dict)
     confidence: str = THREE_SIGMA
+
+    # what stdout says of the run beside the margin, never written out
+    note = ""
 
     def __post_init__(self):
         # checks compute passed from numpy scalars; JSON needs a bool
@@ -151,12 +157,16 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
                "seed": seed}
     diverged = run.diverged_at <= k_max
     if diverged.any():
-        return _diverged("contraction", int(diverged.sum()), details | {
+        cert = _diverged("contraction", int(diverged.sum()), details | {
             "first_diverged_k": int(run.diverged_at.min())})
-    mean, se = _mean_stderr(run.distances)
-    ks = np.flatnonzero(mean[1:] > 0) + 1
-    claim = claimed_rate ** ks * np.linalg.norm(theta0_a - theta0_b)
-    return _worst("contraction", (ks,), mean[ks], se[ks], claim, details)
+    else:
+        mean, se = _mean_stderr(run.distances)
+        ks = np.flatnonzero(mean[1:] > 0) + 1
+        claim = claimed_rate ** ks * np.linalg.norm(theta0_a - theta0_b)
+        cert = _worst("contraction", (ks,), mean[ks], se[ks], claim, details)
+    cert.note = f", {run.steps} of {k_max} steps" + (
+        ", every lane coalesced" if (run.distances[:, -1] == 0).all() else "")
+    return cert
 
 
 def check_drift(loss: LossModel, dataset_hat: Dataset, eta: float, b: int,

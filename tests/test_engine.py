@@ -753,7 +753,7 @@ def run_lanes_per_step(loss, datasets, starts, config, noise, replica_ids,
                 record(k)
     if dist is not None:
         dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
-    return dynamics.LaneRun(saved, diverged_at, dist)
+    return dynamics.LaneRun(saved, diverged_at, dist, k_max)
 
 
 # With eta = 1e13 the first step whose minibatch holds point HOT sends

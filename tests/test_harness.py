@@ -227,8 +227,9 @@ class TestVerifyCommand:
             {"kind": "contraction", "claimed_rate": 0.9, "k_max": 20,
              "R": 8}])
         cmd_verify(cfg, tmp_path)
-        assert re.fullmatch(r"PASS contraction: margin \S+ \(\d+\.\d\d s\)\n",
-                            capsys.readouterr().out)
+        assert re.fullmatch(
+            r"PASS contraction: margin \S+ \(\d+\.\d\d s, 20 of 20 steps\)\n",
+            capsys.readouterr().out)
         assert " s)" not in (tmp_path / "certificates.jsonl").read_text()
 
     def test_drift_certificate_sees_the_noise(self, tmp_path):

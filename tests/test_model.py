@@ -318,7 +318,9 @@ class TestBatchedStreams:
     """``_streams`` against one ``_stream`` per lane: Philox key, counter
     and whole state, and the first draws."""
 
-    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 127 + 3]
+    # 2 ** 160 + 9 has words past the pool's four, mixed one at a time
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 127 + 3,
+             2 ** 160 + 9]
     IDS = [0, 1, 1023, 2 ** 31, 2 ** 32 - 1]
 
     @pytest.mark.parametrize("seed", SEEDS)

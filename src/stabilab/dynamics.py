@@ -9,11 +9,11 @@ One engine, :func:`run_lanes`, runs every multi-step simulation.  It
 advances L coupled pairs ("lanes", one per replica) as a single
 ``(L, 2, d)`` state array with one lane-vectorized gradient per step, for
 both pairings: two datasets from one start (:func:`run_ensemble`) and one
-dataset from two starts (``verify.check_contraction``).  The scalar
+dataset from two starts (``verify.check_contraction``); it keeps no
+trajectory, but hands each block of states to the caller.  The scalar
 :func:`step` is the reference path the engine is tested against.  On one
 dataset, chains that reach one state coalesce (Propp & Wilson, *Exact
-sampling with coupled Markov chains*, 1996): the engine stops once every
-live lane's have and no checkpoint lies ahead.
+sampling with coupled Markov chains*, 1996): the engine then stops.
 
 The engine's cost is a fixed handful of small numpy calls per step, so
 everything that can be done once is.  The loss's gradient kernel
@@ -95,6 +95,7 @@ right after its minibatch.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -201,7 +202,7 @@ class ReplicaResult:
 
 @dataclass
 class CoupledEnsemble:
-    states: np.ndarray        # (R, len(checkpoints), 2, d), from run_lanes
+    states: np.ndarray        # (R, len(checkpoints), 2, d)
     checkpoints: list
     replicas: list            # ReplicaResult, ordered by replica id
 
@@ -464,36 +465,32 @@ def step(loss: LossModel, dataset: Dataset, theta: np.ndarray,
 
 
 class LaneRun(NamedTuple):
-    states: np.ndarray        # (L, len(checkpoints), 2, d)
+    state: np.ndarray         # (L, 2, d) after the last step run
     diverged_at: np.ndarray   # (L,) first diverged step, k_max + 1 if none
-    distances: np.ndarray | None   # (L, k_max + 1), NaN once diverged
     steps: int                # steps run, k_max unless stepping stopped
 
 
 def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
-              noise: NoiseModel, replica_ids, checkpoints=(),
-              distances: bool = False) -> LaneRun:
+              noise: NoiseModel, replica_ids, observe) -> LaneRun:
     """Advance one coupled pair per replica id as one (L, 2, d) state array.
 
     Chain c of every lane runs on ``datasets[c]`` from ``starts[c]``; both
     chains of a lane share that replica's minibatch and noise streams.
-    ``states[:, i]`` holds the lanes at step ``checkpoints[i]``.  A
-    lane diverges at the first step where either chain's norm is not
-    <= DIVERGENCE_GUARD (NaN included); it is frozen from then on and its
-    states at later checkpoints are meaningless.  With ``distances`` the
-    chain distance ||theta_k - theta_tilde_k|| is kept at every step.
-    Stepping stops once every lane has diverged, or, with one dataset object
-    for both chains and no checkpoint ahead, once every live lane's chains
-    are equal bit for bit (as uint64: -0.0 is not 0.0), checked before each
-    block and after each sub-block.  Such chains get the same rows, noise and
-    operations, so every later distance is 0; whether their common chain
-    would later diverge is not observed.
+    ``observe(first, block)`` is the one output: row s of the (rows, L, 2,
+    d) view ``block``, which the next block overwrites, holds the lanes at
+    step ``first + s``, from step 0 to the last step run.  A lane diverges
+    at the first step where either chain's norm is not <= DIVERGENCE_GUARD
+    (NaN included); it is frozen from then on.  Stepping stops once every
+    lane has diverged, or, with one dataset object for both chains, once
+    every live lane's chains are equal bit for bit (as uint64: -0.0 is not
+    0.0), checked before each block and after each sub-block.  Such chains
+    get the same rows, noise and operations, so they stay equal; whether
+    their common chain would later diverge is not observed.
 
     The guard is checked once per block of steps: every lane runs the block
     unguarded into a buffer, then one vectorized check finds each lane's
     first failing step and rolls the lane back to its last good state from
-    that step on.  States, divergence steps and distances are the same as
-    with a check after every step.
+    that step on, before the block is observed, as a check after each step.
     """
     replica_ids = list(replica_ids)
     lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
@@ -508,28 +505,13 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     index.expect(k_max)
     noise_rngs = [] if noise.kind == "none" else _streams(
         config.master_seed, replica_ids, _STREAM_NOISE)
-    checkpoints = np.array(list(checkpoints), dtype=np.int64)
-    saved = np.full((lanes, len(checkpoints)) + start.shape[1:], np.nan)
-    dist = np.full((lanes, k_max + 1), np.nan) if distances else None
     diverged_at = np.full(lanes, k_max + 1)
-    # the first step at which stepping may stop on coalescence
-    settle = checkpoints.max(initial=0) if datasets[0] is datasets[1] \
-        else k_max + 1
 
-    def coalesced(state, at):
-        """Whether stepping may stop at step ``at`` on ``state`` (L, 2, d)."""
-        if at < settle:
-            return False
+    def coalesced(state):
+        """Whether stepping may stop on ``state`` (L, 2, d)."""
         bits = state.view(np.uint64)
-        return bool((bits[live, 0] == bits[live, 1]).all())
-
-    def record(block, first):
-        """Keep the checkpoints and distances of steps first, first + 1, ..."""
-        hit = (checkpoints >= first) & (checkpoints < first + len(block))
-        saved[:, hit] = block[checkpoints[hit] - first].swapaxes(0, 1)
-        if dist is not None:
-            dist[:, first:first + len(block)] = _norms(
-                block[:, :, 0] - block[:, :, 1]).T
+        return datasets[0] is datasets[1] and bool(
+            (bits[live, 0] == bits[live, 1]).all())
 
     b, d = config.batch_b, start.shape[-1]
     rows = min(_block_rows(lanes, max(b, d)), max(k_max, 1),
@@ -554,10 +536,10 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         live = (_norms(start) <= DIVERGENCE_GUARD).all(axis=-1)
         diverged_at[~live] = 0
-        record(steps[:1], 0)
+        observe(0, steps[:1])
         k = 0
         for size in _blocks(k_max, rows):
-            if not live.any() or coalesced(steps[0], k):
+            if not live.any() or coalesced(steps[0]):
                 break
             # (step, lane, chain, b) indices into the stacked data
             rows_at = index.next_rows(size).swapaxes(0, 1)[:, :, None, :] \
@@ -584,7 +566,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
                     if kick is not None:
                         np.add(after, kick, out=after)
                 end = lo + len(part)
-                if end < size and coalesced(steps[end], k + end):
+                if end < size and coalesced(steps[end]):
                     size = end      # guarded below; the next check stops
                     break
             block = steps[1:size + 1]
@@ -600,15 +582,10 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
             if held.size:
                 at = np.minimum(np.arange(size + 1)[:, None], good[held])
                 steps[:size + 1, held] = steps[at, held]
-            record(block, k + 1)
+            observe(k + 1, block)
             steps[0] = steps[size]
             k += size
-    # every lane is frozen once the loop ends early
-    saved[:, checkpoints > k] = steps[0][:, None]
-    if dist is not None:
-        dist[:, k + 1:] = 0     # past k, every live lane has coalesced
-        dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
-    return LaneRun(saved, diverged_at, dist, k)
+    return LaneRun(steps[0].copy(), diverged_at, k)
 
 
 def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,
@@ -622,9 +599,19 @@ def run_ensemble(loss: LossModel, pair: NeighborPair, config: SGDConfig,
         checkpoints if checkpoints is not None else [config.k_max]))
     if checkpoints and checkpoints[-1] > config.k_max:
         raise ValueError("checkpoint beyond k_max")
-    run = run_lanes(loss, (pair.base, pair.perturbed),
+    at = np.array(checkpoints, dtype=np.int64)
+    states = np.full((R, len(at), 2) + config.theta0.shape, np.nan)
+
+    def keep(first, block):
+        hit = (at >= first) & (at < first + len(block))
+        states[:, hit] = block[at[hit] - first].swapaxes(0, 1)
+
+    # two objects even for a pair of one: no stop on coalescence
+    run = run_lanes(loss, (pair.base, copy.copy(pair.perturbed)),
                     (config.theta0, config.theta0), config, noise, range(R),
-                    checkpoints)
-    return CoupledEnsemble(run.states, checkpoints, [
+                    keep)
+    # a run that stops early has frozen every lane
+    states[:, at > run.steps] = run.state[:, None]
+    return CoupledEnsemble(states, checkpoints, [
         ReplicaResult(int(end) if end <= config.k_max else None)
         for end in run.diverged_at])

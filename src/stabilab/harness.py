@@ -403,7 +403,7 @@ def cmd_simulate(given: dict, out_dir) -> int:
     # a run_summary.json beside a half-written estimates.csv would vouch
     # for it (see _simulated_estimate)
     (out_dir / "run_summary.json").unlink(missing_ok=True)
-    with open(out_dir / "estimates.csv", "w", newline="") as fh:
+    with verify.new_file(out_dir / "estimates.csv", newline="") as fh:
         csv.writer(fh).writerows([
             ["k", "estimator", "p", "value", "stderr", "status"], *rows])
     _write_json(out_dir / "run_summary.json", _stamp(given) | {
@@ -555,7 +555,8 @@ def cmd_report(in_dir) -> int:
     if len(lines) <= 2:
         print(f"no stabilab outputs found in {in_dir}")
         return EXIT_USAGE
-    (in_dir / "report.md").write_text("\n".join(lines))
+    with verify.new_file(in_dir / "report.md") as fh:
+        fh.write("\n".join(lines))
     print(f"wrote {in_dir / 'report.md'}")
     return EXIT_OK
 
@@ -568,7 +569,7 @@ def _table(title: str, rows: list) -> list:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    with verify.new_file(path) as fh:
         json.dump(verify.finite_or_null(payload), fh, indent=2,
                   sort_keys=True, allow_nan=False)
         fh.write("\n")

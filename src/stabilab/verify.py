@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -75,8 +76,17 @@ def finite_or_null(obj):
     return obj
 
 
+def new_file(path, newline=None):
+    """``path`` opened for writing as a new file: an old file there is
+    unlinked first, so any other link to it keeps its bytes.  Truncating a
+    file that holds data, or renaming over it, can force a flush to disk
+    (ext4 does, as its ``auto_da_alloc`` default), and this does not."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", newline=newline)
+
+
 def write_certificates_jsonl(certs, path) -> None:
-    with open(path, "w") as fh:
+    with new_file(path) as fh:
         for cert in certs:
             fh.write(json.dumps(finite_or_null(asdict(cert)), sort_keys=True,
                                 allow_nan=False) + "\n")

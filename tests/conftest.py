@@ -1,11 +1,16 @@
-"""Every test fails once it has run for ``TEST_LIMIT_S`` seconds.
+"""Checks that hold for every test.
 
-The slowest test takes a few seconds, so a run that never stops stepping
-fails with a message naming the test instead of stalling the suite.  The
-limit is a SIGALRM timer, so it holds on POSIX only.
+* Every test fails once it has run for ``TEST_LIMIT_S`` seconds.  The
+  slowest test takes a few seconds, so a run that never stops stepping fails
+  with a message naming the test instead of stalling the suite.  The limit
+  is a SIGALRM timer, so it holds on POSIX only.
+* Every test fails that leaves a thread running which was not running
+  before it, such as a noise worker of ``dynamics.run_lanes`` that was
+  never joined.
 """
 
 import signal
+import threading
 
 import pytest
 
@@ -29,3 +34,14 @@ def time_limit(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left(request):
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()]
+    if left:
+        pytest.fail(f"{request.node.nodeid} left threads running: {left}",
+                    pytrace=False)

@@ -20,10 +20,19 @@
 * the block-checked divergence guard against the per-step guard it
   replaced (``run_lanes_per_step``), for lanes that diverge at step 0, at
   step 1, at the first and last step of a block and at a checkpoint, at
-  several block budgets.
+  several block budgets;
+* the noise worker: a noisy run of many blocks, whose noise a worker thread
+  draws one block ahead, against the same run as one block and against the
+  per-step guard, bit for bit; ``NoiseModel.fill`` against ``draw_block``;
+  the runs that start no thread; the worker joined on every exit, an error
+  from the observer or from a fill raised unchanged; concurrent runs under a
+  short switch interval.
 """
 
+import copy
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -32,7 +41,7 @@ import pytest
 from lane_oracle import Recorded, record_lanes
 from stream_oracle import floyd_pick, floyd_row
 
-from stabilab import dynamics, model
+from stabilab import dynamics, model, verify
 from stabilab.dynamics import (CoupledEnsemble, NoiseModel, SGDConfig,
                                minibatch_sequence, run_ensemble, run_lanes,
                                step)
@@ -923,3 +932,241 @@ class TestBlockSteps:
             tracemalloc.stop()
         assert run.diverged_at[0] == config.k_max + 1
         assert peak < 8 * 2 ** 20
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """Every thread started from now on (``threading.Thread.start``)."""
+    started, start = [], threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def one_block(monkeypatch):
+    """Make every run below one block."""
+    monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 1 << 30)
+    monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 1 << 40)
+
+
+def assert_equal_records(got, want):
+    for field in Recorded._fields:
+        assert np.array_equal(getattr(got, field), getattr(want, field),
+                              equal_nan=True), field
+
+
+# deep-noisy's ensemble blocks: 16 lanes at d = 16 make 256 steps a block
+DEEP_ROWS = 256
+
+
+def deep_noisy_lanes(k_max, noise=None):
+    """run_lanes' arguments, but the observer, for deep-noisy's ensemble."""
+    loss, pair, deep_noise = deep_noisy_case()
+    return (loss, (pair.base, pair.perturbed), (np.zeros(16),) * 2,
+            SGDConfig(0.2, 4, k_max, np.zeros(16), 3),
+            deep_noise if noise is None else noise, range(16))
+
+
+class TestNoiseWorker:
+    """From a run's second block on, while a third is to come, a worker
+    thread draws the next block's noise as this one is stepped: no value
+    changes, and the thread is joined however the run ends."""
+
+    @pytest.mark.parametrize("kind", ["gaussian_diag", "laplace"])
+    @pytest.mark.parametrize("pairing", ["two_datasets", "two_starts"])
+    def test_many_blocks_equal_one_block(self, monkeypatch, pairing, kind):
+        datasets, starts = explosive_datasets(pairing)
+        loss = model.LossModel("Quadratic")
+        config = SGDConfig(ETA_HOT, 1, GUARD_KMAX, starts[0], 5)
+        noise = NoiseModel(kind, (1e-15,) * 2)
+        pool = run_lanes_per_step(loss, datasets, starts, config, noise,
+                                  range(400)).diverged_at
+        # blocks of 5 steps: the worker draws blocks 2 to 4
+        monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 5)
+        lanes = pick_lanes(dict(enumerate(pool)), 5, GUARD_KMAX,
+                           GUARD_CHECKPOINTS)
+        lanes += [next(r for r, at in enumerate(pool) if r not in lanes
+                       and 10 < at < GUARD_KMAX and (at - 1) % 5 in (1, 2))]
+        args = (loss, datasets, starts, config, noise, lanes,
+                GUARD_CHECKPOINTS)
+        started = count_thread_starts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = record_lanes(*args)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert (many.diverged_at <= GUARD_KMAX).sum() == 5
+        one_block(monkeypatch)
+        one = record_lanes(*args)
+        assert len(started) == 1
+        assert_equal_records(many, one)
+        assert_equal_records(many, run_lanes_per_step(*args))
+
+    @pytest.mark.parametrize("pairing", ["two_datasets", "two_starts"])
+    def test_deep_noisy_shape_across_many_blocks(self, monkeypatch, pairing):
+        loss, datasets, starts, config, noise, _ = deep_noisy_lanes(120)
+        if pairing == "two_starts":
+            # two objects of one dataset: no stop on coalescence
+            datasets = (datasets[0], copy.copy(datasets[0]))
+            starts = (np.ones(16), starts[1])
+        args = (loss, datasets, starts, config, noise, [0, 5, 9],
+                [0, 40, 77, 120])
+        monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 8)
+        started = count_thread_starts(monkeypatch)
+        many = record_lanes(*args)
+        assert len(started) == 1 and many.steps == 120
+        one_block(monkeypatch)
+        assert_equal_records(many, record_lanes(*args))
+        assert_equal_records(many, run_lanes_per_step(*args))
+
+    @pytest.mark.parametrize("kind", ["gaussian_diag", "laplace"])
+    def test_fill_equals_draw_block(self, kind):
+        noise = NoiseModel(kind, (0.5, 2.0, 1.0))
+        seeds = (3, 4)
+        whole = [noise.draw_block(np.random.default_rng(s), 9)
+                 for s in seeds]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        out, lo = np.full((2, 9, 3), np.nan), 0
+        for rows in (2, 1, 6):
+            noise.fill(rngs, out[:, lo:lo + rows])
+            lo += rows
+        assert np.array_equal(out, whole)
+
+    def test_gaussian_fill_holds_no_block(self):
+        # deep-noisy's block: 16 lanes of 256 steps at d = 16, 512 KiB; the
+        # one allocation is numpy's 64 KiB ufunc buffer for ``*= scale``
+        noise = deep_noisy_case()[2]
+        rngs = [np.random.default_rng(s) for s in range(16)]
+        out = np.empty((16, DEEP_ROWS, 16))
+        tracemalloc.start()
+        try:
+            noise.fill(rngs, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 17
+
+    @pytest.mark.parametrize("k_max, threads", [
+        (DEEP_ROWS, 0), (DEEP_ROWS + 1, 0), (2 * DEEP_ROWS, 0),
+        (2 * DEEP_ROWS + 1, 1)])
+    def test_a_third_block_starts_the_worker(self, monkeypatch, k_max,
+                                             threads):
+        assert dynamics._block_rows(16, 16) == DEEP_ROWS
+        started = count_thread_starts(monkeypatch)
+        run = run_lanes(*deep_noisy_lanes(k_max), lambda first, block: None)
+        assert run.steps == k_max and len(started) == threads
+
+    def test_no_noise_starts_no_thread(self, monkeypatch):
+        started = count_thread_starts(monkeypatch)
+        run = run_lanes(*deep_noisy_lanes(5 * DEEP_ROWS, NoiseModel()),
+                        lambda first, block: None)
+        assert run.steps == 5 * DEEP_ROWS and not started
+
+    def test_stop_in_the_first_block_starts_no_thread(self, monkeypatch):
+        # deep-noisy's contraction certificate: its chains coalesce well
+        # inside the first block of 256 steps
+        loss, pair, noise = deep_noisy_case()
+        started = count_thread_starts(monkeypatch)
+        cert = verify.check_contraction(loss, pair.base, 0.2, 4, 0.9, 2000,
+                                        16, 3, np.ones(16), np.zeros(16),
+                                        noise)
+        steps = int(cert.note.split()[1])
+        assert steps < DEEP_ROWS and "every lane coalesced" in cert.note
+        assert not started
+
+    def test_coalescence_stop_joins_the_worker(self, monkeypatch):
+        loss, pair, noise = deep_noisy_case()
+        args = (loss, pair.base, 0.2, 4, 0.9, 2000, 16, 3, np.ones(16),
+                np.zeros(16), noise)
+        one = verify.check_contraction(*args)
+        monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 8)
+        started = count_thread_starts(monkeypatch)
+        many = verify.check_contraction(*args)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert int(many.note.split()[1]) > 2 * 8
+        assert many.margin == one.margin and many.details == one.details
+
+    def test_every_lane_diverged_joins_the_worker(self, monkeypatch):
+        datasets, starts = explosive_datasets("two_datasets")
+        loss = model.LossModel("Quadratic")
+        config = SGDConfig(ETA_HOT, 1, GUARD_KMAX, starts[0], 5)
+        noise = NoiseModel("gaussian_diag", (1e-15,) * 2)
+        pool = run_lanes_per_step(loss, datasets, starts, config, noise,
+                                  range(200)).diverged_at
+        lanes = [r for r, at in enumerate(pool) if 10 < at < 16][:4]
+        monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 3)
+        started = count_thread_starts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = run_lanes(loss, datasets, starts, config, noise, lanes,
+                            lambda first, block: None)
+        assert run.steps < GUARD_KMAX and np.all(run.diverged_at < 16)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_observer_error_in_block_3_propagates(self, monkeypatch):
+        error = RuntimeError("observer failed")
+
+        def observe(first, block):
+            if first == 3 * DEEP_ROWS + 1:
+                raise error
+
+        before = threading.active_count()
+        started = count_thread_starts(monkeypatch)
+        with pytest.raises(RuntimeError) as raised:
+            run_lanes(*deep_noisy_lanes(10 * DEEP_ROWS), observe)
+        assert raised.value is error
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_fill_error_propagates(self, monkeypatch):
+        error = MemoryError("fill failed")
+        fill, calls = NoiseModel.fill, []
+
+        def failing(self, rngs, out):
+            calls.append(threading.current_thread())
+            if len(calls) == 4:     # block 3, drawn by the worker
+                raise error
+            fill(self, rngs, out)
+
+        monkeypatch.setattr(NoiseModel, "fill", failing)
+        before = threading.active_count()
+        started = count_thread_starts(monkeypatch)
+        with pytest.raises(MemoryError) as raised:
+            run_lanes(*deep_noisy_lanes(10 * DEEP_ROWS),
+                      lambda first, block: None)
+        assert raised.value is error
+        assert calls[3] is started[0] is not threading.main_thread()
+        assert not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_under_a_short_switch_interval(self,
+                                                           monkeypatch):
+        # three runs on their own threads, each with a worker: six threads
+        # on however few cores, switching every microsecond
+        loss, pair, noise = deep_noisy_case()
+        config = SGDConfig(0.2, 4, 60, np.zeros(16), 3)
+
+        def run(i):
+            return record_lanes(loss, (pair.base, pair.perturbed),
+                                (np.zeros(16),) * 2, config, noise,
+                                range(4 * i, 4 * i + 4), [0, 30, 60])
+
+        want = [run(i) for i in range(3)]
+        monkeypatch.setattr(dynamics, "_BLOCK_STEPS", 4)
+        got = {}
+        threads = [threading.Thread(target=lambda i=i: got.update({i: run(i)}))
+                   for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(3):
+            assert_equal_records(got[i], want[i])

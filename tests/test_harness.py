@@ -1272,3 +1272,47 @@ def test_overflowed_bound_is_read_as_inf(tmp_path, monkeypatch, capsys):
     assert ", bound evaluated," in outs[1]
     assert (tmp_path / "after" / "certificates.jsonl").read_bytes() == \
         (tmp_path / "alone" / "certificates.jsonl").read_bytes()
+
+
+class TestOutputsReplaced:
+    """Every output file is unlinked and created anew, never truncated, so
+    a hard link to an old output keeps the old bytes."""
+
+    @staticmethod
+    def pipeline(cfg, out):
+        cmd_bounds(cfg, out)
+        cmd_simulate(cfg, out)
+        cmd_verify(cfg, out)
+        assert cmd_report(out) == EXIT_OK
+
+    def test_link_to_old_bounds_keeps_its_bytes(self, tmp_path):
+        cmd_bounds(quadratic_config(), tmp_path)
+        old = (tmp_path / "bounds.json").read_bytes()
+        os.link(tmp_path / "bounds.json", tmp_path / "old.json")
+        cmd_bounds(quadratic_config(bound={"k": 5}), tmp_path)
+        new = (tmp_path / "bounds.json").read_bytes()
+        assert new != old and json.loads(new)["k"] == 5
+        assert (tmp_path / "old.json").read_bytes() == old
+
+    def test_rerun_replaces_all_five_outputs(self, tmp_path):
+        names = ("bounds.json", "estimates.csv", "run_summary.json",
+                 "certificates.jsonl", "report.md")
+        certs = [{"kind": "contraction", "claimed_rate": 0.9, "k_max": 20,
+                  "R": 8}]
+        first = quadratic_config(replicas=8, certificates=certs)
+        second = quadratic_config(
+            replicas=8, certificates=certs,
+            sgd={"eta": 0.2, "batch_b": 1, "k_max": 60, "theta0": [0.5],
+                 "master_seed": 7})
+        self.pipeline(first, tmp_path / "out")
+        old = {}
+        for name in names:
+            old[name] = (tmp_path / "out" / name).read_bytes()
+            os.link(tmp_path / "out" / name, tmp_path / f"old-{name}")
+        self.pipeline(second, tmp_path / "out")
+        self.pipeline(second, tmp_path / "fresh")
+        for name in names:
+            assert (tmp_path / f"old-{name}").read_bytes() == old[name], name
+            new = (tmp_path / "out" / name).read_bytes()
+            assert new != old[name], name
+            assert new == (tmp_path / "fresh" / name).read_bytes(), name

@@ -22,16 +22,16 @@ everything that can be done once is.  The loss's gradient kernel
 (see :class:`_IndexStreams`), and per block of steps its noise is drawn
 in place into a lane-major ``(L, rows, d)`` buffer, then scaled by eta.
 The calling thread draws the first two blocks' noise; from the second block
-on, while a third is to come, one worker thread draws block i + 1's into a
-second buffer while the calling thread steps block i, since numpy draws
-with the interpreter lock released (see :func:`run_lanes` for why no value
-depends on thread timing).  Per sub-block, the minibatches' features and
-labels are gathered with ``np.take`` into fixed step-major buffers.  Every
-view a step touches is built once per run (theta_s, theta_{s+1}, theta_s's
-column, eta * xi_s, and each sub-block row's A_j, A_j^T and Y_j), so a step
-is one kernel call and three in-place ufunc calls, ``g *= eta``,
-``theta_{s+1} = theta_s - g`` and ``theta_{s+1} += eta * xi_s``, with no
-indexing, checks or temporaries.
+on, while a third is to come, the thread of a ``ThreadPoolExecutor(1)``
+draws block i + 1's into a second buffer while the calling thread steps
+block i, since numpy draws with the interpreter lock released (see
+:func:`run_lanes` for why no value depends on thread timing).  Per
+sub-block, the minibatches' features and labels are gathered with
+``np.take`` into fixed step-major buffers.  Every view a step touches is
+built once per run (theta_s, theta_{s+1}, theta_s's column, eta * xi_s,
+and each sub-block row's A_j, A_j^T and Y_j), so a step is one kernel call
+and three in-place ufunc calls, ``g *= eta``, ``theta_{s+1} = theta_s - g``
+and ``theta_{s+1} += eta * xi_s``, with no indexing, checks or temporaries.
 
 Stream layout v3 (``STREAM_VERSION``)
 -------------------------------------
@@ -101,10 +101,8 @@ right after its minibatch.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -490,57 +488,6 @@ class LaneRun(NamedTuple):
     steps: int                # steps run, k_max unless stepping stopped
 
 
-class _Worker:
-    """One thread, started by :meth:`start`, that runs the calls handed to
-    it, one at a time.
-
-    :meth:`submit` hands over a call and returns at once; :meth:`wait`
-    returns once that call has run, raising the very exception it raised.
-    Leaving the ``with`` block ends the thread after the call in flight, if
-    any, and drops that call's outcome.
-    """
-
-    def __init__(self):
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._call = self._error = self._thread = None
-
-    def start(self):
-        thread = threading.Thread(target=self._serve, daemon=True)
-        thread.start()
-        self._thread = thread
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            call = self._call
-            if call is None:
-                return
-            try:
-                call()
-            except BaseException as error:      # re-raised by wait
-                self._error = error
-            self._done.release()
-
-    def submit(self, call):
-        self._call = call
-        self._go.release()
-
-    def wait(self):
-        self._done.acquire()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._thread is not None:
-            self._call = None
-            self._go.release()
-            self._thread.join()
-
-
 def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
               noise: NoiseModel, replica_ids, observe) -> LaneRun:
     """Advance one coupled pair per replica id as one (L, 2, d) state array.
@@ -565,12 +512,18 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
 
     Each lane's noise is its own keyed stream, so which thread draws a block
     changes no value: blocks 0 and 1 are drawn by the calling thread, and
-    from block 1 on, while another block is to come, a worker thread draws
-    the next block's noise into a second buffer as this block is stepped.
-    A generator is read by one thread at a time and in block order, and a
-    block is stepped only once its draw has returned, so the results do not
-    depend on thread timing.  The worker is joined however the run ends.
+    from block 1 on, while another block is to come, a one-thread executor
+    draws the next block's noise into a second buffer as this block is
+    stepped; its thread starts on that first submit.  A generator is read by
+    one thread at a time and in block order, and a block is stepped only
+    once its draw's ``result()`` has returned (re-raising the draw's error),
+    so the results do not depend on thread timing.  Leaving the executor
+    joins its thread after any draw in flight, however the run ends.
     """
+    # imported on first use: concurrent.futures loads logging, about 4 ms
+    # that importing stabilab.cli does not pay
+    from concurrent.futures import ThreadPoolExecutor
+
     replica_ids = list(replica_ids)
     lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
     n = datasets[0].n
@@ -609,7 +562,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
         return buf, list(buf.swapaxes(0, 1)[:, :, None])
 
     kicks = kick_buffer() if noise_rngs else None
-    kick_at, spare = [None] * rows, None
+    kick_at, spare, ahead = [None] * rows, None, None
 
     def fill(buf, size):
         """eta * xi of every lane's next ``size`` steps into buf[:, :size];
@@ -626,7 +579,8 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     # sub-block row's A_j, A_j^T and Y_j
     thetas = list(zip(steps, steps[..., None]))
     in_sub = list(zip(A, A.swapaxes(-1, -2), Y))
-    with np.errstate(over="ignore", invalid="ignore"), _Worker() as worker:
+    with np.errstate(over="ignore", invalid="ignore"), \
+            ThreadPoolExecutor(1) as worker:
         live = (_norms(start) <= DIVERGENCE_GUARD).all(axis=-1)
         diverged_at[~live] = 0
         observe(0, steps[:1])
@@ -638,18 +592,15 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
             rows_at = index.next_rows(size).swapaxes(0, 1)[:, :, None, :] \
                 + chain_offset
             if kicks is not None:
-                rest = k_max - k - size     # steps after this block
-                if spare is None:
+                if ahead is None:
                     fill(kicks[0], size)
-                    if k and rest:      # the second block, a third to come
-                        spare = kick_buffer()
-                        worker.start()
-                else:
-                    worker.wait()
+                else:       # drawn on the worker as the last block stepped
+                    ahead.result()
                     kicks, spare = spare, kicks
-                if spare is not None and rest:
-                    worker.submit(functools.partial(fill, spare[0],
-                                                    min(rows, rest)))
+                rest = k_max - k - size     # steps after this block
+                if k and rest:      # from the second block on, more to come
+                    spare = spare or kick_buffer()
+                    ahead = worker.submit(fill, spare[0], min(rows, rest))
                 kick_at = kicks[1]
             # a failed lane steps on (to inf or NaN, quietly) until the
             # block ends and it is rolled back

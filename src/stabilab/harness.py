@@ -533,25 +533,33 @@ def cmd_verify(given: dict, out_dir) -> int:
 def cmd_report(in_dir) -> int:
     in_dir = Path(in_dir)
     lines = ["# stabilab report", ""]
-    if (in_dir / "bounds.json").exists():
-        rep = json.loads((in_dir / "bounds.json").read_text())
-        value = rep.get("value")
-        if value is None and rep.get("log_value") is not None:
-            value = f"exp({rep['log_value']})"    # overflowed to null
-        lines += _table("Theoretical bound", [
-            ("regime", "k", "value", "admissible"),
-            (rep.get("regime"), rep.get("k"), value, rep.get("admissible"))])
-    if (in_dir / "estimates.csv").exists():
-        with open(in_dir / "estimates.csv") as fh:
-            lines += _table("Empirical estimates", list(csv.reader(fh)))
-    if (in_dir / "certificates.jsonl").exists():
-        with open(in_dir / "certificates.jsonl") as fh:
-            certs = [json.loads(line) for line in fh]
-        keys = (*verify.WORST_KEYS, "diverged_replicas")
-        lines += _table("Certificates", [("kind", "passed", "margin", *keys)]
-                        + [(c["kind"], c["passed"], c["margin"],
-                            *(c["details"].get(key, "") for key in keys))
-                           for c in certs])
+    try:
+        path = in_dir / "bounds.json"
+        if path.exists():
+            rep = json.loads(path.read_text())
+            head = ("regime", "k", "value", "admissible")
+            if rep.get("value") is None and rep.get("log_value") is not None:
+                rep["value"] = f"exp({rep['log_value']})"   # overflowed
+            lines += _table("Theoretical bound",
+                            [head, [rep.get(key) for key in head]])
+        path = in_dir / "estimates.csv"
+        if path.exists():
+            with open(path) as fh:
+                lines += _table("Empirical estimates", list(csv.reader(fh)))
+        path = in_dir / "certificates.jsonl"
+        if path.exists():
+            with open(path) as fh:
+                certs = [json.loads(line) for line in fh]
+            head = ("kind", "passed", "margin")
+            keys = (*verify.WORST_KEYS, "diverged_replicas")
+            lines += _table("Certificates", [head + keys] + [
+                [c[key] for key in head]
+                + [c["details"].get(key, "") for key in keys] for c in certs])
+    except (ValueError, LookupError, TypeError, AttributeError,
+            csv.Error) as exc:      # a file no stabilab command wrote
+        print(f"error: {path}: not a stabilab output: {exc!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if len(lines) <= 2:
         print(f"no stabilab outputs found in {in_dir}")
         return EXIT_USAGE

@@ -1120,8 +1120,11 @@ class TestNoiseWorker:
         assert len(started) == 1 and not started[0].is_alive()
         assert threading.active_count() == before
 
-    def test_fill_error_propagates(self, monkeypatch):
-        error = MemoryError("fill failed")
+    # KeyboardInterrupt is a BaseException that is not an Exception
+    @pytest.mark.parametrize("error", [MemoryError("fill failed"),
+                                       KeyboardInterrupt("fill stopped")],
+                             ids=lambda e: type(e).__name__)
+    def test_fill_error_propagates(self, monkeypatch, error):
         fill, calls = NoiseModel.fill, []
 
         def failing(self, rngs, out):
@@ -1133,7 +1136,7 @@ class TestNoiseWorker:
         monkeypatch.setattr(NoiseModel, "fill", failing)
         before = threading.active_count()
         started = count_thread_starts(monkeypatch)
-        with pytest.raises(MemoryError) as raised:
+        with pytest.raises(type(error)) as raised:
             run_lanes(*deep_noisy_lanes(10 * DEEP_ROWS),
                       lambda first, block: None)
         assert raised.value is error

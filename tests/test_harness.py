@@ -856,6 +856,23 @@ class TestReportCommand:
     def test_empty_directory_is_usage_error(self, tmp_path):
         assert cmd_report(tmp_path) == harness.EXIT_USAGE
 
+    @pytest.mark.parametrize("name, text", [
+        ("bounds.json", '{"regime": "Quadratic", "k": 10, "val'),
+        ("bounds.json", '[1, 2]'),
+        ("certificates.jsonl", '{"kind": "contraction", "margin": 0.1, '
+                               '"details": {}}\n')],
+        ids=["truncated", "list", "no-passed"])
+    def test_malformed_output_is_one_error_line(self, tmp_path, capsys,
+                                                name, text):
+        (tmp_path / name).write_text(text)
+        assert cli.main(["report", "--in", str(tmp_path)]) \
+            == harness.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / name}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.md").exists()
+
 
 class TestCli:
     def test_end_to_end(self, tmp_path):
@@ -924,14 +941,16 @@ class TestCli:
 
     def test_importing_the_cli_loads_no_numpy_random(self, tmp_path):
         # numpy.random takes about 15 ms to import; model defines the seed
-        # sequence its batched streams need on first use
+        # sequence its batched streams need on first use.  Nor does it load
+        # concurrent.futures, which loads logging: run_lanes imports its
+        # executor when it runs
         path = write_config(tmp_path, quadratic_config())
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys, stabilab.cli\n"
                 "from stabilab.harness import load_config\n"
                 "load_config(sys.argv[1])\n"
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith('numpy.random')))")
+                "print(sorted(m for m in sys.modules if m.startswith(("
+                "'numpy.random', 'concurrent.futures', 'logging'))))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code, str(path)],
                              env=env, capture_output=True, text=True,

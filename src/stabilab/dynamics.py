@@ -100,6 +100,7 @@ right after its minibatch.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import math
@@ -514,16 +515,14 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     changes no value: blocks 0 and 1 are drawn by the calling thread, and
     from block 1 on, while another block is to come, a one-thread executor
     draws the next block's noise into a second buffer as this block is
-    stepped; its thread starts on that first submit.  A generator is read by
-    one thread at a time and in block order, and a block is stepped only
-    once its draw's ``result()`` has returned (re-raising the draw's error),
-    so the results do not depend on thread timing.  Leaving the executor
-    joins its thread after any draw in flight, however the run ends.
+    stepped; the executor is made, and ``concurrent.futures`` imported, only
+    for that first submit, so a run with no third block starts no thread
+    and loads neither.  A generator is read by one thread at a time and in
+    block order, and a block is stepped only once its draw's ``result()``
+    has returned (re-raising the draw's error), so the results do not
+    depend on thread timing.  Leaving the executor joins its thread after
+    any draw in flight, however the run ends.
     """
-    # imported on first use: concurrent.futures loads logging, about 4 ms
-    # that importing stabilab.cli does not pay
-    from concurrent.futures import ThreadPoolExecutor
-
     replica_ids = list(replica_ids)
     lanes, k_max, eta = len(replica_ids), config.k_max, config.eta
     n = datasets[0].n
@@ -562,7 +561,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
         return buf, list(buf.swapaxes(0, 1)[:, :, None])
 
     kicks = kick_buffer() if noise_rngs else None
-    kick_at, spare, ahead = [None] * rows, None, None
+    kick_at, spare, ahead, worker = [None] * rows, None, None, None
 
     def fill(buf, size):
         """eta * xi of every lane's next ``size`` steps into buf[:, :size];
@@ -580,7 +579,7 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
     thetas = list(zip(steps, steps[..., None]))
     in_sub = list(zip(A, A.swapaxes(-1, -2), Y))
     with np.errstate(over="ignore", invalid="ignore"), \
-            ThreadPoolExecutor(1) as worker:
+            contextlib.ExitStack() as stack:
         live = (_norms(start) <= DIVERGENCE_GUARD).all(axis=-1)
         diverged_at[~live] = 0
         observe(0, steps[:1])
@@ -599,6 +598,12 @@ def run_lanes(loss: LossModel, datasets, starts, config: SGDConfig,
                     kicks, spare = spare, kicks
                 rest = k_max - k - size     # steps after this block
                 if k and rest:      # from the second block on, more to come
+                    if worker is None:
+                        # imported here: concurrent.futures loads logging,
+                        # about 4 ms and 0.6 MB that a run with no third
+                        # block does not pay
+                        from concurrent.futures import ThreadPoolExecutor
+                        worker = stack.enter_context(ThreadPoolExecutor(1))
                     spare = spare or kick_buffer()
                     ahead = worker.submit(fill, spare[0], min(rows, rest))
                 kick_at = kicks[1]

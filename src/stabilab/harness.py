@@ -561,7 +561,8 @@ def cmd_report(in_dir) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if len(lines) <= 2:
-        print(f"no stabilab outputs found in {in_dir}")
+        print(f"error: no stabilab outputs found in {in_dir}",
+              file=sys.stderr)
         return EXIT_USAGE
     with verify.new_file(in_dir / "report.md") as fh:
         fh.write("\n".join(lines))

@@ -260,8 +260,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     ties = a == top
     count = np.sum(ties, axis=-1, keepdims=True, dtype=a.dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top), axis=-1,
-                   keepdims=True)
+        # exp(a - max) in place, then the tied maxima's terms set to 0:
+        # they are counted in ``count``, not summed
+        e = np.subtract(a, top)
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=ties)
+        s = np.sum(e, axis=-1, keepdims=True)
         out = (np.log1p(np.where(s == 0, s, s / count)) + np.log(count)
                + top)[..., 0]
         bad = ~np.isfinite(out)
@@ -278,6 +282,13 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
 
     Works on blocks of about ``dynamics._BLOCK_ELEMENTS`` elements (one
     gradient per block of thetas); no value depends on the blocking.
+
+    Each component's exponent sum_k (theta1_k - mean_k)^2 / var_k is
+    accumulated one coordinate at a time into one (tc, jc, C) buffer, with
+    no (tc, jc, C, d) temporaries.  That equals numpy's sum over a last
+    axis bit for bit for d <= 2 only, the certificate's limit: a sum over
+    two terms is x0 + x1 either way, but from d = 3 on numpy's reduction
+    may add in another order.
     """
     C, b = omegas.shape
     d = thetas.shape[-1]
@@ -287,11 +298,19 @@ def _log_densities(loss: LossModel, dataset: Dataset, eta: float,
     tc = _block_rows(C, max(b, d))
     for t in range(0, len(thetas), tc):
         ts = thetas[t:t + tc, None, :]
-        means = (ts - eta * grad_batch(loss, ts, A, Y))[:, None]
+        means = ts - eta * grad_batch(loss, ts, A, Y)     # (tc, C, d)
         jc = _block_rows(len(ts) * C, d)
         for j in range(0, len(theta1s), jc):
-            diff = theta1s[j:j + jc, None, :] - means    # (tc, jc, C, d)
-            comps = log_norm - 0.5 * np.sum(diff ** 2 / var, axis=-1)
+            for k in range(d):
+                part = theta1s[j:j + jc, None, k] - means[:, None, :, k]
+                np.square(part, out=part)
+                part /= var[k]
+                if k:
+                    comps += part
+                else:
+                    comps = part
+            comps *= 0.5
+            np.subtract(log_norm, comps, out=comps)
             out[t:t + tc, j:j + jc] = _logsumexp(comps) - math.log(C)
     return out
 
@@ -312,6 +331,9 @@ def check_minorization_gaussian(loss: LossModel, dataset: Dataset, eta: float,
     if d > 2:
         raise ValueError("minorization grid check supports d <= 2 only")
     Sigma = np.atleast_1d(np.asarray(Sigma, dtype=float))
+    if Sigma.shape != (d,):
+        raise ValueError(f"Sigma must have d = {d} entries, got shape "
+                         f"{Sigma.shape}")
     omegas = minibatches(dataset.n, b)
     theta_star = empirical_minimizer(loss, dataset)
     grad_sup = max_grad_norm(loss, dataset, theta_star)

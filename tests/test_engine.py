@@ -24,13 +24,16 @@
 * the noise worker: a noisy run of many blocks, whose noise a worker thread
   draws one block ahead, against the same run as one block and against the
   per-step guard, bit for bit; ``NoiseModel.fill`` against ``draw_block``;
-  the runs that start no thread; the worker joined on every exit, an error
+  the runs that start no thread, and in a fresh interpreter the runs that
+  load no ``concurrent.futures``; the worker joined on every exit, an error
   from the observer or from a fill raised unchanged; concurrent runs under a
   short switch interval.
 """
 
 import copy
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -1057,6 +1060,33 @@ class TestNoiseWorker:
         started = count_thread_starts(monkeypatch)
         run = run_lanes(*deep_noisy_lanes(k_max), lambda first, block: None)
         assert run.steps == k_max and len(started) == threads
+
+    def test_a_third_block_loads_concurrent_futures(self):
+        # in a fresh interpreter, after each run in turn: no noise over ten
+        # blocks, noise over two blocks, then noise over three blocks
+        code = (
+            "import copy, sys\n"
+            "import numpy as np\n"
+            "from stabilab import dynamics, model\n"
+            "dynamics._BLOCK_STEPS = 4\n"
+            "ds = model.make_synthetic_dataset({'n': 8, 'd': 2, "
+            "'generator': 'gaussian_clipped', 'radius_D': 1.0}, 0)\n"
+            "for noise, k_max in ((dynamics.NoiseModel(), 40),\n"
+            "        (dynamics.NoiseModel('gaussian_diag', (0.5, 0.5)), 8),\n"
+            "        (dynamics.NoiseModel('gaussian_diag', (0.5, 0.5)), 9)):\n"
+            "    run = dynamics.run_lanes(\n"
+            "        model.LossModel('Quadratic'), (ds, copy.copy(ds)),\n"
+            "        (np.zeros(2), np.ones(2)),\n"
+            "        dynamics.SGDConfig(0.1, 2, k_max, np.zeros(2), 1),\n"
+            "        noise, range(3), lambda first, block: None)\n"
+            "    print(run.steps, 'concurrent.futures' in sys.modules,\n"
+            "          'logging' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "40 False False", "8 False False", "9 True True"]
 
     def test_no_noise_starts_no_thread(self, monkeypatch):
         started = count_thread_starts(monkeypatch)

@@ -7,7 +7,8 @@ scalar references they replaced.
   for a neighbor pair (rho, rho_hat and E||q_hat||) against the separate
   calls and the per-minibatch loops;
 * the minorization log-density-ratio grid against the per-point mixture
-  density, element by element, in d = 1 and d = 2 and at any block budget;
+  density, element by element, in d = 1 and d = 2, with equal and (in
+  d = 2) distinct noise variances, and at any block budget;
 * the drift (exact and Monte-Carlo, with and without noise) and kernel-gap
   certificates against per-sample ``dynamics.step`` loops on the same
   random streams (stream layout v3: one ``stream_oracle.floyd_row`` per
@@ -370,28 +371,36 @@ def grid(d, radius, size, center):
     return np.stack([ax.ravel() for ax in axes], axis=1) + center
 
 
+# noise covariances of the grid tests: equal per coordinate, and in d = 2
+# distinct, so that each coordinate must be divided by its own variance
+SIGMAS = {1: [np.full(1, 0.4)],
+          2: [np.full(2, 0.4), np.array([0.3, 0.5])]}
+
+
 class TestMinorizationGrid:
     @pytest.mark.parametrize("d,b", [(1, 1), (1, 2), (1, 5), (2, 1), (2, 3),
                                      (2, 6)])
     def test_every_ratio_equals_pointwise_density(self, d, b):
         loss, ds = minorization_case(d)
-        eta, Sigma = 0.2, np.full(d, 0.4)
+        eta = 0.2
         star = model.empirical_minimizer(loss, ds)
         thetas, theta1s = grid(d, 1.5, 7, star), grid(d, 1.0, 5, star)
         omegas = minibatches(ds.n, b)
-        var = eta ** 2 * Sigma
-        at_star = verify._log_densities(loss, ds, eta, var, star[None],
-                                        theta1s, omegas)[0]
-        ratios = verify._log_densities(loss, ds, eta, var, thetas, theta1s,
-                                       omegas) - at_star
-        ref_star = np.array([log_mixture_density(loss, ds, eta, Sigma, star,
-                                                 t1, omegas)
-                             for t1 in theta1s])
-        ref = np.array([[log_mixture_density(loss, ds, eta, Sigma, t, t1,
-                                             omegas) - ref_star[j]
-                         for j, t1 in enumerate(theta1s)] for t in thetas])
-        assert_same(at_star, ref_star)
-        assert_same(ratios, ref)
+        for Sigma in SIGMAS[d]:
+            var = eta ** 2 * Sigma
+            at_star = verify._log_densities(loss, ds, eta, var, star[None],
+                                            theta1s, omegas)[0]
+            ratios = verify._log_densities(loss, ds, eta, var, thetas,
+                                           theta1s, omegas) - at_star
+            ref_star = np.array([log_mixture_density(loss, ds, eta, Sigma,
+                                                     star, t1, omegas)
+                                 for t1 in theta1s])
+            ref = np.array([[log_mixture_density(loss, ds, eta, Sigma, t, t1,
+                                                 omegas) - ref_star[j]
+                             for j, t1 in enumerate(theta1s)]
+                            for t in thetas])
+            assert_same(at_star, ref_star)
+            assert_same(ratios, ref)
 
     @pytest.mark.parametrize("budget", [1, 7, 64, 999])
     def test_block_budget_changes_no_value(self, budget, monkeypatch):
@@ -399,13 +408,20 @@ class TestMinorizationGrid:
         star = model.empirical_minimizer(loss, ds)
         thetas, theta1s = grid(2, 1.5, 9, star), grid(2, 1.0, 7, star)
         omegas = minibatches(ds.n, 3)
-        var = np.full(2, 0.02)
-        wide = verify._log_densities(loss, ds, 0.2, var, thetas, theta1s,
-                                     omegas)
+        Sigma = SIGMAS[2][1]
+        variances = [np.full(2, 0.02), 0.2 ** 2 * Sigma]
+        wide = [verify._log_densities(loss, ds, 0.2, var, thetas, theta1s,
+                                      omegas) for var in variances]
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
-        narrow = verify._log_densities(loss, ds, 0.2, var, thetas, theta1s,
-                                       omegas)
-        assert np.array_equal(wide, narrow)
+        for var, want in zip(variances, wide):
+            narrow = verify._log_densities(loss, ds, 0.2, var, thetas,
+                                           theta1s, omegas)
+            assert np.array_equal(want, narrow)
+        # distinct variances: each coordinate divided by its own, at two
+        # corners of the grid
+        for t, j in ((0, 0), (-1, -1)):
+            assert wide[1][t, j] == log_mixture_density(
+                loss, ds, 0.2, Sigma, thetas[t], theta1s[j], omegas)
 
     def test_certificate_reports_its_worst_point(self):
         loss, ds = minorization_case(2)
@@ -440,8 +456,8 @@ class TestMinorizationGrid:
 
     def test_fine_grid_2d_within_budget(self):
         # n_grid = 33: 797 x 797 grid points x C(6, 3) = 20 components;
-        # about 1 s on a 2-CPU Xeon, against an extrapolated 15-20 minutes
-        # point by point
+        # well under 1 s on a 2-CPU Xeon, against an extrapolated 15-20
+        # minutes point by point
         loss, ds = minorization_case(2)
         start = time.perf_counter()
         cert = check_minorization_gaussian(loss, ds, 0.2, 3, [0.4, 0.4],

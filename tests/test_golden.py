@@ -13,11 +13,17 @@ says why:
 The goldens were written on an AVX-512 Xeon with numpy 2.4.6; numpy's SIMD
 transcendentals round differently on other CPUs, so a mismatch on another
 host is a finding about that host, not a reason for a tolerance.
+
+The thread count must not change a byte: certify-grid's pipeline, run in
+two fresh interpreters with ``OPENBLAS_NUM_THREADS=1`` and ``=2``, writes
+the same four files.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,13 +48,16 @@ def run_pipeline(config: Path, out: Path) -> dict:
     return codes
 
 
-def first_difference(want: bytes, got: bytes) -> str:
+def first_difference(want: bytes, got: bytes,
+                     names=("golden", "got")) -> str:
     want_lines, got_lines = want.splitlines(), got.splitlines()
+    width = max(map(len, names)) + 1
     for i, (w, g) in enumerate(zip(want_lines, got_lines), start=1):
         if w != g:
-            return f"line {i}:\n  golden: {w!r}\n  got:    {g!r}"
-    return (f"line {min(len(want_lines), len(got_lines)) + 1}: golden has "
-            f"{len(want_lines)} lines, got {len(got_lines)}")
+            return (f"line {i}:\n  {names[0] + ':':{width}} {w!r}\n"
+                    f"  {names[1] + ':':{width}} {g!r}")
+    return (f"line {min(len(want_lines), len(got_lines)) + 1}: {names[0]} "
+            f"has {len(want_lines)} lines, {names[1]} {len(got_lines)}")
 
 
 def test_every_workload_has_a_golden():
@@ -67,6 +76,35 @@ def test_outputs_match_golden(tmp_path, name):
         if got != want:
             pytest.fail(f"{name}/{output} differs from the golden at "
                         + first_difference(want, got), pytrace=False)
+
+
+def test_thread_count_changes_no_byte(tmp_path):
+    # run_pipeline in two fresh interpreters: OpenBLAS reads its thread
+    # count when numpy loads
+    code = ("import json, sys\nfrom pathlib import Path\n"
+            "from test_golden import run_pipeline\n"
+            "print(json.dumps(run_pipeline(*map(Path, sys.argv[1:]))))")
+    config = GOLDEN / "certify-grid" / "config.json"
+    path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    settings = ("OPENBLAS_NUM_THREADS=1", "OPENBLAS_NUM_THREADS=2")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code, str(config),
+                              str(out)], env=env, capture_output=True,
+                             text=True, check=True)
+        runs.append((json.loads(run.stdout),
+                     [(out / output).read_bytes() for output in OUTPUTS]))
+    (codes_one, files_one), (codes_two, files_two) = runs
+    assert codes_one == codes_two, settings
+    for output, one, two in zip(OUTPUTS, files_one, files_two):
+        if one != two:
+            pytest.fail(f"certify-grid/{output} differs between "
+                        f"{settings[0]} and {settings[1]} at "
+                        + first_difference(one, two, settings),
+                        pytrace=False)
 
 
 def write_goldens() -> None:

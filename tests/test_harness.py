@@ -853,8 +853,13 @@ class TestReportCommand:
         assert "| dominance | False | 0.0 |  |  |  |  |  | 3 |" \
             in (tmp_path / "report.md").read_text()
 
-    def test_empty_directory_is_usage_error(self, tmp_path):
+    def test_empty_directory_is_usage_error(self, tmp_path, capsys):
+        # one line on stderr, as on every other exit-1 path
         assert cmd_report(tmp_path) == harness.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: no stabilab outputs found in {tmp_path}\n"
+        assert not (tmp_path / "report.md").exists()
 
     @pytest.mark.parametrize("name, text", [
         ("bounds.json", '{"regime": "Quadratic", "k": 10, "val'),
@@ -943,7 +948,7 @@ class TestCli:
         # numpy.random takes about 15 ms to import; model defines the seed
         # sequence its batched streams need on first use.  Nor does it load
         # concurrent.futures, which loads logging: run_lanes imports its
-        # executor when it runs
+        # executor only when a third noise block is to come
         path = write_config(tmp_path, quadratic_config())
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys, stabilab.cli\n"

@@ -245,6 +245,17 @@ class TestMinorization:
                 model.LossModel("RidgeQuadratic", mu0=1.0), ds, 0.1, 1,
                 [0.5, 0.5], 1.0, 2.44, 0.5, 1.0, n_grid=n_grid)
 
+    @pytest.mark.parametrize("Sigma", [0.5, [0.5], [0.5, 0.5, 0.5]])
+    def test_sigma_needs_one_variance_a_coordinate(self, Sigma):
+        # the grid divides coordinate k by its own variance Sigma[k]
+        ds = model.make_synthetic_dataset(
+            {"n": 4, "d": 2, "generator": "gaussian_clipped",
+             "radius_D": 1.0}, 6)
+        with pytest.raises(ValueError, match="Sigma must have d = 2"):
+            check_minorization_gaussian(
+                model.LossModel("RidgeQuadratic", mu0=1.0), ds, 0.1, 1,
+                Sigma, 1.0, 2.44, 0.5, 1.0, n_grid=9)
+
     def test_dimension_guard(self):
         ds = model.make_synthetic_dataset(
             {"n": 4, "d": 3, "generator": "gaussian_clipped",

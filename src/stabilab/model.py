@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import load_optimize
-
 FAMILIES = ("Quadratic", "RidgeQuadratic", "RegularizedSine", "ScalarPower")
 GENERATORS = ("unit_fixed", "sphere_uniform", "gaussian_clipped")
 
@@ -41,12 +39,6 @@ POWER_SEPARATION_FLOOR = 1e-6
 # Radius of the parameter ball sampled by check_assumptions; constants for the
 # ScalarPower family are certified over this ball.
 ASSUMPTION_BALL_RADIUS = 10.0
-
-_LBFGSB = "scipy.optimize._lbfgsb"
-# the compiled L-BFGS-B step of scipy 1.15 on, as its docstring opens
-_SETULB = ("setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,"
-           "dsave,maxls,ln_task)")
-_setulb = None   # (setulb, True) or (scipy.optimize.minimize, False)
 
 
 @dataclass(frozen=True)
@@ -412,77 +404,40 @@ def make_neighbor(base: Dataset, index: int, seed: int) -> NeighborPair:
 
 
 def empirical_minimizer(loss: LossModel, dataset: Dataset) -> np.ndarray:
-    """Minimizer of the empirical loss (closed form where available)."""
+    """Minimizer of the empirical loss, from the family's own gradient.
+
+    Quadratic and RidgeQuadratic: the least-squares solution.
+    RegularizedSine: gradient descent from 0 at step 1/L, with L = m0 + s
+    max_i ||a_i||^2 at least the Hessian's norm (|sin| <= 1), so that f falls
+    at every step (Nesterov 2004, 1.2.3); it stops where a step returns a
+    point it has visited, its own or one before it (rounding can leave the
+    descent cycling among a few floats next to theta*), or after 15000 steps.
+    ScalarPower (d = 1): bisection of the nondecreasing derivative on
+    [min y, max y] until the midpoint is an end; the upper end is returned.
+    """
     A, Y = dataset.features, dataset.labels
     n, d = A.shape
     if loss.family in ("Quadratic", "RidgeQuadratic"):
         H = A.T @ A / n + loss.mu0 * np.eye(d)
         rhs = A.T @ Y / n
         return np.linalg.lstsq(H, rhs, rcond=None)[0]
-
-    def objective(theta):
-        if loss.family == "RegularizedSine":
-            vals = 0.5 * loss.m0 * theta @ theta + \
-                loss.s * np.mean(np.sin(A @ theta - Y))
-        else:
-            vals = np.mean(
-                loss.mu / loss.p * np.abs(theta[0] - Y) ** loss.p)
-        return vals
-
-    return _lbfgsb(objective, lambda t: grad_batch(loss, t, A, Y),
-                   np.zeros(d))
-
-
-def _lbfgsb(fun, jac, x0: np.ndarray) -> np.ndarray:
-    """``scipy.optimize.minimize(fun, x0, jac=jac, method="L-BFGS-B",
-    tol=1e-14).x``, bit for bit, without importing ``scipy.optimize``.
-
-    Drives scipy's compiled ``setulb`` as scipy 1.17's ``_minimize_lbfgsb``
-    does: 10 corrections, 20 line-search steps, no bounds, f and g evaluated
-    on a copy of x once per new point (the first at x0, before the loop),
-    and a stop after 15000 iterations or evaluations.  Where the compiled
-    ``setulb`` is missing or has another signature (the Fortran one before
-    scipy 1.15), the public ``minimize`` runs.
-    """
-    global _setulb
-    if _setulb is None:
-        _setulb = load_optimize(
-            _LBFGSB, "setulb", "minimize",
-            lambda f: (f.__doc__ or "").partition("\n")[0] == _SETULB)
-    setulb, compiled = _setulb
-    if not compiled:
-        return setulb(fun, x0, jac=jac, method="L-BFGS-B", tol=1e-14).x
-
-    def evaluate(point):                 # on copies, as scipy's wrappers do
-        return point.copy(), fun(point.copy()), np.atleast_1d(
-            jac(point.copy()))
-
-    n, m = len(x0), 10
-    x = np.array(x0, dtype=np.float64)
-    at, fx, gx = evaluate(x)
-    f, g, evaluations, iterations = np.array(0.0), np.zeros(n), 1, 0
-    lower, upper = np.zeros(n), np.zeros(n)
-    nbd, iwa, task, ln_task, lsave, isave = (
-        np.zeros(k, np.int32) for k in (n, 3 * n, 2, 2, 4, 44))
-    wa, dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
-    factr = 1e-14 / np.finfo(float).eps
-    while True:
-        g = g.astype(np.float64)
-        setulb(m, x, lower, upper, nbd, f, g, factr, 1e-14, wa, iwa, task,
-               lsave, isave, dsave, 20, ln_task)
-        if task[0] == 3:                     # f and g wanted at x
-            if not np.array_equal(x, at):
-                at, fx, gx = evaluate(x)
-                evaluations += 1
-            f, g = fx, gx
-        elif task[0] == 1:                   # a new iteration
-            iterations += 1
-            if iterations >= 15000:
-                task[:] = 5, 504
-            elif evaluations > 15000:
-                task[:] = 5, 502
-        else:
-            return x
+    if loss.family == "ScalarPower":
+        lo, hi = float(Y.min()), float(Y.max())
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if grad_batch(loss, [mid], A, Y)[0] < 0:
+                lo = mid
+            else:
+                hi = mid
+        return np.array([hi])
+    L = loss.m0 + loss.s * np.max(np.sum(A * A, axis=1))
+    theta, seen = np.zeros(d), set()
+    for _ in range(15000):
+        seen.add(theta.tobytes())
+        step = theta - grad_batch(loss, theta, A, Y) / L
+        if step.tobytes() in seen:
+            break
+        theta = step
+    return theta
 
 
 def derive_constants(loss: LossModel, dataset: Dataset) -> AssumptionConstants:

@@ -8,13 +8,17 @@ pathwise mean of the coupled chains dominates the true distance).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib import import_module
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 
 from .dynamics import _BLOCK_ELEMENTS
 from .model import _mean_stderr, _norms
-from .solvers import load_optimize
 
 ASSIGNMENT_CAP = 1024
 
@@ -65,10 +69,37 @@ def wasserstein_exact_1d(p: float, A, B) -> TransportEstimate:
 
 
 def _load_lsap():
-    """scipy's compiled ``linear_sum_assignment``, or the public one where
-    its extension file is missing or does not load."""
-    return load_optimize(_LSAP, "linear_sum_assignment",
-                         "linear_sum_assignment")[0]
+    """scipy's compiled ``linear_sum_assignment``, loaded from its extension
+    file without running ``scipy.optimize/__init__`` (which loads
+    ``scipy.linalg`` and much more: about 49 MB and half a second); or the
+    public one where the file is missing (older scipy ships ``_lsap`` as
+    Python) or does not load.
+
+    The extension registers itself in ``sys.modules`` while it loads, and
+    that entry is removed: a later ``import scipy.optimize`` that found it
+    would never bind the submodule as a package attribute, while
+    unregistered it loads the submodule itself, with the same function.
+    Where the module is already loaded it is reused.
+    """
+    found = sys.modules.get(_LSAP)
+    if found is None:
+        import scipy
+        directory = Path(scipy.__file__).parent / "optimize"
+        for suffix in EXTENSION_SUFFIXES:
+            path = directory / f"_lsap{suffix}"
+            if path.is_file():
+                try:
+                    loader = ExtensionFileLoader(_LSAP, str(path))
+                    found = module_from_spec(
+                        spec_from_file_location(_LSAP, path, loader=loader))
+                    loader.exec_module(found)
+                except ImportError:  # a broken or foreign build
+                    found = None
+                finally:
+                    sys.modules.pop(_LSAP, None)
+                break
+    solver = getattr(found, "linear_sum_assignment", None)
+    return solver or import_module("scipy.optimize").linear_sum_assignment
 
 
 def _distance_cost(p: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lane_oracle import record_lanes
+from test_golden import host_note
 
 from stabilab import dynamics, harness, model, verify
 from stabilab.dynamics import NoiseModel, SGDConfig
@@ -271,7 +272,7 @@ class TestGoldenSteps:
         line = json.dumps(verify.finite_or_null(asdict(cert)),
                           sort_keys=True, allow_nan=False)
         assert line in (GOLDEN / name / "certificates.jsonl").read_text() \
-            .splitlines()
+            .splitlines(), host_note()
 
     def test_verify_prints_the_steps(self, tmp_path, capsys):
         config = json.loads((GOLDEN / "deep-noisy" / "config.json")

@@ -10,23 +10,27 @@ says why:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-The goldens were written on an AVX-512 Xeon with numpy 2.4.6; numpy's SIMD
-transcendentals round differently on other CPUs, so a mismatch on another
-host is a finding about that host, not a reason for a tolerance.
-
-The thread count must not change a byte: certify-grid's pipeline, run in
-two fresh interpreters with ``OPENBLAS_NUM_THREADS=1`` and ``=2``, writes
-the same four files.
+The goldens were written on an AVX-512 Xeon with numpy 2.4.6, whose
+bundled OpenBLAS runs its ``SkylakeX`` kernels there.  The BLAS kernel
+changes bytes: under ``OPENBLAS_CORETYPE=Haswell`` (an AVX2 host's kernels)
+deep-noisy's and wide-quadratic's goldens differ in last digits, and under
+``Sandybridge`` certify-grid's as well.  The thread count does not: certify-grid's pipeline, run in two fresh
+interpreters with ``OPENBLAS_NUM_THREADS=1`` and ``=2``, writes the same
+four files.  A mismatch names the core this host uses; on another core it
+is a finding about that host, not a reason for a tolerance.
 """
 
 import contextlib
+import ctypes
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabilab import cli
@@ -36,6 +40,25 @@ COMMANDS = ("bounds", "simulate", "verify")
 OUTPUTS = ("bounds.json", "estimates.csv", "run_summary.json",
            "certificates.jsonl")
 NAMES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+GOLDEN_CORE = "SkylakeX"     # the OpenBLAS core the goldens were written on
+
+
+def blas_core() -> str:
+    """The core whose kernels numpy's bundled OpenBLAS runs in this
+    process, or "unknown" where it cannot be read."""
+    try:
+        library, = (Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*.so")
+        corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def host_note() -> str:
+    return (f"goldens written under OpenBLAS core {GOLDEN_CORE}, "
+            f"this host uses {blas_core()}")
 
 
 def run_pipeline(config: Path, out: Path) -> dict:
@@ -75,7 +98,24 @@ def test_outputs_match_golden(tmp_path, name):
         got = (tmp_path / output).read_bytes()
         if got != want:
             pytest.fail(f"{name}/{output} differs from the golden at "
-                        + first_difference(want, got), pytrace=False)
+                        + first_difference(want, got) + f" ({host_note()})",
+                        pytrace=False)
+
+
+def test_blas_core_names_the_kernels_in_use():
+    core = blas_core()
+    if core == "unknown" or platform.machine() != "x86_64":
+        pytest.skip("no x86-64 OpenBLAS bundled with numpy here")
+    # OPENBLAS_CORETYPE picks another core's kernels when numpy loads
+    code = "from test_golden import blas_core\nprint(blas_core())"
+    path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Nehalem")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "Nehalem"
+    assert host_note() == ("goldens written under OpenBLAS core SkylakeX, "
+                           f"this host uses {core}")
 
 
 def test_thread_count_changes_no_byte(tmp_path):

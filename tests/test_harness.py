@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import host_note
 
 from stabilab import cli, harness, verify
 from stabilab.dynamics import NoiseModel, run_ensemble
@@ -117,7 +119,7 @@ class TestBoundsCommand:
             f"(log_value {rep['log_value']})\n")
         assert round(rep["log_value"], 1) == 1525.2
         assert ((tmp_path / "bounds.json").read_bytes()
-                == (golden / "bounds.json").read_bytes())
+                == (golden / "bounds.json").read_bytes()), host_note()
 
     def test_finite_bound_prints_its_value_alone(self, tmp_path, capsys):
         assert cmd_bounds(quadratic_config(), tmp_path) == EXIT_OK
@@ -475,6 +477,8 @@ CONFIG_ERRORS = {
                      "config.bound.eta_hat.M_grid"),
     "eta-nan": (lambda c: c["sgd"].update(eta=math.nan), "config.sgd.eta"),
     "eta-negative": (lambda c: c["sgd"].update(eta=-0.1), "config.sgd.eta"),
+    "eta-beyond-float": (lambda c: c["sgd"].update(eta=10 ** 400),
+                         "config.sgd.eta"),
     "neighbor-list": (lambda c: c.update(neighbor=[1]), "config.neighbor"),
     "neighbor-index-string": (lambda c: c.update(neighbor={"index": "x"}),
                               "config.neighbor.index"),
@@ -555,6 +559,15 @@ def test_config_error_is_one_line_naming_the_field(tmp_path, capsys, case,
     assert field in out.err
     assert out.err.count("\n") == 1
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_integer_beyond_float_range_reads_as_inf(tmp_path, capsys):
+    cfg = quadratic_config()
+    cfg["sgd"]["eta"] = 10 ** 400
+    assert cli.main(["bounds", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config.sgd.eta must lie in [0, inf), got inf\n")
 
 
 @pytest.mark.parametrize("command,code", [("bounds", 1), ("simulate", 0),
@@ -730,7 +743,7 @@ REGIME_BOUNDS = {
     "NonconvexNoisy": (
         _regime("NonconvexNoisy", SINE, 0.2, 4, 500,
                 noise={"kind": "gaussian_diag", "scale": [0.5 ** 0.5]}),
-        3.5044677549489723e+74, 171.64533553743348),
+        3.5044687422629965e+74, 171.64533581916353),
     "NonconvexPlain": (_regime("NonconvexPlain", SINE, 0.2, 4, 100),
                        0.011090349406752402, -4.501679971646171),
     # eta = 1e-9 is below this data set's step-size limit of 2.4e-8
@@ -754,6 +767,35 @@ def test_every_regime_through_the_cli(tmp_path, regime):
     assert rep["regime"] == regime
     assert rep["value"] == pytest.approx(value, rel=1e-12)
     assert rep["log_value"] == pytest.approx(log_value, rel=1e-12)
+
+
+def test_sub_convex_dominance_compares_the_p_th_power(tmp_path, capsys):
+    # SubConvexStationary is the one regime whose order p comes from the
+    # loss: its W_p^p bound is compared with the estimate to the power p
+    cfg = copy.deepcopy(REGIME_BOUNDS["SubConvexStationary"][0])
+    cfg.update(replicas=16, checkpoints=[50], p=1.5,
+               estimators=["coupled", "exact_1d"],
+               certificates=[{"kind": "dominance", "R": 16, "k": 50,
+                              "estimator": estimator}
+                             for estimator in ("coupled", "exact_1d")])
+    path = write_config(tmp_path, cfg)
+    codes = [cli.main([command, "--config", str(path), "--out",
+                       str(tmp_path)])
+             for command in ("bounds", "simulate", "verify")]
+    assert codes == [0, 0, 0]
+    out = capsys.readouterr().out.splitlines()[-2:]
+    assert all(line.endswith("estimate from its own 16-replica run)")
+               for line in out), out
+    values = {row["estimator"]: float(row["value"]) for row in csv.DictReader(
+        (tmp_path / "estimates.csv").read_text().splitlines())}
+    certs = [json.loads(line) for line in
+             (tmp_path / "certificates.jsonl").read_text().splitlines()]
+    assert [c["details"]["estimator"] for c in certs] == ["coupled",
+                                                          "exact_1d"]
+    for cert in certs:
+        assert cert["passed"]
+        assert cert["details"]["measured"] == pytest.approx(
+            values[cert["details"]["estimator"]] ** 1.5, rel=1e-12)
 
 
 # eta = 0 passes validate_config; the noisy regime's eta_bar and eta_hat
@@ -948,14 +990,16 @@ class TestCli:
         # numpy.random takes about 15 ms to import; model defines the seed
         # sequence its batched streams need on first use.  Nor does it load
         # concurrent.futures, which loads logging: run_lanes imports its
-        # executor only when a third noise block is to come
+        # executor only when a third noise block is to come.  Nor scipy
+        # after loading a config: the benchmark's setup_s times this
         path = write_config(tmp_path, quadratic_config())
         src = str(Path(cli.__file__).resolve().parents[1])
         code = ("import sys, stabilab.cli\n"
                 "from stabilab.harness import load_config\n"
                 "load_config(sys.argv[1])\n"
                 "print(sorted(m for m in sys.modules if m.startswith(("
-                "'numpy.random', 'concurrent.futures', 'logging'))))")
+                "'numpy.random', 'concurrent.futures', 'logging', "
+                "'scipy'))))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code, str(path)],
                              env=env, capture_output=True, text=True,

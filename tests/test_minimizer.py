@@ -115,6 +115,14 @@ def test_stationary_where_lbfgsb_stops_short():
     assert np.linalg.norm(grad_batch(loss, theta, A, Y)) <= 1e-12
 
 
+def test_power_with_one_label_value_returns_it():
+    # min y == max y: the bracket is one point and no midpoint is taken
+    ds = model.Dataset(np.zeros((5, 1)), np.full(5, 0.3), 1.0)
+    theta = model.empirical_minimizer(POWER, ds)
+    assert theta.tolist() == [0.3]
+    assert derivative(POWER, ds, theta[0]) == 0.0
+
+
 def test_descent_stops_after_15000_steps(monkeypatch):
     # a gradient that never vanishes: every step moves theta by 1/L
     calls = []

@@ -312,6 +312,13 @@ class TestSolverLoad:
             unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
         assert transport._load_lsap() is scipy.optimize.linear_sum_assignment
 
+    def test_module_without_the_solver_falls_back(self, unloaded):
+        # a loaded _lsap that has no linear_sum_assignment is not used
+        unloaded.setitem(sys.modules, transport._LSAP,
+                         types.ModuleType(transport._LSAP))
+        unloaded.setattr(transport, "ExtensionFileLoader", FailingLoader)
+        assert transport._load_lsap() is scipy.optimize.linear_sum_assignment
+
     @needs_extension
     @pytest.mark.parametrize("failure", ["missing", "raises"])
     @pytest.mark.parametrize("p", [1.0, 2.0])
